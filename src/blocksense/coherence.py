@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import BlockGram, BlockStructure, EquivalentDictionary
+from .model import BlockGram, BlockStructure, EquivalentDictionary, _gram_matrix
 
 MASK_KINDS = ("norm", "inter", "sub")
 
@@ -53,12 +54,21 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _objective(g: np.ndarray, structure: BlockStructure, alpha: float) -> float:
-    return (
-        0.5 * _norm_penalty(g)
-        + (1.0 - alpha) * _total_inter(g, structure)
-        + alpha * _total_sub(g, structure)
-    )
+class _Terms(NamedTuple):
+    """The three penalty totals of one Gram matrix."""
+
+    inter: float
+    sub: float
+    norm: float
+
+    def objective(self, alpha: float) -> float:
+        """f = 1/2 * norm + (1 - alpha) * inter + alpha * sub."""
+        return 0.5 * self.norm + (1.0 - alpha) * self.inter + alpha * self.sub
+
+
+def _gram_terms(g: np.ndarray, structure: BlockStructure) -> _Terms:
+    """All three penalty totals of ``g``, gathering each mask once."""
+    return _Terms(_total_inter(g, structure), _total_sub(g, structure), _norm_penalty(g))
 
 
 def mutual_coherence(E) -> float:
@@ -69,7 +79,7 @@ def mutual_coherence(E) -> float:
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("matrix has a zero column; coherence is undefined")
-    c = np.abs(mat.T @ mat) / np.outer(norms, norms)
+    c = np.abs(_gram_matrix(mat)) / np.outer(norms, norms)
     np.fill_diagonal(c, 0.0)
     return float(c.max())
 
@@ -129,7 +139,7 @@ def weighted_objective(gram: BlockGram, alpha: float) -> float:
         f(G) = 1/2 * norm_penalty + (1 - alpha) * total_inter + alpha * total_sub
     """
     alpha = _check_alpha(alpha)
-    return _objective(gram.matrix, gram.structure, alpha)
+    return _gram_terms(gram.matrix, gram.structure).objective(alpha)
 
 
 def _deviation(g: np.ndarray, structure: BlockStructure, kind: str) -> np.ndarray:
@@ -142,19 +152,6 @@ def _deviation(g: np.ndarray, structure: BlockStructure, kind: str) -> np.ndarra
         return np.where(cross, g, 0.0)
     if kind == "sub":
         return np.where(within, g, 0.0)
-    raise ValueError(f"unknown mask kind {kind!r}, expected one of {MASK_KINDS}")
-
-
-def _idealized(g: np.ndarray, structure: BlockStructure, kind: str) -> np.ndarray:
-    cross, within = _pattern_masks(structure)
-    if kind == "norm":
-        out = g.copy()
-        np.fill_diagonal(out, 1.0)
-        return out
-    if kind == "inter":
-        return np.where(cross, 0.0, g)
-    if kind == "sub":
-        return np.where(within, 0.0, g)
     raise ValueError(f"unknown mask kind {kind!r}, expected one of {MASK_KINDS}")
 
 
@@ -171,18 +168,28 @@ def idealized(gram: BlockGram, kind: str) -> np.ndarray:
     (ones on the diagonal for ``"norm"``, zeros otherwise). Complements
     :func:`deviation`: G - idealized(G, kind) == deviation(G, kind).
     """
-    return _idealized(gram.matrix, gram.structure, kind)
+    cross, within = _pattern_masks(gram.structure)
+    if kind == "norm":
+        out = gram.matrix.copy()
+        np.fill_diagonal(out, 1.0)
+        return out
+    if kind == "inter":
+        return np.where(cross, 0.0, gram.matrix)
+    if kind == "sub":
+        return np.where(within, 0.0, gram.matrix)
+    raise ValueError(f"unknown mask kind {kind!r}, expected one of {MASK_KINDS}")
 
 
 def objective_gradient(gram: BlockGram, alpha: float) -> np.ndarray:
     """Entrywise gradient of :func:`weighted_objective` with respect to G."""
-    alpha = _check_alpha(alpha)
-    g = gram.matrix
-    s = gram.structure
+    return _gradient(gram.matrix, gram.structure, _check_alpha(alpha))
+
+
+def _gradient(g: np.ndarray, structure: BlockStructure, alpha: float) -> np.ndarray:
     return 2.0 * (
-        0.5 * _deviation(g, s, "norm")
-        + (1.0 - alpha) * _deviation(g, s, "inter")
-        + alpha * _deviation(g, s, "sub")
+        0.5 * _deviation(g, structure, "norm")
+        + (1.0 - alpha) * _deviation(g, structure, "inter")
+        + alpha * _deviation(g, structure, "sub")
     )
 
 
@@ -192,10 +199,10 @@ def decomposition_check(E: EquivalentDictionary) -> tuple[float, float]:
     The two numbers agree up to floating-point noise for every E; the first is
     computed directly, the second from the masked totals.
     """
-    g = E.matrix.T @ E.matrix
+    g = _gram_matrix(E.matrix)
     lhs = float(np.sum((g - np.eye(g.shape[0])) ** 2))
-    rhs = _norm_penalty(g) + _total_inter(g, E.structure) + _total_sub(g, E.structure)
-    return lhs, rhs
+    terms = _gram_terms(g, E.structure)
+    return lhs, terms.norm + terms.inter + terms.sub
 
 
 def sparse_recovery_bound(mu: float) -> float:
@@ -251,19 +258,18 @@ class CoherenceReport:
 
 def coherence_report(E: EquivalentDictionary, alpha: float | None = None) -> CoherenceReport:
     """Compute every coherence diagnostic of an equivalent dictionary at once."""
-    g_mat = E.matrix.T @ E.matrix
-    g = BlockGram((g_mat + g_mat.T) / 2.0, E.structure)
+    g = BlockGram(_gram_matrix(E.matrix), E.structure)
     if g.structure.uniform_size is not None and g.structure.num_blocks >= 2:
         mu_block = inter_block_coherence(g)
     else:
         mu_block = None
-    objective_alpha = None if alpha is None else weighted_objective(g, alpha)
+    terms = _gram_terms(g.matrix, g.structure)
     return CoherenceReport(
         mu=mutual_coherence(E),
         mu_block=mu_block,
         nu_sub=sub_block_coherence(g),
-        total_inter=total_inter_block_coherence(g),
-        total_sub=total_sub_block_coherence(g),
-        norm_penalty=normalization_penalty(g),
-        objective_alpha=objective_alpha,
+        total_inter=terms.inter,
+        total_sub=terms.sub,
+        norm_penalty=terms.norm,
+        objective_alpha=None if alpha is None else terms.objective(_check_alpha(alpha)),
     )

@@ -10,7 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import RANK_TOL, Dictionary, SensingMatrix, sym_eig
+from .model import RANK_TOL, Dictionary, SensingMatrix, _gram_matrix, sym_eig
+
+
+def _whitening(D: Dictionary) -> np.ndarray:
+    """diag(w)^{-1/2} U' for D D' = U diag(w) U', eigenvalues descending.
+
+    Its first M rows are the closed-form design; all N rows whiten the
+    dictionary frame for the iterative designer.
+    """
+    w, u = sym_eig(D.matrix @ D.matrix.T)
+    if w[0] <= 0.0 or w[-1] <= RANK_TOL * w[0]:
+        raise ValueError("dictionary is row-rank deficient; cannot whiten")
+    return (u / np.sqrt(w)).T
 
 
 def design_ds(D: Dictionary, M: int) -> SensingMatrix:
@@ -24,12 +36,7 @@ def design_ds(D: Dictionary, M: int) -> SensingMatrix:
     n = D.signal_dim
     if not 1 <= M < n:
         raise ValueError(f"M must satisfy 1 <= M < N={n}, got {M}")
-    w, u = sym_eig(D.matrix @ D.matrix.T)
-    if w[0] <= 0.0 or w[-1] <= RANK_TOL * w[0]:
-        raise ValueError("dictionary is row-rank deficient; cannot whiten")
-    # First M rows of diag(w)^{-1/2} U'.
-    a = (u[:, :M] / np.sqrt(w[:M])).T
-    return SensingMatrix(a)
+    return SensingMatrix(_whitening(D)[:M])
 
 
 def ds_objective(A: SensingMatrix, D: Dictionary) -> float:
@@ -39,6 +46,5 @@ def ds_objective(A: SensingMatrix, D: Dictionary) -> float:
         raise ValueError(
             f"sensing matrix has {a_mat.shape[1]} columns, dictionary expects {D.signal_dim}"
         )
-    e = a_mat @ D.matrix
-    g = e.T @ e
+    g = _gram_matrix(a_mat @ D.matrix)
     return float(np.sum((g - np.eye(g.shape[0])) ** 2))

@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .bomp import BompConfig, bomp_decode_batch
-from .coherence import _objective, _total_inter, _total_sub
+from .coherence import _gram_terms
 from .ds import design_ds
-from .model import BlockStructure, Dictionary, EquivalentDictionary
+from .model import BlockStructure, Dictionary, EquivalentDictionary, _gram_matrix
 from .wcm import WcmConfig, run_wcm
 
 DICT_FAMILIES = ("gaussian", "dct_rows")
@@ -80,6 +80,14 @@ class ExperimentConfig:
         if self.k > structure.num_blocks:
             raise ValueError(
                 f"k={self.k} exceeds the number of blocks {structure.num_blocks}"
+            )
+        # Block-OMP refits on the columns of every selected block, which
+        # cannot be independent once they outnumber the M measurements.
+        widest = sum(sorted(structure.sizes, reverse=True)[: self.k])
+        if widest > self.M:
+            raise ValueError(
+                f"the k={self.k} largest blocks hold {widest} columns, more than "
+                f"M={self.M}; block-OMP could not refit them"
             )
 
     def structure(self) -> BlockStructure:
@@ -207,12 +215,10 @@ def _evaluate(cfg, trial, designer, alpha, a_mat, D, X, theta) -> TrialResult:
     E = EquivalentDictionary(a_mat @ D.matrix, D.structure)
     Y = a_mat @ X
     theta_hat = bomp_decode_batch(E, Y, BompConfig(k_blocks=cfg.k))
-    g = E.matrix.T @ E.matrix
-    inter = _total_inter(g, D.structure)
-    sub = _total_sub(g, D.structure)
-    ratio = sub / inter if inter > 0.0 else float("inf")
+    terms = _gram_terms(_gram_matrix(E.matrix), D.structure)
+    ratio = terms.sub / terms.inter if terms.inter > 0.0 else float("inf")
     # Baselines without an alpha of their own are scored at the neutral 0.5.
-    objective = _objective(g, D.structure, 0.5 if alpha is None else alpha)
+    objective = terms.objective(0.5 if alpha is None else alpha)
     return TrialResult(
         trial=trial,
         designer=designer,

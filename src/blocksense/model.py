@@ -254,10 +254,20 @@ def equivalent_dictionary(A, D: Dictionary) -> EquivalentDictionary:
     return EquivalentDictionary(a_mat @ D.matrix, D.structure)
 
 
+def _gram_matrix(e: np.ndarray) -> np.ndarray:
+    """E'E, symmetrized, without the checks of :class:`BlockGram`.
+
+    Every Gram matrix in the package is formed here. The design and scoring
+    loops call this directly because the PSD check of :func:`gram` is an
+    eigensolve of the K x K result.
+    """
+    g = e.T @ e
+    return (g + g.T) / 2.0
+
+
 def gram(E: EquivalentDictionary) -> BlockGram:
     """Gram matrix of the equivalent dictionary columns, with its block layout."""
-    g = E.matrix.T @ E.matrix
-    return BlockGram((g + g.T) / 2.0, E.structure)
+    return BlockGram(_gram_matrix(E.matrix), E.structure)
 
 
 def sym_eig(S) -> tuple[np.ndarray, np.ndarray]:

@@ -1,17 +1,25 @@
-"""Weighted coherence minimization by bound optimization.
+"""Weighted coherence minimization by majorization-minimization (MM).
 
 The design objective
 
     f(G) = 1/2 * norm_penalty(G) + (1 - alpha) * total_inter(G) + alpha * total_sub(G)
 
-is hard to minimize directly over sensing matrices, so each iteration replaces
-it with a quadratic surrogate built from the idealized masks of the previous
-Gram matrix. The surrogate shares f's value and gradient at the previous
-iterate and upper-bounds f everywhere, so its exact minimizer can never
-increase f; iterating therefore descends monotonically to a local optimum.
-Each surrogate is minimized in closed form: after whitening by the dictionary
-frame, the problem becomes a nearest rank-M PSD approximation, solved by the
-top-M eigenpairs of the whitened target.
+is a quadratic in the Gram matrix G = D'A'AD that weighs each squared entry
+by 1/2 (diagonal), 1 - alpha (across blocks) or alpha (inside blocks). Each
+iteration replaces f by its majorizer at the previous Gram matrix G_p,
+
+    g(G, G_p) = f(G_p) + <grad f(G_p), G - G_p> + 3/2 * ||G - G_p||_F^2,
+
+which shares f's value and gradient at G_p. Its curvature 3/2, the sum of
+the three weights, exceeds every one of them, so g upper-bounds f everywhere:
+its exact minimizer can never increase f, and the iteration descends
+monotonically to a local optimum (Hunter & Lange, "A tutorial on MM
+algorithms", 2004). Up to a constant, g is 3/2 * ||G - T||_F^2 with the
+target T = G_p - grad f(G_p) / 3: a gradient step on the Gram matrix,
+followed, as in Elad's optimized projections (2007), by a projection onto
+the Gram matrices the design can reach. That projection is exact: after
+whitening by the dictionary frame it is a nearest rank-M PSD approximation,
+solved by the top-M eigenpairs of the whitened target.
 """
 
 from __future__ import annotations
@@ -23,21 +31,20 @@ import numpy as np
 from .coherence import (
     CoherenceReport,
     _check_alpha,
-    _idealized,
-    _norm_penalty,
-    _objective,
-    _total_inter,
-    _total_sub,
+    _gradient,
+    _gram_terms,
     coherence_report,
+    objective_gradient,
+    weighted_objective,
 )
-from .ds import design_ds
+from .ds import _whitening
 from .model import (
-    RANK_TOL,
     BlockGram,
     BlockStructure,
     Dictionary,
     EquivalentDictionary,
     SensingMatrix,
+    _gram_matrix,
     sym_eig,
 )
 
@@ -92,70 +99,64 @@ class WcmReport:
 
 
 def surrogate_target(gram: BlockGram, alpha: float) -> np.ndarray:
-    """Weighted combination of the idealized masks that the per-step
-    minimization drives the Gram matrix toward:
+    """Gram matrix that the per-step minimization drives G toward, the
+    gradient step
 
-        (2/3) * (1/2 * idealized_norm + (1-alpha) * idealized_inter + alpha * idealized_sub)
+        T = G - grad f(G) / 3
+          = (2/3) * (1/2 * idealized_norm + (1-alpha) * idealized_inter + alpha * idealized_sub)
     """
     alpha = _check_alpha(alpha)
     return _surrogate_target(gram.matrix, gram.structure, alpha)
 
 
 def _surrogate_target(g: np.ndarray, structure: BlockStructure, alpha: float) -> np.ndarray:
-    return (2.0 / 3.0) * (
-        0.5 * _idealized(g, structure, "norm")
-        + (1.0 - alpha) * _idealized(g, structure, "inter")
-        + alpha * _idealized(g, structure, "sub")
-    )
+    return g - _gradient(g, structure, alpha) / 3.0
 
 
 def surrogate_value(gram: BlockGram, gram_prev: BlockGram, alpha: float) -> float:
-    """Surrogate objective g(G, G_prev): quadratic distances from G to the
-    idealized masks of G_prev, in the same weights as the objective.
+    """MM majorizer g(G, G_prev) of the objective, anchored at G_prev:
+
+        f(G_prev) + <grad f(G_prev), G - G_prev> + 3/2 * ||G - G_prev||_F^2
+
+    which equals the quadratic distances from G to the idealized masks of
+    G_prev, in the objective's weights:
+
+        1/2 * ||G - idealized_norm||^2 + (1-alpha) * ||G - idealized_inter||^2
+        + alpha * ||G - idealized_sub||^2
     """
     alpha = _check_alpha(alpha)
     if gram.matrix.shape != gram_prev.matrix.shape:
         raise ValueError("G and G_prev must have identical shapes")
     if gram.structure != gram_prev.structure:
         raise ValueError("G and G_prev must share one block structure")
-    g, gp, s = gram.matrix, gram_prev.matrix, gram.structure
+    step = gram.matrix - gram_prev.matrix
     return float(
-        0.5 * np.sum((g - _idealized(gp, s, "norm")) ** 2)
-        + (1.0 - alpha) * np.sum((g - _idealized(gp, s, "inter")) ** 2)
-        + alpha * np.sum((g - _idealized(gp, s, "sub")) ** 2)
+        weighted_objective(gram_prev, alpha)
+        + np.sum(objective_gradient(gram_prev, alpha) * step)
+        + 1.5 * np.sum(step**2)
     )
 
 
 def surrogate_gradient(gram: BlockGram, gram_prev: BlockGram, alpha: float) -> np.ndarray:
-    """Entrywise gradient of :func:`surrogate_value` in its first argument."""
-    alpha = _check_alpha(alpha)
-    g, gp, s = gram.matrix, gram_prev.matrix, gram.structure
-    return 2.0 * (
-        0.5 * (g - _idealized(gp, s, "norm"))
-        + (1.0 - alpha) * (g - _idealized(gp, s, "inter"))
-        + alpha * (g - _idealized(gp, s, "sub"))
-    )
+    """Entrywise gradient of :func:`surrogate_value` in its first argument,
+
+        grad f(G_prev) + 3 * (G - G_prev)
+    """
+    return objective_gradient(gram_prev, alpha) + 3.0 * (gram.matrix - gram_prev.matrix)
 
 
 class _DesignBasis:
     """Whitening transforms of one dictionary, precomputed for the iteration."""
 
     def __init__(self, D: Dictionary):
-        w, u = sym_eig(D.matrix @ D.matrix.T)
-        if w[0] <= 0.0 or w[-1] <= RANK_TOL * w[0]:
-            raise ValueError("dictionary is row-rank deficient; cannot whiten")
-        self.dictionary = D
+        self.structure = D.structure
         # diag(w)^{-1/2} U' and its product with D
-        self.whiten = (u / np.sqrt(w)).T
+        self.whiten = _whitening(D)
         self.whiten_dict = self.whiten @ D.matrix
 
-    def step(self, a_mat: np.ndarray, alpha: float, m: int) -> np.ndarray:
-        """One exact surrogate minimization from the sensing matrix ``a_mat``."""
-        d_mat = self.dictionary.matrix
-        e = a_mat @ d_mat
-        g = e.T @ e
-        g = (g + g.T) / 2.0
-        target = _surrogate_target(g, self.dictionary.structure, alpha)
+    def step(self, g: np.ndarray, alpha: float, m: int) -> np.ndarray:
+        """One exact surrogate minimization from the Gram matrix ``g``."""
+        target = _surrogate_target(g, self.structure, alpha)
         whitened = self.whiten_dict @ target @ self.whiten_dict.T
         w, v = sym_eig(whitened)
         # Negative directions cannot be matched by a PSD Gram and only add a
@@ -178,8 +179,8 @@ def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatri
             f"sensing matrix expects signals of dimension {A_prev.signal_dim}, "
             f"dictionary has {D.signal_dim}"
         )
-    basis = _DesignBasis(D)
-    return SensingMatrix(basis.step(A_prev.matrix, alpha, A_prev.num_measurements))
+    g = _gram_matrix(A_prev.matrix @ D.matrix)
+    return SensingMatrix(_DesignBasis(D).step(g, alpha, A_prev.num_measurements))
 
 
 def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
@@ -196,31 +197,25 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     alpha = config.alpha
 
     if config.init == "ds":
-        a_mat = design_ds(D, M).matrix
+        a_mat = basis.whiten[:M]
     else:
         rng = np.random.default_rng(config.seed)
         a_mat = rng.standard_normal((M, D.signal_dim))
 
-    def measure(a):
-        e = a @ D.matrix
-        g = e.T @ e
-        g = (g + g.T) / 2.0
-        return g
-
-    g = measure(a_mat)
-    f = _objective(g, structure, alpha)
+    g = _gram_matrix(a_mat @ D.matrix)
+    terms = _gram_terms(g, structure)
+    f = terms.objective(alpha)
     trace = [f]
-    components = [(_total_inter(g, structure), _total_sub(g, structure), _norm_penalty(g))]
+    components = [terms]
 
     converged = False
     for _ in range(int(config.max_iters)):
-        a_mat = basis.step(a_mat, alpha, M)
-        g = measure(a_mat)
-        f_new = _objective(g, structure, alpha)
+        a_mat = basis.step(g, alpha, M)
+        g = _gram_matrix(a_mat @ D.matrix)
+        terms = _gram_terms(g, structure)
+        f_new = terms.objective(alpha)
         trace.append(f_new)
-        components.append(
-            (_total_inter(g, structure), _total_sub(g, structure), _norm_penalty(g))
-        )
+        components.append(terms)
         if abs(f - f_new) <= config.rel_tol * (1.0 + f):
             converged = True
             f = f_new

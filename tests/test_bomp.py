@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -17,7 +13,6 @@ from blocksense import (
     inter_block_coherence,
     sub_block_coherence,
 )
-from blocksense import kernels
 from helpers import oracle_block_support, packed_equivalent, random_orthonormal
 
 
@@ -153,32 +148,7 @@ class TestBatchDecode:
             bomp_decode_batch(e, y, BompConfig(k_blocks=1))
 
 
-class TestKernelBackends:
-    def test_backends_agree(self):
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba backend not active")
-        rng = np.random.default_rng(9)
-        e = rng.standard_normal((14, 24))
-        e /= np.linalg.norm(e, axis=0)
-        offsets = np.arange(0, 25, 3, dtype=np.int64)
-        y = rng.standard_normal((14, 64))
-        theta_j, sup_j, status_j = kernels._bomp_batch_jit(e, offsets, y, 2, 1e-10)
-        theta_n, sup_n, status_n = kernels._bomp_batch_numpy(e, offsets, y, 2, 1e-10)
-        np.testing.assert_array_equal(sup_j, sup_n)
-        np.testing.assert_array_equal(status_j, status_n)
-        np.testing.assert_allclose(theta_j, theta_n, rtol=1e-12, atol=1e-12)
-
-    def test_env_flag_selects_numpy_backend(self):
-        env = dict(os.environ, BLOCKSENSE_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from blocksense import kernels; print(kernels.BACKEND)"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
+class TestBompConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BompConfig(k_blocks=0)

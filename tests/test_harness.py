@@ -276,5 +276,18 @@ class TestConfigParsing:
             ExperimentConfig(**{**TINY, "k": 9})
 
     def test_explicit_block_size_list(self):
-        cfg = ExperimentConfig(**{**TINY, "block_sizes": (4,) * 3 + (3,) * 4})
+        cfg = ExperimentConfig(**{**TINY, "M": 8, "block_sizes": (4,) * 3 + (3,) * 4})
         assert cfg.structure().sizes == (4, 4, 4, 3, 3, 3, 3)
+
+    def test_rejects_k_blocks_wider_than_m(self):
+        # k * s > M: every selected support would outnumber the measurements
+        with pytest.raises(ValueError, match="largest blocks"):
+            ExperimentConfig(**{**TINY, "N": 60, "K": 120, "M": 14, "k": 5})
+        ExperimentConfig(**{**TINY, "N": 60, "K": 120, "M": 15, "k": 5})
+
+    def test_rejects_mixed_blocks_wider_than_m(self):
+        # the two largest of mixed sizes 4, 4, 4, 3, ... hold 8 columns
+        mixed = {**TINY, "block_sizes": (4,) * 3 + (3,) * 4}
+        with pytest.raises(ValueError, match="largest blocks"):
+            ExperimentConfig(**{**mixed, "M": 7})
+        ExperimentConfig(**{**mixed, "M": 8})

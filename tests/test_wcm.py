@@ -48,14 +48,16 @@ class TestSurrogateTarget:
         np.testing.assert_allclose(surrogate_target(g, 0.5), expected, atol=1e-12)
 
     def test_matches_mask_composition(self):
-        g = random_sym_gram(np.random.default_rng(1), (3, 3))
-        alpha = 0.9
-        expected = (2.0 / 3.0) * (
-            0.5 * idealized(g, "norm")
-            + (1 - alpha) * idealized(g, "inter")
-            + alpha * idealized(g, "sub")
-        )
-        np.testing.assert_allclose(surrogate_target(g, alpha), expected, atol=1e-13)
+        rng = np.random.default_rng(1)
+        for sizes in ((3, 3), (2, 3, 1, 4)):
+            g = random_sym_gram(rng, sizes)
+            for alpha in (0.9, 0.01, 0.5, 0.99):
+                expected = (2.0 / 3.0) * (
+                    0.5 * idealized(g, "norm")
+                    + (1 - alpha) * idealized(g, "inter")
+                    + alpha * idealized(g, "sub")
+                )
+                np.testing.assert_allclose(surrogate_target(g, alpha), expected, atol=1e-13)
 
     def test_symmetric_output(self):
         g = random_sym_gram(np.random.default_rng(2), (2, 2, 2))
@@ -92,6 +94,22 @@ class TestSurrogateValue:
             g.matrix,
         )
         np.testing.assert_allclose(surrogate_gradient(g, g, alpha), fd, rtol=1e-5, atol=1e-8)
+
+    def test_matches_mask_distances_away_from_anchor(self):
+        rng = np.random.default_rng(22)
+        for sizes in ((2, 3, 2), (1, 4, 3)):
+            for _ in range(5):
+                g = random_sym_gram(rng, sizes)
+                g_prev = random_sym_gram(rng, sizes)
+                for alpha in (0.01, 0.5, 0.99):
+                    weights = {"norm": 0.5, "inter": 1 - alpha, "sub": alpha}
+                    gaps = {kind: g.matrix - idealized(g_prev, kind) for kind in weights}
+                    value = sum(w * np.sum(gaps[kind] ** 2) for kind, w in weights.items())
+                    gradient = sum(2 * w * gaps[kind] for kind, w in weights.items())
+                    assert surrogate_value(g, g_prev, alpha) == pytest.approx(value, rel=1e-12)
+                    np.testing.assert_allclose(
+                        surrogate_gradient(g, g_prev, alpha), gradient, rtol=1e-12, atol=1e-12
+                    )
 
     def test_shape_mismatch_rejected(self):
         g1 = random_sym_gram(np.random.default_rng(6), (2, 2))
