@@ -1,30 +1,48 @@
-"""Weighted coherence minimization by majorization-minimization (MM).
+"""Weighted coherence minimization by projected gradient steps on the Gram
+matrix, safeguarded by majorization-minimization (MM).
 
 The design objective
 
     f(G) = 1/2 * norm_penalty(G) + (1 - alpha) * total_inter(G) + alpha * total_sub(G)
 
 is a quadratic in the Gram matrix G = D'A'AD that weighs each squared entry
-by 1/2 (diagonal), 1 - alpha (across blocks) or alpha (inside blocks). Each
-iteration replaces f by its majorizer at the previous Gram matrix G_p,
+by 1/2 (diagonal), 1 - alpha (across blocks) or alpha (inside blocks). Its
+MM majorizer at a Gram matrix G_p is
 
     g(G, G_p) = f(G_p) + <grad f(G_p), G - G_p> + 3/2 * ||G - G_p||_F^2,
 
 which shares f's value and gradient at G_p. Its curvature 3/2, the sum of
-the three weights, exceeds every one of them, so g upper-bounds f everywhere:
-its exact minimizer can never increase f, and the iteration descends
-monotonically to a local optimum (Hunter & Lange, "A tutorial on MM
-algorithms", 2004). Up to a constant, g is 3/2 * ||G - T||_F^2 with the
-target T = G_p - grad f(G_p) / 3: a gradient step on the Gram matrix,
-followed, as in Elad's optimized projections (2007), by a projection onto
-the Gram matrices the design can reach. That projection is exact: after
+the three weights, exceeds every one of them, so g upper-bounds f everywhere
+and its exact minimizer can never increase f (Hunter & Lange, "A tutorial on
+MM algorithms", 2004). Up to a constant, g is 3/2 * ||G - T||_F^2 with the
+target T = G_p - grad f(G_p) / 3: a gradient step of size 1/3 on the Gram
+matrix, followed, as in Elad's optimized projections (2007), by a projection
+onto the Gram matrices the design can reach. That projection is exact: after
 whitening by the dictionary frame it is a nearest rank-M PSD approximation,
-solved by the top-M eigenpairs of the whitened target.
+solved by the top-M eigenpairs of the whitened target. ``wcm_step`` and the
+``surrogate_*`` functions are this exact majorizer.
+
+``run_wcm`` takes the longer step T = G_p - eta(alpha) * grad f(G_p), with
+
+    eta(alpha) = 0.9 / max(1, 2 * (1 - alpha)),
+
+through the same projection. For alpha <= 1/2 that is 0.9 times the step of
+the tightest majorizer, whose curvature is the largest weight 1 - alpha, so
+every step still descends. For alpha > 1/2 it over-relaxes only the
+within-block entries. Whenever such a step raises f, the iteration takes the
+exact MM step from the same Gram matrix instead, so the objective trace is
+non-increasing by construction. The step stays below 1 at alpha = 1/2
+because there the gradient is G - I: a unit step would make the whitened
+target exactly the identity, whose top-M eigenspace is then picked by
+rounding noise, while 0.9 leaves a spectral gap of 0.1 and the closed-form
+baseline a fixed point.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +67,16 @@ from .model import (
 )
 
 INIT_MODES = ("ds", "random")
+
+# Step of the exact MM majorizer: the inverse of twice its curvature 3/2.
+_MM_STEP = 1.0 / 3.0
+
+_log = logging.getLogger(__name__)
+
+
+def _step_size(alpha: float) -> float:
+    """Gradient step ``run_wcm`` tries before falling back to ``_MM_STEP``."""
+    return 0.9 / max(1.0, 2.0 * (1.0 - alpha))
 
 
 @dataclass(frozen=True)
@@ -87,15 +115,24 @@ class WcmReport:
     ``objective_trace`` holds f at the initial point and after every step, and
     is non-increasing up to floating-point slack. ``component_trace`` carries
     the matching (total_inter, total_sub, norm_penalty) triples, one row per
-    trace entry.
+    trace entry. ``fallbacks`` counts the iterations whose longer step raised
+    f and that took the exact MM step instead. ``equivalent`` is the final
+    E = A D, and ``alpha`` the weight the design was run at.
     """
 
     sensing: SensingMatrix
     objective_trace: np.ndarray
     iterations: int
     converged: bool
-    final_report: CoherenceReport
     component_trace: np.ndarray
+    fallbacks: int
+    equivalent: EquivalentDictionary
+    alpha: float
+
+    @cached_property
+    def final_report(self) -> CoherenceReport:
+        """Coherence diagnostics of the final design, computed on first use."""
+        return coherence_report(self.equivalent, alpha=self.alpha)
 
 
 def surrogate_target(gram: BlockGram, alpha: float) -> np.ndarray:
@@ -106,11 +143,13 @@ def surrogate_target(gram: BlockGram, alpha: float) -> np.ndarray:
           = (2/3) * (1/2 * idealized_norm + (1-alpha) * idealized_inter + alpha * idealized_sub)
     """
     alpha = _check_alpha(alpha)
-    return _surrogate_target(gram.matrix, gram.structure, alpha)
+    return _gradient_step(gram.matrix, gram.structure, alpha, _MM_STEP)
 
 
-def _surrogate_target(g: np.ndarray, structure: BlockStructure, alpha: float) -> np.ndarray:
-    return g - _gradient(g, structure, alpha) / 3.0
+def _gradient_step(
+    g: np.ndarray, structure: BlockStructure, alpha: float, eta: float
+) -> np.ndarray:
+    return g - eta * _gradient(g, structure, alpha)
 
 
 def surrogate_value(gram: BlockGram, gram_prev: BlockGram, alpha: float) -> float:
@@ -154,9 +193,11 @@ class _DesignBasis:
         self.whiten = _whitening(D)
         self.whiten_dict = self.whiten @ D.matrix
 
-    def step(self, g: np.ndarray, alpha: float, m: int) -> np.ndarray:
-        """One exact surrogate minimization from the Gram matrix ``g``."""
-        target = _surrogate_target(g, self.structure, alpha)
+    def step(self, g: np.ndarray, alpha: float, m: int, eta: float) -> np.ndarray:
+        """Sensing matrix whose Gram matrix is nearest to the gradient step
+        ``g - eta * grad f(g)``; with ``eta = _MM_STEP`` this exactly
+        minimizes the surrogate anchored at ``g``."""
+        target = _gradient_step(g, self.structure, alpha, eta)
         whitened = self.whiten_dict @ target @ self.whiten_dict.T
         w, v = sym_eig(whitened)
         # Negative directions cannot be matched by a PSD Gram and only add a
@@ -180,14 +221,18 @@ def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatri
             f"dictionary has {D.signal_dim}"
         )
     g = _gram_matrix(A_prev.matrix @ D.matrix)
-    return SensingMatrix(_DesignBasis(D).step(g, alpha, A_prev.num_measurements))
+    return SensingMatrix(_DesignBasis(D).step(g, alpha, A_prev.num_measurements, _MM_STEP))
 
 
 def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
-    """Iterate exact surrogate minimization until the objective stalls.
+    """Iterate safeguarded projected gradient steps until the objective stalls.
 
     Starts from the closed-form baseline by default (or a random matrix when
-    ``config.init == "random"``) and records the objective after every step.
+    ``config.init == "random"``). Each iteration projects the gradient step of
+    size ``eta(alpha)`` (see the module docstring); if that raises f, it takes
+    the exact MM step of :func:`wcm_step` from the same point instead. The
+    objective is recorded after every iteration, and a run that reaches
+    ``config.max_iters`` unconverged logs a warning.
     """
     M = int(M)
     if not 1 <= M < D.signal_dim:
@@ -195,6 +240,7 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     basis = _DesignBasis(D)
     structure = D.structure
     alpha = config.alpha
+    eta = _step_size(alpha)
 
     if config.init == "ds":
         a_mat = basis.whiten[:M]
@@ -202,33 +248,45 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
         rng = np.random.default_rng(config.seed)
         a_mat = rng.standard_normal((M, D.signal_dim))
 
-    g = _gram_matrix(a_mat @ D.matrix)
-    terms = _gram_terms(g, structure)
-    f = terms.objective(alpha)
+    def measure(a):
+        g = _gram_matrix(a @ D.matrix)
+        terms = _gram_terms(g, structure)
+        return g, terms, terms.objective(alpha)
+
+    g, terms, f = measure(a_mat)
     trace = [f]
     components = [terms]
 
     converged = False
+    fallbacks = 0
     for _ in range(int(config.max_iters)):
-        a_mat = basis.step(g, alpha, M)
-        g = _gram_matrix(a_mat @ D.matrix)
-        terms = _gram_terms(g, structure)
-        f_new = terms.objective(alpha)
+        a_new = basis.step(g, alpha, M, eta)
+        g_new, terms, f_new = measure(a_new)
+        if f_new > f:
+            fallbacks += 1
+            a_new = basis.step(g, alpha, M, _MM_STEP)
+            g_new, terms, f_new = measure(a_new)
+        a_mat, g = a_new, g_new
         trace.append(f_new)
         components.append(terms)
-        if abs(f - f_new) <= config.rel_tol * (1.0 + f):
-            converged = True
-            f = f_new
-            break
+        converged = abs(f - f_new) <= config.rel_tol * (1.0 + f)
         f = f_new
+        if converged:
+            break
 
-    sensing = SensingMatrix(a_mat)
-    final_e = EquivalentDictionary(a_mat @ D.matrix, structure)
+    iterations = len(trace) - 1
+    if not converged:
+        _log.warning(
+            "WCM at alpha=%g stopped unconverged after %d iterations, f=%.9g",
+            alpha, iterations, f,
+        )
     return WcmReport(
-        sensing=sensing,
+        sensing=SensingMatrix(a_mat),
         objective_trace=np.asarray(trace),
-        iterations=len(trace) - 1,
+        iterations=iterations,
         converged=converged,
-        final_report=coherence_report(final_e, alpha=alpha),
         component_trace=np.asarray(components),
+        fallbacks=fallbacks,
+        equivalent=EquivalentDictionary(a_mat @ D.matrix, structure),
+        alpha=alpha,
     )

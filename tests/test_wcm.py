@@ -1,15 +1,20 @@
+import logging
+
 import numpy as np
 import pytest
 
+import blocksense.wcm
 from blocksense import (
     BlockGram,
     BlockStructure,
+    ExperimentConfig,
     SensingMatrix,
     WcmConfig,
     design_ds,
     deviation,
     ds_objective,
     equivalent_dictionary,
+    generate_dictionary,
     gram,
     idealized,
     objective_gradient,
@@ -240,13 +245,62 @@ class TestRunWcm:
         np.testing.assert_array_equal(r1.objective_trace, r2.objective_trace)
         np.testing.assert_array_equal(r1.sensing.matrix, r2.sensing.matrix)
 
-    def test_iteration_metadata(self):
+    def test_iteration_metadata(self, caplog):
         rng = np.random.default_rng(18)
         d = random_dictionary(rng, 9, (3, 3, 3))
-        report = run_wcm(d, 4, WcmConfig(alpha=0.9, max_iters=7, rel_tol=1e-16))
+        with caplog.at_level(logging.WARNING, logger="blocksense"):
+            report = run_wcm(d, 4, WcmConfig(alpha=0.9, max_iters=7, rel_tol=1e-16))
         assert report.iterations == 7
         assert not report.converged
         assert len(report.objective_trace) == 8
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.name.startswith("blocksense")
+        assert "alpha=0.9" in record.getMessage()
+        assert "7 iterations" in record.getMessage()
+
+    def test_half_alpha_keeps_baseline_at_desk_size(self):
+        # At alpha = 1/2 a unit step would make the whitened target exactly
+        # the identity; the shorter step must leave the baseline in place.
+        cfg = ExperimentConfig(
+            dict_family="gaussian", N=60, K=120, M=14, block_sizes=3, k=2,
+            L=1, trials=1, designers=("ds",), seed=7,
+        )
+        d = generate_dictionary(cfg, np.random.default_rng([7, 0]))
+        report = run_wcm(d, 14, WcmConfig(alpha=0.5))
+        g_ds = gram(equivalent_dictionary(design_ds(d, 14), d)).matrix
+        g_wcm = gram(equivalent_dictionary(report.sensing, d)).matrix
+        np.testing.assert_allclose(g_wcm, g_ds, rtol=0, atol=1e-10)
+
+    def test_fallback_reproduces_exact_mm_steps(self, monkeypatch):
+        # A step far too long for the objective raises f every time, so every
+        # iteration must fall back to the exact surrogate minimizer.
+        monkeypatch.setattr(blocksense.wcm, "_step_size", lambda alpha: 5.0)
+        rng = np.random.default_rng(23)
+        d = random_dictionary(rng, 12, (3,) * 8)
+        alpha = 0.7
+        report = run_wcm(d, 5, WcmConfig(alpha=alpha, max_iters=20))
+        assert report.fallbacks > 0
+        assert report.fallbacks == report.iterations
+        assert np.all(np.diff(report.objective_trace) <= 1e-12)
+        a_mat = design_ds(d, 5)
+        for _ in range(report.iterations):
+            a_mat = wcm_step(a_mat, d, alpha)
+        np.testing.assert_allclose(
+            gram_of(report.sensing.matrix, d).matrix, gram_of(a_mat.matrix, d).matrix,
+            rtol=0, atol=1e-10,
+        )
+
+    def test_high_alpha_converges_within_default_cap(self):
+        # the dictionary of acceptance criterion 05 (gaussian family)
+        cfg = ExperimentConfig(
+            dict_family="gaussian", N=60, K=120, M=14, block_sizes=3, k=2,
+            L=1, trials=1, designers=("ds",), seed=105,
+        )
+        d = generate_dictionary(cfg, np.random.default_rng(105))
+        report = run_wcm(d, 14, WcmConfig(alpha=0.99))
+        assert report.converged
+        assert report.iterations < 1000
 
     def test_final_report_carries_alpha_objective(self):
         rng = np.random.default_rng(19)
