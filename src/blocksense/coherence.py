@@ -1,7 +1,10 @@
 """Coherence metrics, the weighted design objective, masking operators, and
 recovery-bound evaluators for block-partitioned Gram matrices.
 
-The three masking kinds used throughout are named after what they penalize:
+A block structure partitions the entries of its Gram matrix three ways. Each
+part is one boolean K x K mask, cached once per structure, and every penalty,
+deviation, gradient and block coherence below is an expression over that one
+mask table. The kinds are named after what they penalize:
 
 * ``"norm"``  - deviation of the Gram diagonal from 1 (column normalization),
 * ``"inter"`` - entries coupling different blocks,
@@ -18,33 +21,33 @@ import numpy as np
 
 from .model import BlockGram, BlockStructure, EquivalentDictionary, _gram_matrix
 
-MASK_KINDS = ("norm", "inter", "sub")
+
+class _Masks(NamedTuple):
+    """Read-only boolean K x K masks, one field per kind."""
+
+    norm: np.ndarray
+    inter: np.ndarray
+    sub: np.ndarray
+
+
+MASK_KINDS = _Masks._fields
 
 
 @lru_cache(maxsize=128)
-def _pattern_masks(structure: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks (cross-block, within-block-off-diagonal) for a structure."""
+def _masks(structure: BlockStructure) -> _Masks:
     labels = structure.labels
-    cross = labels[:, None] != labels[None, :]
-    within = ~cross & ~np.eye(structure.num_columns, dtype=bool)
-    cross.flags.writeable = False
-    within.flags.writeable = False
-    return cross, within
+    norm = np.eye(structure.num_columns, dtype=bool)
+    inter = labels[:, None] != labels[None, :]
+    masks = _Masks(norm, inter, ~inter & ~norm)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
 
 
-def _total_inter(g: np.ndarray, structure: BlockStructure) -> float:
-    cross, _ = _pattern_masks(structure)
-    return float(np.sum(g[cross] ** 2))
-
-
-def _total_sub(g: np.ndarray, structure: BlockStructure) -> float:
-    _, within = _pattern_masks(structure)
-    return float(np.sum(g[within] ** 2))
-
-
-def _norm_penalty(g: np.ndarray) -> float:
-    d = np.diagonal(g)
-    return float(np.sum((d - 1.0) ** 2))
+def _kind_mask(structure: BlockStructure, kind: str) -> np.ndarray:
+    if kind not in MASK_KINDS:
+        raise ValueError(f"unknown mask kind {kind!r}, expected one of {MASK_KINDS}")
+    return getattr(_masks(structure), kind)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -68,7 +71,12 @@ class _Terms(NamedTuple):
 
 def _gram_terms(g: np.ndarray, structure: BlockStructure) -> _Terms:
     """All three penalty totals of ``g``, gathering each mask once."""
-    return _Terms(_total_inter(g, structure), _total_sub(g, structure), _norm_penalty(g))
+    masks = _masks(structure)
+    return _Terms(
+        float(np.sum(g[masks.inter] ** 2)),
+        float(np.sum(g[masks.sub] ** 2)),
+        float(np.sum((np.diagonal(g) - 1.0) ** 2)),
+    )
 
 
 def mutual_coherence(E) -> float:
@@ -93,43 +101,35 @@ def inter_block_coherence(gram: BlockGram) -> float:
     s = gram.structure.uniform_size
     if s is None:
         raise ValueError("inter-block coherence requires equal block sizes")
-    if gram.structure.num_blocks < 2:
+    nb = gram.structure.num_blocks
+    if nb < 2:
         raise ValueError("inter-block coherence requires at least two blocks")
-    best = 0.0
-    for i in range(gram.structure.num_blocks):
-        for j in range(i + 1, gram.structure.num_blocks):
-            b = gram.block(i, j)
-            # spectral norm via the largest eigenvalue of B'B
-            lam = np.linalg.eigvalsh(b.T @ b)[-1]
-            best = max(best, float(np.sqrt(max(lam, 0.0))))
-    return best / s
+    # blocks[i, j] is the s x s block at block row i, block column j
+    blocks = gram.matrix.reshape(nb, s, nb, s).swapaxes(1, 2)
+    upper = np.triu_indices(nb, 1)
+    norms = np.linalg.svd(blocks[upper], compute_uv=False)[:, 0]
+    return float(norms.max()) / s
 
 
 def sub_block_coherence(gram: BlockGram) -> float:
     """Largest absolute off-diagonal entry inside any diagonal block."""
-    best = 0.0
-    for j in range(gram.structure.num_blocks):
-        b = gram.block(j, j)
-        if b.shape[0] < 2:
-            continue
-        off = np.abs(b - np.diag(np.diagonal(b)))
-        best = max(best, float(off.max()))
-    return best
+    within = gram.matrix[_masks(gram.structure).sub]
+    return float(np.abs(within).max()) if within.size else 0.0
 
 
 def total_inter_block_coherence(gram: BlockGram) -> float:
     """Sum of squared entries coupling different blocks."""
-    return _total_inter(gram.matrix, gram.structure)
+    return _gram_terms(gram.matrix, gram.structure).inter
 
 
 def total_sub_block_coherence(gram: BlockGram) -> float:
     """Sum of squared off-diagonal entries inside the diagonal blocks."""
-    return _total_sub(gram.matrix, gram.structure)
+    return _gram_terms(gram.matrix, gram.structure).sub
 
 
 def normalization_penalty(gram: BlockGram) -> float:
     """Sum of squared deviations of the Gram diagonal from 1."""
-    return _norm_penalty(gram.matrix)
+    return _gram_terms(gram.matrix, gram.structure).norm
 
 
 def weighted_objective(gram: BlockGram, alpha: float) -> float:
@@ -142,25 +142,13 @@ def weighted_objective(gram: BlockGram, alpha: float) -> float:
     return _gram_terms(gram.matrix, gram.structure).objective(alpha)
 
 
-def _deviation(g: np.ndarray, structure: BlockStructure, kind: str) -> np.ndarray:
-    cross, within = _pattern_masks(structure)
-    if kind == "norm":
-        out = np.zeros_like(g)
-        np.fill_diagonal(out, np.diagonal(g) - 1.0)
-        return out
-    if kind == "inter":
-        return np.where(cross, g, 0.0)
-    if kind == "sub":
-        return np.where(within, g, 0.0)
-    raise ValueError(f"unknown mask kind {kind!r}, expected one of {MASK_KINDS}")
-
-
 def deviation(gram: BlockGram, kind: str) -> np.ndarray:
     """Part of G penalized by ``kind``: the diagonal shifted by -1 for
     ``"norm"``, the cross-block entries for ``"inter"``, or the within-block
     off-diagonals for ``"sub"``; zero everywhere else.
     """
-    return _deviation(gram.matrix, gram.structure, kind)
+    mask = _kind_mask(gram.structure, kind)
+    return np.where(mask, gram.matrix - np.eye(gram.size), 0.0)
 
 
 def idealized(gram: BlockGram, kind: str) -> np.ndarray:
@@ -168,16 +156,8 @@ def idealized(gram: BlockGram, kind: str) -> np.ndarray:
     (ones on the diagonal for ``"norm"``, zeros otherwise). Complements
     :func:`deviation`: G - idealized(G, kind) == deviation(G, kind).
     """
-    cross, within = _pattern_masks(gram.structure)
-    if kind == "norm":
-        out = gram.matrix.copy()
-        np.fill_diagonal(out, 1.0)
-        return out
-    if kind == "inter":
-        return np.where(cross, 0.0, gram.matrix)
-    if kind == "sub":
-        return np.where(within, 0.0, gram.matrix)
-    raise ValueError(f"unknown mask kind {kind!r}, expected one of {MASK_KINDS}")
+    mask = _kind_mask(gram.structure, kind)
+    return np.where(mask, np.eye(gram.size), gram.matrix)
 
 
 def objective_gradient(gram: BlockGram, alpha: float) -> np.ndarray:
@@ -186,11 +166,11 @@ def objective_gradient(gram: BlockGram, alpha: float) -> np.ndarray:
 
 
 def _gradient(g: np.ndarray, structure: BlockStructure, alpha: float) -> np.ndarray:
-    return 2.0 * (
-        0.5 * _deviation(g, structure, "norm")
-        + (1.0 - alpha) * _deviation(g, structure, "inter")
-        + alpha * _deviation(g, structure, "sub")
-    )
+    """2 * (1/2 * deviation_norm + (1 - alpha) * deviation_inter + alpha * deviation_sub)."""
+    out = np.where(_masks(structure).inter, (1.0 - alpha) * g, alpha * g)
+    np.fill_diagonal(out, 0.5 * (np.diagonal(g) - 1.0))
+    out *= 2.0
+    return out
 
 
 def decomposition_check(E: EquivalentDictionary) -> tuple[float, float]:

@@ -9,8 +9,10 @@ import numpy as np
 
 
 def save_matrix_csv(path, matrix) -> None:
-    """Write a matrix as CSV, one row per line, %.17g precision."""
-    arr = np.atleast_2d(np.asarray(matrix, dtype=float))
+    """Write a matrix as CSV, one row per line, %.17g precision. A 1-D input
+    is one signal and is written as a column."""
+    arr = np.asarray(matrix, dtype=float)
+    arr = arr.reshape(-1, 1) if arr.ndim == 1 else np.atleast_2d(arr)
     np.savetxt(path, arr, fmt="%.17g", delimiter=",")
 
 

@@ -221,9 +221,7 @@ class BlockSparseVector:
             raise ValueError("support contains duplicate block indices")
         if support and not (0 <= support[0] and support[-1] < self.structure.num_blocks):
             raise ValueError(f"support {support} out of range")
-        active = np.zeros(self.structure.num_columns, dtype=bool)
-        for j in support:
-            active[self.structure.block_slice(j)] = True
+        active = np.isin(self.structure.labels, support)
         if np.any(vals[~active] != 0.0):
             raise ValueError("entries outside the support blocks must be exactly zero")
         object.__setattr__(self, "values", vals)
@@ -231,12 +229,9 @@ class BlockSparseVector:
 
     @property
     def block_sparsity(self) -> int:
-        """Number of blocks with nonzero Euclidean norm."""
-        count = 0
-        for j in range(self.structure.num_blocks):
-            if np.linalg.norm(self.values[self.structure.block_slice(j)]) > 0.0:
-                count += 1
-        return count
+        """Number of blocks holding at least one nonzero entry."""
+        peaks = np.maximum.reduceat(np.abs(self.values), self.structure.offsets[:-1])
+        return int(np.count_nonzero(peaks))
 
 
 def equivalent_dictionary(A, D: Dictionary) -> EquivalentDictionary:

@@ -58,7 +58,6 @@ from .coherence import (
 from .ds import _whitening
 from .model import (
     BlockGram,
-    BlockStructure,
     Dictionary,
     EquivalentDictionary,
     SensingMatrix,
@@ -143,13 +142,7 @@ def surrogate_target(gram: BlockGram, alpha: float) -> np.ndarray:
           = (2/3) * (1/2 * idealized_norm + (1-alpha) * idealized_inter + alpha * idealized_sub)
     """
     alpha = _check_alpha(alpha)
-    return _gradient_step(gram.matrix, gram.structure, alpha, _MM_STEP)
-
-
-def _gradient_step(
-    g: np.ndarray, structure: BlockStructure, alpha: float, eta: float
-) -> np.ndarray:
-    return g - eta * _gradient(g, structure, alpha)
+    return gram.matrix - _MM_STEP * _gradient(gram.matrix, gram.structure, alpha)
 
 
 def surrogate_value(gram: BlockGram, gram_prev: BlockGram, alpha: float) -> float:
@@ -197,7 +190,7 @@ class _DesignBasis:
         """Sensing matrix whose Gram matrix is nearest to the gradient step
         ``g - eta * grad f(g)``; with ``eta = _MM_STEP`` this exactly
         minimizes the surrogate anchored at ``g``."""
-        target = _gradient_step(g, self.structure, alpha, eta)
+        target = g - eta * _gradient(g, self.structure, alpha)
         whitened = self.whiten_dict @ target @ self.whiten_dict.T
         w, v = sym_eig(whitened)
         # Negative directions cannot be matched by a PSD Gram and only add a

@@ -74,16 +74,22 @@ class TestInterBlockCoherence:
         g = BlockGram(mat, BlockStructure((2, 2)))
         assert inter_block_coherence(g) == pytest.approx(0.3 / 2)
 
-    def test_matches_svd_oracle(self):
+    @pytest.mark.parametrize(
+        "sizes",
+        [(3,) * 4, (2,) * 9, (1,) * 5, (4,) * 30],
+        ids=["s3-nb4", "s2-nb9", "s1-nb5", "s4-nb30"],
+    )
+    def test_matches_svd_oracle(self, sizes):
         rng = np.random.default_rng(1)
-        g = random_gram(rng, (3, 3, 3, 3))
+        g = random_gram(rng, sizes)
+        s, nb = sizes[0], len(sizes)
         best = 0.0
-        for i in range(4):
-            for j in range(4):
+        for i in range(nb):
+            for j in range(nb):
                 if i == j:
                     continue
-                blk = g.matrix[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
-                best = max(best, np.linalg.svd(blk, compute_uv=False)[0] / 3)
+                blk = g.matrix[s * i : s * i + s, s * j : s * j + s]
+                best = max(best, np.linalg.svd(blk, compute_uv=False)[0] / s)
         assert inter_block_coherence(g) == pytest.approx(best, rel=1e-12)
 
     def test_mixed_sizes_refused(self):
@@ -106,9 +112,10 @@ class TestSubBlockCoherence:
         g = random_gram(np.random.default_rng(4), (1, 1, 1, 1))
         assert sub_block_coherence(g) == 0.0
 
-    def test_matches_scan_oracle(self):
+    @pytest.mark.parametrize("sizes", [(2, 4, 3), (1, 3, 1, 2)], ids=["2-4-3", "1-3-1-2"])
+    def test_matches_scan_oracle(self, sizes):
         rng = np.random.default_rng(5)
-        g = random_gram(rng, (2, 4, 3))
+        g = random_gram(rng, sizes)
         best = 0.0
         for j, (lo, hi) in enumerate(zip(g.structure.offsets[:-1], g.structure.offsets[1:])):
             for m in range(lo, hi):
@@ -306,8 +313,9 @@ class TestMasks:
 
     def test_unknown_kind(self):
         g = random_gram(np.random.default_rng(20), (2, 2))
-        with pytest.raises(ValueError, match="kind"):
-            deviation(g, "bogus")
+        for fn in (deviation, idealized):
+            with pytest.raises(ValueError, match="kind"):
+                fn(g, "bogus")
 
 
 class TestObjectiveGradient:

@@ -34,7 +34,7 @@ class TestFileIO:
         path = tmp_path / "row.csv"
         save_matrix_csv(path, np.array([1.5, -2.5, 3.0]))
         loaded = load_matrix_csv(path)
-        assert loaded.shape == (1, 3)
+        assert loaded.shape == (3, 1)
 
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -111,27 +111,28 @@ class TestCli:
         e = EquivalentDictionary(e_mat, BlockStructure((3, 3, 3, 3)))
         equiv_path = tmp_path / "equiv.json"
         save_block_matrix_json(equiv_path, e_mat, (3, 3, 3, 3))
-        y = rng.standard_normal((6, 3))
-        meas_path = tmp_path / "y.csv"
-        save_matrix_csv(meas_path, y)
-        out = tmp_path / "theta.csv"
-        code = main(
-            [
-                "decode",
-                "bomp",
-                "--equiv",
-                str(equiv_path),
-                "--measurements",
-                str(meas_path),
-                "-k",
-                "2",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        expected = bomp_decode_batch(e, y, BompConfig(k_blocks=2))
-        np.testing.assert_array_equal(load_matrix_csv(out), expected)
+        # three signals, then a single signal saved as a 1-D vector
+        for n, y in enumerate((rng.standard_normal((6, 3)), rng.standard_normal(6))):
+            meas_path = tmp_path / f"y{n}.csv"
+            save_matrix_csv(meas_path, y)
+            out = tmp_path / f"theta{n}.csv"
+            code = main(
+                [
+                    "decode",
+                    "bomp",
+                    "--equiv",
+                    str(equiv_path),
+                    "--measurements",
+                    str(meas_path),
+                    "-k",
+                    "2",
+                    "--out",
+                    str(out),
+                ]
+            )
+            assert code == 0
+            expected = bomp_decode_batch(e, y.reshape(6, -1), BompConfig(k_blocks=2))
+            np.testing.assert_array_equal(load_matrix_csv(out), expected)
 
     def test_sweep_writes_outputs(self, tmp_path):
         cfg = {

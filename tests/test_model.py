@@ -200,6 +200,11 @@ class TestBlockSparseVector:
         )
         assert vec.block_sparsity == 1
         assert vec.support == (0, 1)
+        # entries whose squares underflow still make their block nonzero
+        tiny = BlockSparseVector(
+            np.array([1e-200, 0.0, 0.0, 0.0, 3.0, 0.0]), BlockStructure((2, 2, 2)), (0, 2)
+        )
+        assert tiny.block_sparsity == 2
 
     def test_rejects_bad_support(self):
         with pytest.raises(ValueError):
