@@ -47,13 +47,13 @@ class RankDeficientSupportError(np.linalg.LinAlgError):
         )
 
 
-def _bomp_batch_numpy(E, offsets, Y, k, ls_tol):
+def _bomp_batch(E, offsets, Y, k, ls_tol):
     """Decode every column of Y against E, one signal at a time.
 
-    Returns (theta, supports, status): the K x L coefficient matrix, the
-    k x L selected block indices in selection order, and a per-signal status
-    that is 0 on success or the number of blocks selected when the stacked
-    sub-dictionary failed the conditioning check.
+    Returns (theta, supports): the K x L coefficient matrix and the k x L
+    selected block indices in selection order. Raises
+    RankDeficientSupportError at the first signal whose stacked
+    sub-dictionary fails the conditioning check.
     """
     m_rows, n_cols = E.shape
     n_blocks = offsets.shape[0] - 1
@@ -61,15 +61,12 @@ def _bomp_batch_numpy(E, offsets, Y, k, ls_tol):
     et = np.ascontiguousarray(E.T)
     theta = np.zeros((n_cols, n_signals))
     supports = np.full((k, n_signals), -1, dtype=np.int64)
-    status = np.zeros(n_signals, dtype=np.int64)
 
     for sig in range(n_signals):
         y = Y[:, sig].copy()
         r = y.copy()
         used = np.zeros(n_blocks, dtype=bool)
         cols: list[int] = []
-        coef = np.zeros(0)
-        ok = True
         for t in range(k):
             c = et @ r
             scores = np.add.reduceat(c * c, offsets[:-1])
@@ -81,14 +78,11 @@ def _bomp_batch_numpy(E, offsets, Y, k, ls_tol):
             es = E[:, cols]
             u, s, vt = np.linalg.svd(es, full_matrices=False)
             if len(cols) > m_rows or s[-1] <= ls_tol * s[0]:
-                status[sig] = t + 1
-                ok = False
-                break
+                raise RankDeficientSupportError(supports[: t + 1, sig], signal=sig)
             coef = vt.T @ ((u.T @ y) / s)
             r = y - es @ coef
-        if ok:
-            theta[cols, sig] = coef
-    return theta, supports, status
+        theta[cols, sig] = coef
+    return theta, supports
 
 
 def _check_batch(E: EquivalentDictionary, Y: np.ndarray, cfg: BompConfig) -> np.ndarray:
@@ -111,13 +105,7 @@ def _check_batch(E: EquivalentDictionary, Y: np.ndarray, cfg: BompConfig) -> np.
 def bomp_decode_batch(E: EquivalentDictionary, Y, cfg: BompConfig) -> np.ndarray:
     """Decode every column of Y, returning the K x L coefficient matrix."""
     y = _check_batch(E, Y, cfg)
-    theta, supports, status = _bomp_batch_numpy(
-        E.matrix, E.structure.offsets, y, int(cfg.k_blocks), float(cfg.ls_tol)
-    )
-    bad = np.nonzero(status > 0)[0]
-    if bad.size:
-        sig = int(bad[0])
-        raise RankDeficientSupportError(supports[: status[sig], sig], signal=sig)
+    theta, _ = _bomp_batch(E.matrix, E.structure.offsets, y, int(cfg.k_blocks), float(cfg.ls_tol))
     return theta
 
 
@@ -132,11 +120,9 @@ def bomp_decode(E: EquivalentDictionary, y, cfg: BompConfig) -> BlockSparseVecto
     if vec.ndim != 1:
         raise ValueError(f"expected a 1-D measurement vector, got shape {vec.shape}")
     batch = _check_batch(E, vec[:, None], cfg)
-    theta, supports, status = _bomp_batch_numpy(
+    theta, supports = _bomp_batch(
         E.matrix, E.structure.offsets, batch, int(cfg.k_blocks), float(cfg.ls_tol)
     )
-    if status[0] > 0:
-        raise RankDeficientSupportError(supports[: status[0], 0])
     return BlockSparseVector(
         values=theta[:, 0],
         structure=E.structure,

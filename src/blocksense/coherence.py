@@ -238,7 +238,8 @@ class CoherenceReport:
 
 def coherence_report(E: EquivalentDictionary, alpha: float | None = None) -> CoherenceReport:
     """Compute every coherence diagnostic of an equivalent dictionary at once."""
-    g = BlockGram(_gram_matrix(E.matrix), E.structure)
+    # E'E is symmetric PSD by construction, so the eigensolve check is skipped
+    g = BlockGram(_gram_matrix(E.matrix), E.structure, validate=False)
     if g.structure.uniform_size is not None and g.structure.num_blocks >= 2:
         mu_block = inter_block_coherence(g)
     else:

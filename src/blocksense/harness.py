@@ -10,9 +10,11 @@ byte-identical CSV output, with or without the process pool.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +35,20 @@ PRESETS = {
     "desk": {"L": 200, "trials": 20},
 }
 
+# Per-cell statistics of summary.csv, in column order: a mean and a sample
+# standard deviation of each of these TrialResult fields.
+_METRICS = ("e", "r", "ratio_nu_mu", "objective")
+
+
+def _number(key: str, value, kind: type):
+    """``value`` as ``kind`` (int or float). Anything else, including bools,
+    strings and non-integral numbers where an int is wanted, raises a
+    ValueError naming the config key."""
+    wanted = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise ValueError(f"{key} must hold {kind.__name__} values, got {value!r}")
+    return kind(value)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -40,7 +56,8 @@ class ExperimentConfig:
 
     ``block_sizes`` is either one integer (fixed size, must divide K) or an
     explicit list of sizes summing to K. ``designers`` are evaluated in the
-    given order; the "wcm" designer expands over ``alpha_grid``.
+    given order; the "wcm" designer expands over ``alpha_grid``. Both are
+    lists or tuples; N, K, M, k, L, trials and seed are integers.
     """
 
     dict_family: str = "gaussian"
@@ -58,15 +75,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dict_family not in DICT_FAMILIES:
             raise ValueError(f"dict_family must be one of {DICT_FAMILIES}")
+        for key in ("N", "K", "M", "k", "L", "trials", "seed"):
+            object.__setattr__(self, key, _number(key, getattr(self, key), int))
+        for key in ("alpha_grid", "designers"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
+        if isinstance(self.block_sizes, (list, tuple)):
+            sizes = tuple(_number("block_sizes", s, int) for s in self.block_sizes)
+        else:
+            sizes = _number("block_sizes", self.block_sizes, int)
+        object.__setattr__(self, "block_sizes", sizes)
+        alphas = tuple(_number("alpha_grid", a, float) for a in self.alpha_grid)
+        object.__setattr__(self, "alpha_grid", alphas)
         if not (self.M < self.N <= self.K):
             raise ValueError(f"need M < N <= K, got M={self.M}, N={self.N}, K={self.K}")
         if self.L < 1 or self.trials < 1:
             raise ValueError("L and trials must be >= 1")
-        if isinstance(self.block_sizes, int):
-            object.__setattr__(self, "block_sizes", int(self.block_sizes))
-        else:
-            object.__setattr__(self, "block_sizes", tuple(int(s) for s in self.block_sizes))
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         designers = tuple(self.designers)
         for d in designers:
             if d not in DESIGNERS:
@@ -230,6 +254,26 @@ def _evaluate(cfg, trial, designer, alpha, a_mat, D, X, theta) -> TrialResult:
     )
 
 
+def _grid(cfg: ExperimentConfig) -> list[tuple[str, float | None]]:
+    """The sweep's (designer, alpha) cells in output order: "wcm" expands
+    over ``alpha_grid``, the baselines have no alpha."""
+    return [
+        (designer, alpha)
+        for designer in cfg.designers
+        for alpha in (cfg.alpha_grid if designer == "wcm" else (None,))
+    ]
+
+
+def _design(cfg: ExperimentConfig, trial: int, D: Dictionary, designer: str, alpha) -> np.ndarray:
+    """Sensing matrix A of one (designer, alpha) cell of a trial."""
+    if designer == "random":
+        # stream keyed off the trial stream so designer order cannot matter
+        return np.random.default_rng([cfg.seed, trial, 7919]).standard_normal((cfg.M, cfg.N))
+    if designer == "ds":
+        return design_ds(D, cfg.M).matrix
+    return run_wcm(D, cfg.M, WcmConfig(alpha=alpha)).sensing.matrix
+
+
 def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     """Run one trial: draw data, design with every configured method, decode,
     and score. Deterministic in (cfg.seed, trial)."""
@@ -237,63 +281,21 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     D = generate_dictionary(cfg, rng)
     X, theta = generate_signals(D, cfg.k, cfg.L, rng)
     rows = []
-    for designer in cfg.designers:
-        if designer == "random":
-            # stream keyed off the trial stream so designer order cannot matter
-            rng_a = np.random.default_rng([cfg.seed, trial, 7919])
-            a_mat = rng_a.standard_normal((cfg.M, cfg.N))
-            rows.append(_evaluate(cfg, trial, designer, None, a_mat, D, X, theta))
-        elif designer == "ds":
-            a_mat = design_ds(D, cfg.M).matrix
-            rows.append(_evaluate(cfg, trial, designer, None, a_mat, D, X, theta))
-        else:
-            for alpha in cfg.alpha_grid:
-                report = run_wcm(D, cfg.M, WcmConfig(alpha=alpha))
-                rows.append(
-                    _evaluate(cfg, trial, designer, alpha, report.sensing.matrix, D, X, theta)
-                )
+    for designer, alpha in _grid(cfg):
+        a_mat = _design(cfg, trial, D, designer, alpha)
+        rows.append(_evaluate(cfg, trial, designer, alpha, a_mat, D, X, theta))
     return rows
 
 
-def _grid(cfg: ExperimentConfig) -> list[tuple[str, float | None]]:
-    cells: list[tuple[str, float | None]] = []
-    for designer in cfg.designers:
-        if designer == "wcm":
-            cells.extend(("wcm", alpha) for alpha in cfg.alpha_grid)
-        else:
-            cells.append((designer, None))
-    return cells
-
-
 def _summarize(cfg: ExperimentConfig, rows: Sequence[TrialResult]) -> tuple[SweepSummary, ...]:
-    def stats(values):
-        arr = np.asarray(values, dtype=float)
-        mean = float(arr.mean())
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        return mean, std
-
     out = []
     for designer, alpha in _grid(cfg):
         cell = [t for t in rows if t.designer == designer and t.alpha == alpha]
-        e_mean, e_std = stats([t.e for t in cell])
-        r_mean, r_std = stats([t.r for t in cell])
-        ratio_mean, ratio_std = stats([t.ratio_nu_mu for t in cell])
-        obj_mean, obj_std = stats([t.objective for t in cell])
-        out.append(
-            SweepSummary(
-                designer=designer,
-                alpha=alpha,
-                n=len(cell),
-                e_mean=e_mean,
-                e_std=e_std,
-                r_mean=r_mean,
-                r_std=r_std,
-                ratio_mean=ratio_mean,
-                ratio_std=ratio_std,
-                objective_mean=obj_mean,
-                objective_std=obj_std,
-            )
-        )
+        stats = []
+        for metric in _METRICS:
+            arr = np.asarray([getattr(t, metric) for t in cell], dtype=float)
+            stats += [float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0]
+        out.append(SweepSummary(designer, alpha, len(cell), *stats))
     return tuple(out)
 
 
@@ -312,11 +314,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     if workers <= 1:
         per_trial = [run_trial(cfg, t) for t in range(cfg.trials)]
     else:
-        per_trial = [None] * cfg.trials
         with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            futures = {pool.submit(run_trial, cfg, t): t for t in range(cfg.trials)}
-            for future, t in futures.items():
-                per_trial[t] = future.result()
+            per_trial = list(pool.map(run_trial, repeat(cfg), range(cfg.trials)))
     rows = tuple(row for trial_rows in per_trial for row in trial_rows)
     return SweepResult(trials=rows, summary=_summarize(cfg, rows))
 
@@ -350,72 +349,32 @@ def run_histogram(
 def _fmt(value) -> str:
     if value is None:
         return ""
-    return "%.17g" % value
+    return value if isinstance(value, str) else "%.17g" % value
+
+
+def _write_csv(path: str, header: list[str], records) -> None:
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(value) for value in astuple(record)) for record in records]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_sweep_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir) -> None:
     """Emit results.csv (per-trial rows), summary.csv (per grid point), and
-    config.echo.json into ``out_dir``."""
+    config.echo.json into ``out_dir``. The columns of both CSVs follow the
+    fields of TrialResult and SweepSummary; the echo is the config's fields."""
     os.makedirs(out_dir, exist_ok=True)
-
-    lines = ["trial,designer,alpha,e,r,ratio_nu_mu,objective"]
-    for t in result.trials:
-        lines.append(
-            ",".join(
-                [
-                    str(t.trial),
-                    t.designer,
-                    _fmt(t.alpha),
-                    _fmt(t.e),
-                    _fmt(t.r),
-                    _fmt(t.ratio_nu_mu),
-                    _fmt(t.objective),
-                ]
-            )
-        )
-    with open(os.path.join(out_dir, "results.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    lines = [
-        "designer,alpha,n,e_mean,e_std,r_mean,r_std,ratio_nu_mu_mean,ratio_nu_mu_std,"
-        "objective_mean,objective_std"
-    ]
-    for s in result.summary:
-        lines.append(
-            ",".join(
-                [
-                    s.designer,
-                    _fmt(s.alpha),
-                    str(s.n),
-                    _fmt(s.e_mean),
-                    _fmt(s.e_std),
-                    _fmt(s.r_mean),
-                    _fmt(s.r_std),
-                    _fmt(s.ratio_mean),
-                    _fmt(s.ratio_std),
-                    _fmt(s.objective_mean),
-                    _fmt(s.objective_std),
-                ]
-            )
-        )
-    with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    echo = {
-        "dict_family": cfg.dict_family,
-        "N": cfg.N,
-        "K": cfg.K,
-        "M": cfg.M,
-        "block_sizes": cfg.block_sizes if isinstance(cfg.block_sizes, int) else list(cfg.block_sizes),
-        "k": cfg.k,
-        "L": cfg.L,
-        "trials": cfg.trials,
-        "alpha_grid": list(cfg.alpha_grid),
-        "seed": cfg.seed,
-        "designers": list(cfg.designers),
-    }
+    _write_csv(
+        os.path.join(out_dir, "results.csv"),
+        [f.name for f in fields(TrialResult)],
+        result.trials,
+    )
+    # SweepSummary's cell fields, then a mean and a std column per metric
+    cell_columns = [f.name for f in fields(SweepSummary)[: -2 * len(_METRICS)]]
+    stat_columns = [f"{m}_{stat}" for m in _METRICS for stat in ("mean", "std")]
+    _write_csv(os.path.join(out_dir, "summary.csv"), cell_columns + stat_columns, result.summary)
     with open(os.path.join(out_dir, "config.echo.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
+        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -432,10 +391,4 @@ def config_from_dict(payload: dict, preset: str | None = None) -> ExperimentConf
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
         merged[key] = value
-    if "block_sizes" in merged and isinstance(merged["block_sizes"], list):
-        merged["block_sizes"] = tuple(merged["block_sizes"])
-    if "alpha_grid" in merged:
-        merged["alpha_grid"] = tuple(merged["alpha_grid"])
-    if "designers" in merged:
-        merged["designers"] = tuple(merged["designers"])
     return ExperimentConfig(**merged)

@@ -213,3 +213,11 @@ class TestCli:
         )
         assert code == 2
         assert not out.exists()
+
+    def test_mistyped_sweep_config_exits_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"designers": ["ds"], "L": 2.5}))
+        out_dir = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert not out_dir.exists()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -216,11 +218,31 @@ class TestOutputs:
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
     def test_results_header(self, tmp_path):
-        cfg = ExperimentConfig(**TINY)
-        write_sweep_outputs(run_sweep(cfg), cfg, tmp_path)
+        cfg = ExperimentConfig(**{**TINY, "designers": ("random", "ds", "wcm")})
+        result = run_sweep(cfg)
+        write_sweep_outputs(result, cfg, tmp_path)
         lines = (tmp_path / "results.csv").read_text().splitlines()
         assert lines[0] == "trial,designer,alpha,e,r,ratio_nu_mu,objective"
-        assert len(lines) == 1 + len(run_sweep(cfg).trials)
+        assert len(lines) == 1 + len(result.trials)
+        # every numeric field reads back as exactly the value it was written from
+        for line, row in zip(lines[1:], result.trials):
+            trial, designer, alpha, *values = line.split(",")
+            assert (int(trial), designer) == (row.trial, row.designer)
+            assert alpha == "" if row.alpha is None else float(alpha) == row.alpha
+            assert [float(v) for v in values] == [row.e, row.r, row.ratio_nu_mu, row.objective]
+        assert {line.split(",")[2] for line in lines[1:]} == {"", "0.5"}
+        summary = (tmp_path / "summary.csv").read_text().splitlines()
+        assert summary[0] == (
+            "designer,alpha,n,e_mean,e_std,r_mean,r_std,ratio_nu_mu_mean,ratio_nu_mu_std,"
+            "objective_mean,objective_std"
+        )
+        echo = {**TINY, "alpha_grid": [0.5], "designers": ["random", "ds", "wcm"]}
+        assert json.loads((tmp_path / "config.echo.json").read_text()) == echo
+        sizes = (4,) * 3 + (3,) * 4
+        cfg = ExperimentConfig(**{**TINY, "M": 8, "block_sizes": sizes})
+        write_sweep_outputs(run_sweep(cfg), cfg, tmp_path / "list")
+        echo.update(M=8, block_sizes=list(sizes), designers=["ds"])
+        assert json.loads((tmp_path / "list" / "config.echo.json").read_text()) == echo
 
 
 class TestRunHistogram:
@@ -274,6 +296,32 @@ class TestConfigParsing:
             ExperimentConfig(**{**TINY, "designers": ("bogus",)})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**TINY, "k": 9})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"L": 2.5},
+            {"block_sizes": [3.7, 3]},
+            {"trials": 1.5},
+            {"N": "60"},
+            {"seed": True},
+            {"alpha_grid": 0.5},
+            {"alpha_grid": [None]},
+            {"designers": "ds"},
+        ],
+        ids=[
+            "L-float", "block_sizes-float", "trials-float", "N-str", "seed-bool",
+            "alpha_grid-scalar", "alpha_grid-none", "designers-str",
+        ],
+    )
+    def test_mistyped_values_rejected(self, bad):
+        payload = {**TINY, "alpha_grid": [0.5], "designers": ["ds"], **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            config_from_dict(payload)
+
+    def test_accepts_numpy_integers(self):
+        cfg = ExperimentConfig(**{**TINY, "N": np.int64(12), "block_sizes": (np.int32(3),) * 8})
+        assert type(cfg.N) is int and cfg.structure().sizes == (3,) * 8
 
     def test_explicit_block_size_list(self):
         cfg = ExperimentConfig(**{**TINY, "M": 8, "block_sizes": (4,) * 3 + (3,) * 4})
