@@ -69,7 +69,8 @@ def _cmd_design_wcm(args) -> int:
     status = "converged" if report.converged else "stopped at max iterations"
     print(
         f"wrote sensing matrix to {args.out}; objective "
-        f"{report.objective_trace[-1]:.9g} after {report.iterations} iterations ({status})"
+        f"{report.objective_trace[-1]:.9g} after {report.iterations} iterations, "
+        f"{report.fallbacks} restarts ({status})"
     )
     return 0
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .bomp import BompConfig, bomp_decode_batch
-from .coherence import _gram_terms
+from .coherence import _check_alpha, _gram_terms
 from .ds import design_ds
 from .model import BlockStructure, Dictionary, EquivalentDictionary, _gram_matrix
 from .wcm import WcmConfig, run_wcm
@@ -98,8 +98,11 @@ class ExperimentConfig:
         if not designers:
             raise ValueError("at least one designer is required")
         object.__setattr__(self, "designers", designers)
-        if "wcm" in designers and not self.alpha_grid:
-            raise ValueError("the wcm designer needs a non-empty alpha_grid")
+        if "wcm" in designers:
+            if not self.alpha_grid:
+                raise ValueError("the wcm designer needs a non-empty alpha_grid")
+            for alpha in self.alpha_grid:
+                _check_alpha(alpha)
         structure = self.structure()
         if self.k > structure.num_blocks:
             raise ValueError(
@@ -307,14 +310,15 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     cfg : ExperimentConfig
         Sweep description.
     workers : int
-        Size of the process pool; 1 runs trials inline. Results are identical
-        either way because each trial owns its own seeded generator and rows
-        are assembled in trial order.
+        Size of the process pool, at most one worker per trial; 1 runs trials
+        inline. Results are identical either way because each trial owns its
+        own seeded generator and rows are assembled in trial order.
     """
+    workers = min(int(workers), cfg.trials)
     if workers <= 1:
         per_trial = [run_trial(cfg, t) for t in range(cfg.trials)]
     else:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(run_trial, repeat(cfg), range(cfg.trials)))
     rows = tuple(row for trial_rows in per_trial for row in trial_rows)
     return SweepResult(trials=rows, summary=_summarize(cfg, rows))

@@ -1,5 +1,5 @@
-"""Weighted coherence minimization by projected gradient steps on the Gram
-matrix, safeguarded by majorization-minimization (MM).
+"""Weighted coherence minimization by accelerated projected gradient steps on
+the Gram matrix, safeguarded by majorization-minimization (MM).
 
 The design objective
 
@@ -29,18 +29,28 @@ solved by the top-M eigenpairs of the whitened target. ``wcm_step`` and the
 through the same projection. For alpha <= 1/2 that is 0.9 times the step of
 the tightest majorizer, whose curvature is the largest weight 1 - alpha, so
 every step still descends. For alpha > 1/2 it over-relaxes only the
-within-block entries. Whenever such a step raises f, the iteration takes the
-exact MM step from the same Gram matrix instead, so the objective trace is
-non-increasing by construction. The step stays below 1 at alpha = 1/2
-because there the gradient is G - I: a unit step would make the whitened
-target exactly the identity, whose top-M eigenspace is then picked by
-rounding noise, while 0.9 leaves a spectral gap of 0.1 and the closed-form
-baseline a fixed point.
+within-block entries. The step stays below 1 at alpha = 1/2 because there
+the gradient is G - I: a unit step would make the whitened target exactly
+the identity, whose top-M eigenspace is then picked by rounding noise, while
+0.9 leaves a spectral gap of 0.1 and the closed-form baseline a fixed point.
+
+The step is taken from the extrapolated point G_e = G + beta * (G - G_prev),
+with FISTA's momentum
+
+    beta = (t - 1) / t_next,    t_next = (1 + sqrt(1 + 4 t^2)) / 2,
+
+and t = 1 at the start (Beck & Teboulle, SIAM J. Imaging Sci., 2009), so the
+first step has no momentum. A step that raises f is rejected and restarts
+the momentum at t = 1 (O'Donoghue & Candes, Found. Comput. Math., 2015). The
+iteration then steps from G itself with eta(alpha), unless the rejected step
+already was that step, and, if f still rises, with the exact MM step. The
+objective trace is therefore non-increasing by construction.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -114,8 +124,9 @@ class WcmReport:
     ``objective_trace`` holds f at the initial point and after every step, and
     is non-increasing up to floating-point slack. ``component_trace`` carries
     the matching (total_inter, total_sub, norm_penalty) triples, one row per
-    trace entry. ``fallbacks`` counts the iterations whose longer step raised
-    f and that took the exact MM step instead. ``equivalent`` is the final
+    trace entry. ``fallbacks`` counts the restarts: the iterations whose
+    first step raised f, so that the momentum was reset and the step retaken
+    from the current Gram matrix. ``equivalent`` is the final
     E = A D, and ``alpha`` the weight the design was run at.
     """
 
@@ -218,12 +229,14 @@ def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatri
 
 
 def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
-    """Iterate safeguarded projected gradient steps until the objective stalls.
+    """Iterate accelerated projected gradient steps until the objective stalls.
 
     Starts from the closed-form baseline by default (or a random matrix when
     ``config.init == "random"``). Each iteration projects the gradient step of
-    size ``eta(alpha)`` (see the module docstring); if that raises f, it takes
-    the exact MM step of :func:`wcm_step` from the same point instead. The
+    size ``eta(alpha)`` from the momentum-extrapolated Gram matrix (see the
+    module docstring). If that raises f, it restarts: the momentum is reset
+    and the step of size ``eta(alpha)`` is retaken from the current point,
+    then, if f still rises, the exact MM step of :func:`wcm_step`. The
     objective is recorded after every iteration, and a run that reaches
     ``config.max_iters`` unconverged logs a warning.
     """
@@ -252,14 +265,27 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
 
     converged = False
     fallbacks = 0
+    t = 1.0
+    g_prev = g
     for _ in range(int(config.max_iters)):
-        a_new = basis.step(g, alpha, M, eta)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        t = t_next
+        # With no momentum the step starts from G itself: no K x K temporaries.
+        g_e = g if beta == 0.0 else g + beta * (g - g_prev)
+        a_new = basis.step(g_e, alpha, M, eta)
         g_new, terms, f_new = measure(a_new)
         if f_new > f:
+            # Restart: drop the momentum and take the safeguarded step from G.
             fallbacks += 1
-            a_new = basis.step(g, alpha, M, _MM_STEP)
-            g_new, terms, f_new = measure(a_new)
-        a_mat, g = a_new, g_new
+            t = 1.0
+            if beta != 0.0:
+                a_new = basis.step(g, alpha, M, eta)
+                g_new, terms, f_new = measure(a_new)
+            if f_new > f:
+                a_new = basis.step(g, alpha, M, _MM_STEP)
+                g_new, terms, f_new = measure(a_new)
+        a_mat, g_prev, g = a_new, g, g_new
         trace.append(f_new)
         components.append(terms)
         converged = abs(f - f_new) <= config.rel_tol * (1.0 + f)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import blocksense.harness
 from blocksense import (
     BlockStructure,
     BompConfig,
@@ -73,7 +74,7 @@ class TestCli:
         a = load_matrix_csv(out)
         np.testing.assert_array_equal(a, design_ds(d, 4).matrix)
 
-    def test_design_wcm_with_trace(self, tmp_path, dict_file):
+    def test_design_wcm_with_trace(self, tmp_path, dict_file, capsys):
         path, d = dict_file
         out = tmp_path / "a.csv"
         trace = tmp_path / "trace.csv"
@@ -104,6 +105,10 @@ class TestCli:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == report.objective_trace[0]
+        summary = capsys.readouterr().out
+        assert (
+            f"after {report.iterations} iterations, {report.fallbacks} restarts" in summary
+        )
 
     def test_decode_bomp(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -217,6 +222,18 @@ class TestCli:
     def test_mistyped_sweep_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"designers": ["ds"], "L": 2.5}))
+        out_dir = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert not out_dir.exists()
+
+    def test_alpha_out_of_range_exits_2_before_any_trial(self, tmp_path, monkeypatch):
+        def no_trial(cfg, trial):
+            raise AssertionError("a trial ran before the config was rejected")
+
+        monkeypatch.setattr(blocksense.harness, "run_trial", no_trial)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"alpha_grid": [0.5, 1.5], "L": 2, "trials": 1}))
         out_dir = tmp_path / "out"
         code = main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)])
         assert code == 2

@@ -1,8 +1,10 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import blocksense.harness
 from blocksense import (
     BompConfig,
     ExperimentConfig,
@@ -199,6 +201,21 @@ class TestRunSweep:
         pooled = run_sweep(cfg, workers=2)
         assert inline == pooled
 
+    def test_pool_never_outnumbers_trials(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(blocksense.harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = ExperimentConfig(**TINY)
+        assert run_sweep(cfg, workers=8) == run_sweep(cfg, workers=1)
+        assert sizes == [cfg.trials]
+        run_sweep(ExperimentConfig(**{**TINY, "trials": 1}), workers=8)
+        assert sizes == [cfg.trials]
+
     def test_summary_groups_follow_designer_order(self):
         cfg = ExperimentConfig(
             **{**TINY, "designers": ("random", "ds", "wcm"), "alpha_grid": (0.3, 0.7)}
@@ -296,6 +313,13 @@ class TestConfigParsing:
             ExperimentConfig(**{**TINY, "designers": ("bogus",)})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**TINY, "k": 9})
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, 1.0, -0.2])
+    def test_wcm_alpha_grid_range_checked(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentConfig(**{**TINY, "designers": ("ds", "wcm"), "alpha_grid": (0.5, alpha)})
+        # without the wcm designer the grid is never used
+        ExperimentConfig(**{**TINY, "designers": ("ds",), "alpha_grid": (0.5, alpha)})
 
     @pytest.mark.parametrize(
         "bad",
