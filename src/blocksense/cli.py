@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 import numpy as np
@@ -111,6 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="blocksense",
         description="Sensing-matrix design and evaluation for block-sparse recovery.",
     )
+    parser.add_argument(
+        "--log-level",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        default="WARNING",
+        help="threshold of the blocksense loggers (INFO: one line per sweep trial)",
+    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     design = commands.add_parser("design", help="design a sensing matrix")
@@ -165,6 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("blocksense").setLevel(args.log_level)
     try:
         return args.func(args)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from blocksense import BlockStructure, Dictionary, EquivalentDictionary
+from blocksense import BlockStructure, Dictionary, EquivalentDictionary, RankDeficientSupportError
 
 
 def unit_columns(mat: np.ndarray) -> np.ndarray:
@@ -84,3 +84,37 @@ def packed_equivalent(rng, n_blocks=8, s=3, m=14, iters=2500, cap0=0.40, cap1=0.
         v = v[:, ::-1][:, :m]
         e = np.sqrt(w)[:, None] * v.T
     return EquivalentDictionary(e, BlockStructure((s,) * n_blocks))
+
+
+def reference_bomp(E, offsets, Y, k, ls_tol):
+    """Block-OMP one signal at a time, re-solving the least squares on the
+    gathered sub-dictionary at every step. The reference for the lockstep
+    kernel: same arguments, returns and exception as ``bomp._bomp_batch``."""
+    m_rows, n_cols = E.shape
+    n_blocks = offsets.shape[0] - 1
+    n_signals = Y.shape[1]
+    et = np.ascontiguousarray(E.T)
+    theta = np.zeros((n_cols, n_signals))
+    supports = np.full((k, n_signals), -1, dtype=np.int64)
+
+    for sig in range(n_signals):
+        y = Y[:, sig].copy()
+        r = y.copy()
+        used = np.zeros(n_blocks, dtype=bool)
+        cols: list[int] = []
+        for t in range(k):
+            c = et @ r
+            scores = np.add.reduceat(c * c, offsets[:-1])
+            scores[used] = -1.0
+            best = int(np.argmax(scores))
+            used[best] = True
+            supports[t, sig] = best
+            cols.extend(range(int(offsets[best]), int(offsets[best + 1])))
+            es = E[:, cols]
+            u, s, vt = np.linalg.svd(es, full_matrices=False)
+            if len(cols) > m_rows or s[-1] <= ls_tol * s[0]:
+                raise RankDeficientSupportError(supports[: t + 1, sig], signal=sig)
+            coef = vt.T @ ((u.T @ y) / s)
+            r = y - es @ coef
+        theta[cols, sig] = coef
+    return theta, supports

@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +164,30 @@ class TestCli:
             assert (out_dir / fname).exists()
         echoed = json.loads((out_dir / "config.echo.json").read_text())
         assert echoed["L"] == 6 and echoed["designers"] == ["ds"]
+
+    def test_log_level_info_logs_each_trial(self, tmp_path, caplog):
+        cfg = {
+            "dict_family": "gaussian", "N": 12, "K": 24, "M": 6, "block_sizes": 3,
+            "k": 2, "L": 6, "trials": 2, "seed": 2, "designers": ["random", "ds"],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        sweep = ["sweep", "--config", str(cfg_path), "--out-dir"]
+        # at_level restores the package logger's level, which main() sets
+        with caplog.at_level(logging.INFO, logger="blocksense"):
+            assert main([*sweep, str(tmp_path / "quiet")]) == 0
+            assert not caplog.records
+            assert main(["--log-level", "INFO", *sweep, str(tmp_path / "loud")]) == 0
+        lines = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        assert len(lines) == 2
+        for trial, (name, level, message) in enumerate(lines):
+            assert (name, level) == ("blocksense.harness", logging.INFO)
+            match = re.fullmatch(r"trial (\d+): (\d+) cells in (\S+) s", message)
+            assert match and match.group(1, 2) == (str(trial), "2")
+            assert float(match.group(3)) >= 0.0
+        for fname in ("results.csv", "summary.csv"):
+            quiet = (tmp_path / "quiet" / fname).read_bytes()
+            assert (tmp_path / "loud" / fname).read_bytes() == quiet
 
     def test_sweep_preset_fills_defaults(self, tmp_path):
         cfg = {
