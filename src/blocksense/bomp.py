@@ -59,11 +59,11 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
     product, orthogonalizes every signal's chosen block against that
     signal's running orthonormal basis (two Gram-Schmidt passes, then a
     stacked QR) and deflates the residuals. The basis Q and the triangular
-    factor R with E_S = Q R are carried along. The conditioning check takes
-    the singular values of R and the coefficients solve R theta_S = Q' y,
-    one stack of factors per support width, so E_S is never gathered.
-    Blocks are padded to the widest block with a zero column whose basis
-    column is zeroed.
+    factor R with E_S = Q R are carried along. Blocks are padded to the
+    widest block with a zero column whose basis column is zeroed. The
+    conditioning check takes the singular values of R and the coefficients
+    solve R theta_S = Q' y, in one padded stack for all signals, so E_S is
+    never gathered.
 
     Returns (theta, supports): the K x L coefficient matrix and the k x L
     selected block indices in selection order. Raises
@@ -111,45 +111,40 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
         qty[:, lo : lo + n] = coef
     del q, corr  # released before the solve allocates; it needs only R and Q' y
 
-    real = ~pad[supports.T].reshape(n_signals, width)
-    cols = block_cols[supports.T].reshape(n_signals, width)
-    widths = np.count_nonzero(real, axis=1)
-    solves, fails = [], np.zeros(n_signals, dtype=bool)
-    # bincount, not np.unique, which imports numpy.ma (~2 MiB) on first use
-    for w in np.flatnonzero(np.bincount(widths)):
-        group = np.flatnonzero(widths == w)
-        keep = np.nonzero(real[group])[1].reshape(group.size, w)
-        factor = r[group[:, None, None], keep[:, :, None], keep[:, None, :]]
-        sv = np.linalg.svd(factor, compute_uv=False)
-        fails[group] = (w > m_rows) | (sv[:, -1] <= ls_tol * sv[:, 0])
-        solves.append((group, keep, factor))
+    # Padding rows and columns of R are exactly zero. On their diagonal goes
+    # |R[0, 0]|, the norm of a real column, which lies between the extreme
+    # singular values of every leading block of R: the conditioning ratio
+    # stays exact and every padding coefficient solves to 0.
+    diag = np.arange(width)
+    r[:, diag, diag] += pad[supports.T].reshape(n_signals, width) * np.abs(r[:, :1, 0])
+    widths = np.cumsum(sizes[supports], axis=0)  # support width after each step
+    sv = np.linalg.svd(r, compute_uv=False)
+    fails = (widths[-1] > m_rows) | (sv[:, -1] <= ls_tol * sv[:, 0])
     # sigma_min / sigma_max never rises as columns are appended, so the final
-    # supports flag exactly the signals that fail at some step. Every check
-    # runs before any solve.
+    # supports flag exactly the signals that fail at some step, before the solve.
     if fails.any():
         sig = int(np.argmax(fails))
-        t = _first_failing_step(r[sig], real[sig], s_max, k, m_rows, ls_tol)
+        t = _first_failing_step(r[sig], widths[:, sig], s_max, m_rows, ls_tol)
         raise RankDeficientSupportError(supports[: t + 1, sig], signal=sig)
 
-    theta = np.zeros((n_cols, n_signals))
-    for group, keep, factor in solves:
-        coef = np.linalg.solve(factor, qty[group[:, None], keep][:, :, None])
-        theta[cols[group[:, None], keep], group[:, None]] = coef[:, :, 0]
-    return theta, supports
+    # padding coefficients land in the extra row K, which is dropped
+    theta = np.zeros((n_cols + 1, n_signals))
+    coef = np.linalg.solve(r, qty[:, :, None])[:, :, 0]
+    theta[block_cols[supports.T].reshape(n_signals, width), every[:, None]] = coef
+    return theta[:n_cols], supports
 
 
-def _first_failing_step(r, real, s_max, k, m_rows, ls_tol):
+def _first_failing_step(r, widths, s_max, m_rows, ls_tol):
     """First step whose support fails the conditioning check, given the
-    signal's triangular factor: each prefix support's factor is a leading
-    block of it. The final step fails by assumption."""
-    for t in range(k - 1):
-        keep = np.flatnonzero(real[: (t + 1) * s_max])
-        if keep.size > m_rows:
+    signal's padded triangular factor and its support width after each step:
+    each prefix support's factor is a leading block of it. The final step
+    fails by assumption."""
+    for t, w in enumerate(widths[:-1]):
+        lead = (t + 1) * s_max
+        sv = np.linalg.svd(r[:lead, :lead], compute_uv=False)
+        if w > m_rows or sv[-1] <= ls_tol * sv[0]:
             return t
-        sv = np.linalg.svd(r[np.ix_(keep, keep)], compute_uv=False)
-        if sv[-1] <= ls_tol * sv[0]:
-            return t
-    return k - 1
+    return widths.size - 1
 
 
 def _check_batch(E: EquivalentDictionary, Y: np.ndarray, cfg: BompConfig) -> np.ndarray:

@@ -28,6 +28,7 @@ from .fileio import (
     load_block_matrix_json,
     load_matrix_csv,
     save_matrix_csv,
+    save_table_csv,
 )
 from .harness import PRESETS, config_from_dict, run_histogram, run_sweep, write_sweep_outputs
 from .model import BlockStructure, Dictionary, EquivalentDictionary
@@ -59,14 +60,9 @@ def _cmd_design_wcm(args) -> int:
     report = run_wcm(D, args.M, config)
     save_matrix_csv(args.out, report.sensing.matrix)
     if args.trace is not None:
-        lines = ["iter,f,total_inter,total_sub,norm_penalty"]
-        for i, f in enumerate(report.objective_trace):
-            inter, sub, norm = report.component_trace[i]
-            lines.append(
-                f"{i},{f:.17g},{inter:.17g},{sub:.17g},{norm:.17g}"
-            )
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        trace = np.column_stack((report.objective_trace, report.component_trace))
+        header = ["iter", "f", "total_inter", "total_sub", "norm_penalty"]
+        save_table_csv(args.trace, header, ((i, *row) for i, row in enumerate(trace)))
     status = "converged" if report.converged else "stopped at max iterations"
     print(
         f"wrote sensing matrix to {args.out}; objective "
@@ -100,9 +96,7 @@ def _cmd_histogram(args) -> int:
     D = _load_dictionary(args.dict)
     rng = np.random.default_rng(args.seed)
     finals = run_histogram(D, args.M, args.alpha, args.replicates, rng)
-    lines = ["objective"] + ["%.17g" % v for v in finals]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    save_table_csv(args.out, ["objective"], finals[:, None])
     print(f"wrote {finals.size} replicate objective(s) to {args.out}")
     return 0
 

@@ -20,6 +20,21 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else "%.17g" % value
+
+
+def save_table_csv(path, header, rows) -> None:
+    """Write a header line, then one line per row: numbers at %.17g, strings
+    as given, None as an empty field."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(value) for value in row) for row in rows]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def save_block_matrix_json(path, matrix, block_sizes) -> None:
     """Write a matrix plus its block sizes as
     {"rows": .., "cols": .., "block_sizes": [..], "data": [row-major floats]}."""
@@ -38,6 +53,11 @@ def save_block_matrix_json(path, matrix, block_sizes) -> None:
 def load_block_matrix_json(path) -> tuple[np.ndarray, tuple[int, ...]]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    for key in ("rows", "cols", "block_sizes", "data"):
+        if key not in payload:
+            raise ValueError(f"block matrix JSON is missing the key {key!r}")
     rows = int(payload["rows"])
     cols = int(payload["cols"])
     sizes = tuple(int(s) for s in payload["block_sizes"])

@@ -24,6 +24,7 @@ import numpy as np
 from .bomp import BompConfig, bomp_decode_batch
 from .coherence import _check_alpha, _gram_terms
 from .ds import design_ds
+from .fileio import save_table_csv
 from .model import BlockStructure, Dictionary, EquivalentDictionary, _gram_matrix
 from .wcm import WcmConfig, run_wcm
 
@@ -357,33 +358,17 @@ def run_histogram(
     return finals
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return value if isinstance(value, str) else "%.17g" % value
-
-
-def _write_csv(path: str, header: list[str], records) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(value) for value in astuple(record)) for record in records]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_sweep_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir) -> None:
     """Emit results.csv (per-trial rows), summary.csv (per grid point), and
     config.echo.json into ``out_dir``. The columns of both CSVs follow the
     fields of TrialResult and SweepSummary; the echo is the config's fields."""
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "results.csv"),
-        [f.name for f in fields(TrialResult)],
-        result.trials,
-    )
+    columns = [f.name for f in fields(TrialResult)]
+    save_table_csv(os.path.join(out_dir, "results.csv"), columns, map(astuple, result.trials))
     # SweepSummary's cell fields, then a mean and a std column per metric
-    cell_columns = [f.name for f in fields(SweepSummary)[: -2 * len(_METRICS)]]
-    stat_columns = [f"{m}_{stat}" for m in _METRICS for stat in ("mean", "std")]
-    _write_csv(os.path.join(out_dir, "summary.csv"), cell_columns + stat_columns, result.summary)
+    columns = [f.name for f in fields(SweepSummary)[: -2 * len(_METRICS)]]
+    columns += [f"{m}_{stat}" for m in _METRICS for stat in ("mean", "std")]
+    save_table_csv(os.path.join(out_dir, "summary.csv"), columns, map(astuple, result.summary))
     with open(os.path.join(out_dir, "config.echo.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -392,6 +377,8 @@ def write_sweep_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir) -> 
 def config_from_dict(payload: dict, preset: str | None = None) -> ExperimentConfig:
     """Build a config from parsed JSON, optionally filling scale defaults
     from a named preset before the explicit values are applied."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
     merged: dict = {}
     if preset is not None:
         if preset not in PRESETS:

@@ -42,9 +42,8 @@ with FISTA's momentum
 and t = 1 at the start (Beck & Teboulle, SIAM J. Imaging Sci., 2009), so the
 first step has no momentum. A step that raises f is rejected and restarts
 the momentum at t = 1 (O'Donoghue & Candes, Found. Comput. Math., 2015). The
-iteration then steps from G itself with eta(alpha), unless the rejected step
-already was that step, and, if f still rises, with the exact MM step. The
-objective trace is therefore non-increasing by construction.
+iteration then takes the exact MM step from G itself, which cannot raise f,
+so the objective trace is non-increasing by construction.
 """
 
 from __future__ import annotations
@@ -125,9 +124,9 @@ class WcmReport:
     is non-increasing up to floating-point slack. ``component_trace`` carries
     the matching (total_inter, total_sub, norm_penalty) triples, one row per
     trace entry. ``fallbacks`` counts the restarts: the iterations whose
-    first step raised f, so that the momentum was reset and the step retaken
-    from the current Gram matrix. ``equivalent`` is the final
-    E = A D, and ``alpha`` the weight the design was run at.
+    first step raised f, so that the momentum was reset and the exact MM
+    step taken from the current Gram matrix instead. ``equivalent`` is the
+    final E = A D, and ``alpha`` the weight the design was run at.
     """
 
     sensing: SensingMatrix
@@ -235,10 +234,9 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     ``config.init == "random"``). Each iteration projects the gradient step of
     size ``eta(alpha)`` from the momentum-extrapolated Gram matrix (see the
     module docstring). If that raises f, it restarts: the momentum is reset
-    and the step of size ``eta(alpha)`` is retaken from the current point,
-    then, if f still rises, the exact MM step of :func:`wcm_step`. The
-    objective is recorded after every iteration, and a run that reaches
-    ``config.max_iters`` unconverged logs a warning.
+    and the exact MM step of :func:`wcm_step` is taken from the current
+    point instead. The objective is recorded after every iteration, and a
+    run that reaches ``config.max_iters`` unconverged logs a warning.
 
     For ``alpha < 1/2`` the run can stop at a different stationary point
     than iterating the plain MM step from the same start. On the desk
@@ -282,15 +280,12 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
         a_new = basis.step(g_e, alpha, M, eta)
         g_new, terms, f_new = measure(a_new)
         if f_new > f:
-            # Restart: drop the momentum and take the safeguarded step from G.
+            # Restart: drop the momentum and take the exact MM step from G,
+            # which cannot raise f.
             fallbacks += 1
             t = 1.0
-            if beta != 0.0:
-                a_new = basis.step(g, alpha, M, eta)
-                g_new, terms, f_new = measure(a_new)
-            if f_new > f:
-                a_new = basis.step(g, alpha, M, _MM_STEP)
-                g_new, terms, f_new = measure(a_new)
+            a_new = basis.step(g, alpha, M, _MM_STEP)
+            g_new, terms, f_new = measure(a_new)
         a_mat, g_prev, g = a_new, g, g_new
         trace.append(f_new)
         components.append(terms)

@@ -181,13 +181,13 @@ def assert_agrees_with_reference(E, structure, Y, k):
     assert np.all(np.abs(theta - ref_theta) <= THETA_RTOL * np.abs(ref_theta).max(initial=0.0))
 
 
-def assert_same_error(E, sizes, Y, k):
+def assert_same_error(E, sizes, Y, k, ls_tol=LS_TOL):
     """The lockstep kernel raises what the reference raises; returns it."""
     offsets = BlockStructure(sizes).offsets
     with pytest.raises(RankDeficientSupportError) as ref:
-        reference_bomp(E, offsets, Y, k, LS_TOL)
+        reference_bomp(E, offsets, Y, k, ls_tol)
     with pytest.raises(RankDeficientSupportError) as got:
-        _bomp_batch(E, offsets, Y, k, LS_TOL)
+        _bomp_batch(E, offsets, Y, k, ls_tol)
     assert (got.value.support, got.value.signal) == (ref.value.support, ref.value.signal)
     assert str(got.value) == str(ref.value)
     return ref.value
@@ -206,14 +206,27 @@ SWEEP_CONFIGS = {
 }
 
 
+# E and Y are scaled together: the padding pivot must follow the scale of R,
+# or it becomes an extreme singular value of a mixed-size support. Unscaled
+# instances keep their plain ids.
+RANDOM_INSTANCES = [
+    pytest.param(
+        sizes, n_signals, scale,
+        id=f"{name}-{n_signals}" + ("" if scale == 1.0 else f"-scale{scale:g}"),
+    )
+    for name, sizes in (("uniform", (3,) * 12), ("mixed", (2, 3, 4) * 4))
+    for n_signals in (0, 1, 37)
+    for scale in (1.0, 1e-12, 1e12)
+]
+
+
 class TestLockstepAgreesWithReference:
-    @pytest.mark.parametrize("n_signals", [0, 1, 37])
-    @pytest.mark.parametrize("sizes", [(3,) * 12, (2, 3, 4) * 4], ids=["uniform", "mixed"])
-    def test_random_instances(self, sizes, n_signals):
+    @pytest.mark.parametrize("sizes, n_signals, scale", RANDOM_INSTANCES)
+    def test_random_instances(self, sizes, n_signals, scale):
         rng = np.random.default_rng(len(sizes) + n_signals)
         structure = BlockStructure(sizes)
-        E = unit_columns(rng.standard_normal((16, structure.num_columns)))
-        Y = rng.standard_normal((16, n_signals))
+        E = scale * unit_columns(rng.standard_normal((16, structure.num_columns)))
+        Y = scale * rng.standard_normal((16, n_signals))
         assert_agrees_with_reference(E, structure, Y, 3)
 
     @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
@@ -263,7 +276,11 @@ class TestLockstepErrors:
         rng = np.random.default_rng(4)
         E = unit_columns(rng.standard_normal((5, 12)))
         # the third block brings 6 columns for 5 measurements; a fourth follows
-        err = assert_same_error(E, (2,) * 6, rng.standard_normal((5, 3)), 4)
+        Y = rng.standard_normal((5, 3))
+        err = assert_same_error(E, (2,) * 6, Y, 4)
+        assert (len(err.support), err.signal) == (3, 0)
+        # with no singular-value tolerance only the width count catches it
+        err = assert_same_error(E, (2,) * 6, Y, 4, ls_tol=0.0)
         assert (len(err.support), err.signal) == (3, 0)
 
     def test_block_wider_than_measurements(self):

@@ -58,6 +58,15 @@ class TestFileIO:
         )
         with pytest.raises(ValueError):
             load_block_matrix_json(path)
+        for key in ("rows", "cols", "block_sizes", "data"):
+            payload = {"rows": 1, "cols": 1, "block_sizes": [1], "data": [1.0]}
+            del payload[key]
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=f"missing the key '{key}'"):
+                load_block_matrix_json(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            load_block_matrix_json(path)
 
 
 @pytest.fixture
@@ -236,22 +245,32 @@ class TestCli:
         assert lines[0] == "objective"
         assert len(lines) == 4
 
-    def test_invalid_input_exits_nonzero(self, tmp_path, dict_file):
+    def test_invalid_input_exits_nonzero(self, tmp_path, dict_file, capsys):
         path, _ = dict_file
+        payload = json.loads(path.read_text())
+        del payload["block_sizes"]
+        no_sizes = tmp_path / "no_sizes.json"
+        no_sizes.write_text(json.dumps(payload))
         out = tmp_path / "a.csv"
-        code = main(
-            ["design", "wcm", "--dict", str(path), "-M", "4", "--alpha", "1.5", "--out", str(out)]
-        )
-        assert code == 2
-        assert not out.exists()
+        for argv, message in [
+            (["design", "wcm", "--dict", str(path), "-M", "4", "--alpha", "1.5"], "alpha"),
+            (["design", "ds", "--dict", str(no_sizes), "-M", "4"], "missing the key 'block_sizes'"),
+        ]:
+            assert main(argv + ["--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
-    def test_mistyped_sweep_config_exits_2(self, tmp_path):
+    def test_mistyped_sweep_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"designers": ["ds"], "L": 2.5}))
         out_dir = tmp_path / "out"
-        code = main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)])
-        assert code == 2
-        assert not out_dir.exists()
+        for payload, message in [
+            ({"designers": ["ds"], "L": 2.5}, "L must hold int values"),
+            ([1, 2], "config must be a JSON object, got list"),
+        ]:
+            cfg_path.write_text(json.dumps(payload))
+            assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out_dir.exists()
 
     def test_alpha_out_of_range_exits_2_before_any_trial(self, tmp_path, monkeypatch):
         def no_trial(cfg, trial):

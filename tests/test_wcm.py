@@ -300,6 +300,22 @@ class TestRunWcm:
             rtol=0, atol=1e-10,
         )
 
+    def test_restart_takes_one_exact_mm_step(self, monkeypatch):
+        # every iteration projects once, and a restart once more, with the
+        # exact MM step
+        etas = []
+        step = blocksense.wcm._DesignBasis.step
+
+        def recording_step(self, g, alpha, m, eta):
+            etas.append(eta)
+            return step(self, g, alpha, m, eta)
+
+        monkeypatch.setattr(blocksense.wcm._DesignBasis, "step", recording_step)
+        report = run_wcm(c05_dictionary(), 14, WcmConfig(alpha=0.99))
+        assert report.fallbacks > 0
+        assert len(etas) == report.iterations + report.fallbacks
+        assert etas.count(blocksense.wcm._MM_STEP) == report.fallbacks
+
     def test_high_alpha_converges_within_default_cap(self):
         report = run_wcm(c05_dictionary(), 14, WcmConfig(alpha=0.99))
         assert report.converged
