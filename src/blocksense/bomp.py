@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BlockSparseVector, EquivalentDictionary
+from .model import BlockSparseVector, EquivalentDictionary, _padded_columns
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,10 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
     m_rows, n_cols = E.shape
     n_signals = Y.shape[1]
     sizes = np.diff(offsets)
-    s_max = int(sizes.max())
+    # padding indexes the zero row appended to E'
+    block_cols, pad = _padded_columns(offsets)
+    s_max = pad.shape[1]
     width = k * s_max
-    # Column indices of every block, padded with the zero row appended to E'.
-    pad = np.arange(s_max) >= sizes[:, None]
-    block_cols = np.where(pad, n_cols, offsets[:-1, None] + np.arange(s_max))
     et = np.vstack([E.T, np.zeros((1, m_rows))])
     every = np.arange(n_signals)
     supports = np.empty((k, n_signals), dtype=np.int64)

@@ -4,6 +4,7 @@ block sizes alongside the matrix."""
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 
@@ -35,6 +36,23 @@ def save_table_csv(path, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _number(key: str, value, kind: type):
+    """``value`` as ``kind`` (int or float). Anything else, including bools,
+    strings and non-integral numbers where an int is wanted, raises a
+    ValueError naming the JSON key."""
+    wanted = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise ValueError(f"{key} must hold {kind.__name__} values, got {value!r}")
+    return kind(value)
+
+
+def _numbers(key: str, value, kind: type) -> list:
+    """A JSON list of ``kind`` values, checked as :func:`_number` does."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return [_number(key, v, kind) for v in value]
+
+
 def save_block_matrix_json(path, matrix, block_sizes) -> None:
     """Write a matrix plus its block sizes as
     {"rows": .., "cols": .., "block_sizes": [..], "data": [row-major floats]}."""
@@ -58,10 +76,10 @@ def load_block_matrix_json(path) -> tuple[np.ndarray, tuple[int, ...]]:
     for key in ("rows", "cols", "block_sizes", "data"):
         if key not in payload:
             raise ValueError(f"block matrix JSON is missing the key {key!r}")
-    rows = int(payload["rows"])
-    cols = int(payload["cols"])
-    sizes = tuple(int(s) for s in payload["block_sizes"])
-    data = np.asarray(payload["data"], dtype=float)
+    rows = _number("rows", payload["rows"], int)
+    cols = _number("cols", payload["cols"], int)
+    sizes = tuple(_numbers("block_sizes", payload["block_sizes"], int))
+    data = np.asarray(_numbers("data", payload["data"], float))
     if data.size != rows * cols:
         raise ValueError(
             f"data length {data.size} does not match rows*cols = {rows * cols}"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +23,7 @@ import numpy as np
 from .bomp import BompConfig, bomp_decode_batch
 from .coherence import _check_alpha, _gram_terms
 from .ds import design_ds
-from .fileio import save_table_csv
+from .fileio import _number, save_table_csv
 from .model import BlockStructure, Dictionary, EquivalentDictionary, _gram_matrix
 from .wcm import WcmConfig, run_wcm
 
@@ -43,16 +42,6 @@ PRESETS = {
 # Per-cell statistics of summary.csv, in column order: a mean and a sample
 # standard deviation of each of these TrialResult fields.
 _METRICS = ("e", "r", "ratio_nu_mu", "objective")
-
-
-def _number(key: str, value, kind: type):
-    """``value`` as ``kind`` (int or float). Anything else, including bools,
-    strings and non-integral numbers where an int is wanted, raises a
-    ValueError naming the config key."""
-    wanted = numbers.Integral if kind is int else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, wanted):
-        raise ValueError(f"{key} must hold {kind.__name__} values, got {value!r}")
-    return kind(value)
 
 
 @dataclass(frozen=True)

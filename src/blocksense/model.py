@@ -260,6 +260,16 @@ def _gram_matrix(e: np.ndarray) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
+def _padded_columns(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices of every block, padded to the widest block: a
+    (blocks, s_max) index array whose padding slots hold K, one past the last
+    column, and the mask of those slots."""
+    sizes = np.diff(offsets)
+    s_max = int(sizes.max())
+    pad = np.arange(s_max) >= sizes[:, None]
+    return np.where(pad, offsets[-1], offsets[:-1, None] + np.arange(s_max)), pad
+
+
 def gram(E: EquivalentDictionary) -> BlockGram:
     """Gram matrix of the equivalent dictionary columns, with its block layout."""
     return BlockGram(_gram_matrix(E.matrix), E.structure)

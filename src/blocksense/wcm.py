@@ -44,6 +44,23 @@ first step has no momentum. A step that raises f is rejected and restarts
 the momentum at t = 1 (O'Donoghue & Candes, Found. Comput. Math., 2015). The
 iteration then takes the exact MM step from G itself, which cannot raise f,
 so the objective trace is non-increasing by construction.
+
+No K x K matrix is formed. With D D' = U diag(w) U' and the whitening
+W = diag(w)^{-1/2} U', the rows of W D are orthonormal, and the gradient is
+
+    grad f(G) = 2 * (1 - alpha) * G + 2 * Q - I,
+    Q = (2 * alpha - 1) * blockdiag(G) + (1/2 - alpha) * diag(G),
+
+so the whitened target of a step of size eta from G = E'E is the N x N matrix
+
+    W D T (W D)' = (1 - 2 * eta * (1 - alpha)) * B B' - 2 * eta * (W D) Q (W D)' + eta * I
+
+with B = W D E' (N x M), where (W D) Q takes one s x s product per block. The
+iteration keeps only E = A D (M x K), B and the diagonal blocks E_b' E_b,
+padded to the widest block, and the momentum extrapolates B B' and the blocks
+linearly. f is read from the same state: the column norms and the sub-block
+entries lie in the diagonal blocks, and the inter-block total is
+||E E'||_F^2 = ||E'E||_F^2 less the squared Frobenius norms of the blocks.
 """
 
 from __future__ import annotations
@@ -52,6 +69,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +77,7 @@ from .coherence import (
     CoherenceReport,
     _check_alpha,
     _gradient,
-    _gram_terms,
+    _Terms,
     coherence_report,
     objective_gradient,
     weighted_objective,
@@ -70,7 +88,7 @@ from .model import (
     Dictionary,
     EquivalentDictionary,
     SensingMatrix,
-    _gram_matrix,
+    _padded_columns,
     sym_eig,
 )
 
@@ -187,22 +205,73 @@ def surrogate_gradient(gram: BlockGram, gram_prev: BlockGram, alpha: float) -> n
     return objective_gradient(gram_prev, alpha) + 3.0 * (gram.matrix - gram_prev.matrix)
 
 
+class _Point(NamedTuple):
+    """One iterate: the sensing matrix A, E = A D (M x K), B = W D E' (N x M)
+    and the diagonal blocks E_b' E_b of G = E'E, padded to (blocks, s_max,
+    s_max) with zeros."""
+
+    a: np.ndarray
+    e: np.ndarray
+    b: np.ndarray
+    blocks: np.ndarray
+
+
 class _DesignBasis:
     """Whitening transforms of one dictionary, precomputed for the iteration."""
 
     def __init__(self, D: Dictionary):
-        self.structure = D.structure
-        # diag(w)^{-1/2} U' and its product with D
+        self.dictionary = D.matrix
+        # diag(w)^{-1/2} U', and the rows of (W D)' block by block
         self.whiten = _whitening(D)
-        self.whiten_dict = self.whiten @ D.matrix
+        self.cols, self.pad = _padded_columns(D.structure.offsets)
+        self.eye = np.eye(self.pad.shape[1], dtype=bool)
+        self.whiten_dict = self._block_rows(self.whiten @ D.matrix)
+        self.whiten_dict_flat = self.whiten_dict.reshape(-1, D.signal_dim)
 
-    def step(self, g: np.ndarray, alpha: float, m: int, eta: float) -> np.ndarray:
+    def _block_rows(self, x: np.ndarray) -> np.ndarray:
+        """The columns of ``x`` as rows, block by block: a (blocks, s_max,
+        rows) array whose padding rows are zero."""
+        rows = np.take(x.T, self.cols, axis=0, mode="clip")
+        rows[self.pad] = 0.0
+        return rows
+
+    def point(self, a: np.ndarray) -> _Point:
+        """The iterate of sensing matrix ``a``."""
+        e = a @ self.dictionary
+        rows = self._block_rows(e)
+        b = self.whiten_dict_flat.T @ rows.reshape(-1, e.shape[0])
+        return _Point(a, e, b, rows @ rows.transpose(0, 2, 1))
+
+    def terms(self, p: _Point) -> _Terms:
+        """The three penalty totals of G = E'E, from ``p`` alone."""
+        blocks = p.blocks
+        eet = p.e @ p.e.T
+        return _Terms(
+            float(np.sum(eet**2) - np.sum(blocks**2)),
+            float(np.sum(blocks[:, ~self.eye] ** 2)),
+            float(np.sum((blocks[:, self.eye][~self.pad] - 1.0) ** 2)),
+        )
+
+    def step(self, p: _Point, prev: _Point, beta: float, alpha: float, m: int,
+             eta: float) -> np.ndarray:
         """Sensing matrix whose Gram matrix is nearest to the gradient step
-        ``g - eta * grad f(g)``; with ``eta = _MM_STEP`` this exactly
-        minimizes the surrogate anchored at ``g``."""
-        target = g - eta * _gradient(g, self.structure, alpha)
-        whitened = self.whiten_dict @ target @ self.whiten_dict.T
-        w, v = sym_eig(whitened)
+        ``G_e - eta * grad f(G_e)`` from G_e = G + beta * (G - G_prev), the
+        Gram matrices of ``p`` and ``prev``; with ``beta = 0`` and
+        ``eta = _MM_STEP`` this exactly minimizes the surrogate anchored at
+        ``p``."""
+        target = p.b @ p.b.T  # W D G (W D)'
+        blocks = p.blocks
+        if beta:
+            target *= 1.0 + beta
+            target -= beta * (prev.b @ prev.b.T)
+            blocks = (1.0 + beta) * blocks - beta * prev.blocks
+        # -2 eta Q, one s x s block per dictionary block
+        q = blocks * (-2.0 * eta * np.where(self.eye, alpha - 0.5, 2.0 * alpha - 1.0))
+        flat = self.whiten_dict_flat
+        target *= 1.0 - 2.0 * eta * (1.0 - alpha)
+        target += flat.T @ (q @ self.whiten_dict).reshape(flat.shape)
+        target[np.diag_indices_from(target)] += eta
+        w, v = sym_eig(target)
         # Negative directions cannot be matched by a PSD Gram and only add a
         # constant, so they are clamped before the square root.
         top = np.sqrt(np.clip(w[:m], 0.0, None))
@@ -223,8 +292,9 @@ def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatri
             f"sensing matrix expects signals of dimension {A_prev.signal_dim}, "
             f"dictionary has {D.signal_dim}"
         )
-    g = _gram_matrix(A_prev.matrix @ D.matrix)
-    return SensingMatrix(_DesignBasis(D).step(g, alpha, A_prev.num_measurements, _MM_STEP))
+    basis = _DesignBasis(D)
+    p = basis.point(A_prev.matrix)
+    return SensingMatrix(basis.step(p, p, 0.0, alpha, A_prev.num_measurements, _MM_STEP))
 
 
 def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
@@ -248,7 +318,6 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     if not 1 <= M < D.signal_dim:
         raise ValueError(f"M must satisfy 1 <= M < N={D.signal_dim}, got {M}")
     basis = _DesignBasis(D)
-    structure = D.structure
     alpha = config.alpha
     eta = _step_size(alpha)
 
@@ -259,34 +328,30 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
         a_mat = rng.standard_normal((M, D.signal_dim))
 
     def measure(a):
-        g = _gram_matrix(a @ D.matrix)
-        terms = _gram_terms(g, structure)
-        return g, terms, terms.objective(alpha)
+        p = basis.point(a)
+        terms = basis.terms(p)
+        return p, terms, terms.objective(alpha)
 
-    g, terms, f = measure(a_mat)
+    p, terms, f = measure(a_mat)
     trace = [f]
     components = [terms]
 
     converged = False
     fallbacks = 0
     t = 1.0
-    g_prev = g
+    p_prev = p
     for _ in range(int(config.max_iters)):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         t = t_next
-        # With no momentum the step starts from G itself: no K x K temporaries.
-        g_e = g if beta == 0.0 else g + beta * (g - g_prev)
-        a_new = basis.step(g_e, alpha, M, eta)
-        g_new, terms, f_new = measure(a_new)
+        p_new, terms, f_new = measure(basis.step(p, p_prev, beta, alpha, M, eta))
         if f_new > f:
             # Restart: drop the momentum and take the exact MM step from G,
             # which cannot raise f.
             fallbacks += 1
             t = 1.0
-            a_new = basis.step(g, alpha, M, _MM_STEP)
-            g_new, terms, f_new = measure(a_new)
-        a_mat, g_prev, g = a_new, g, g_new
+            p_new, terms, f_new = measure(basis.step(p, p, 0.0, alpha, M, _MM_STEP))
+        p_prev, p = p, p_new
         trace.append(f_new)
         components.append(terms)
         converged = abs(f - f_new) <= config.rel_tol * (1.0 + f)
@@ -301,12 +366,12 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
             alpha, iterations, f,
         )
     return WcmReport(
-        sensing=SensingMatrix(a_mat),
+        sensing=SensingMatrix(p.a),
         objective_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,
         component_trace=np.asarray(components),
         fallbacks=fallbacks,
-        equivalent=EquivalentDictionary(a_mat @ D.matrix, structure),
+        equivalent=EquivalentDictionary(p.e, D.structure),
         alpha=alpha,
     )

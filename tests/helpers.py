@@ -7,6 +7,9 @@ import itertools
 import numpy as np
 
 from blocksense import BlockStructure, Dictionary, EquivalentDictionary, RankDeficientSupportError
+from blocksense.coherence import _gradient, _gram_terms
+from blocksense.ds import _whitening
+from blocksense.model import _gram_matrix, sym_eig
 
 
 def unit_columns(mat: np.ndarray) -> np.ndarray:
@@ -118,3 +121,24 @@ def reference_bomp(E, offsets, Y, k, ls_tol):
             r = y - es @ coef
         theta[cols, sig] = coef
     return theta, supports
+
+
+def reference_wcm_measure(a_mat, D: Dictionary, alpha):
+    """The K x K Gram matrix of E = A D, its three penalty totals and f. The
+    reference for the Gram-free objective of ``run_wcm``."""
+    g = _gram_matrix(a_mat @ D.matrix)
+    terms = _gram_terms(g, D.structure)
+    return g, terms, terms.objective(alpha)
+
+
+def reference_wcm_step(D: Dictionary, g, alpha, m, eta):
+    """Sensing matrix whose Gram matrix is nearest to ``g - eta * grad f(g)``,
+    with the target formed and whitened as a K x K matrix. The reference for
+    the Gram-free step of ``wcm._DesignBasis``: same projection, same
+    clamping of negative eigenvalues."""
+    whiten = _whitening(D)
+    whiten_dict = whiten @ D.matrix
+    target = g - eta * _gradient(g, D.structure, alpha)
+    w, v = sym_eig(whiten_dict @ target @ whiten_dict.T)
+    top = np.sqrt(np.clip(w[:m], 0.0, None))
+    return (v[:, :m] * top).T @ whiten

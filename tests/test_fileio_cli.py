@@ -67,6 +67,13 @@ class TestFileIO:
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match="JSON object"):
             load_block_matrix_json(path)
+        for key, value in [("rows", "1"), ("cols", 1.5), ("rows", True), ("block_sizes", 1),
+                           ("block_sizes", [1.0]), ("data", {"0": 1.0}), ("data", ["1.0"])]:
+            payload = {"rows": 1, "cols": 1, "block_sizes": [1], "data": [1.0]}
+            payload[key] = value
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=f"^{key} must"):
+                load_block_matrix_json(path)
 
 
 @pytest.fixture
@@ -251,10 +258,13 @@ class TestCli:
         del payload["block_sizes"]
         no_sizes = tmp_path / "no_sizes.json"
         no_sizes.write_text(json.dumps(payload))
+        int_sizes = tmp_path / "int_sizes.json"
+        int_sizes.write_text(json.dumps({"rows": 1, "cols": 1, "block_sizes": 1, "data": [1.0]}))
         out = tmp_path / "a.csv"
         for argv, message in [
             (["design", "wcm", "--dict", str(path), "-M", "4", "--alpha", "1.5"], "alpha"),
             (["design", "ds", "--dict", str(no_sizes), "-M", "4"], "missing the key 'block_sizes'"),
+            (["design", "ds", "--dict", str(int_sizes), "-M", "4"], "block_sizes must be a list"),
         ]:
             assert main(argv + ["--out", str(out)]) == 2
             assert message in capsys.readouterr().err

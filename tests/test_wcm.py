@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from blocksense import (
     weighted_objective,
     wcm_step,
 )
-from helpers import numerical_gradient, random_dictionary, random_orthonormal
+from helpers import (
+    numerical_gradient,
+    random_dictionary,
+    random_orthonormal,
+    reference_wcm_measure,
+    reference_wcm_step,
+)
 
 
 def random_sym_gram(rng, sizes):
@@ -191,6 +198,54 @@ class TestWcmStep:
         assert abs(f1 - f0) <= 1e-9 * (1 + f0)
 
 
+class TestGramFreeStep:
+    """The design loop's step and objective against the K x K reference."""
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 3, 3), (2, 3, 4, 3)])
+    @pytest.mark.parametrize("beta", [0.0, 0.6])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_step_agrees_with_reference(self, sizes, beta, alpha):
+        rng = np.random.default_rng(25)
+        d = random_dictionary(rng, 8, sizes)
+        m = 4
+        a_mat, a_prev = rng.standard_normal((2, m, 8))
+        basis = blocksense.wcm._DesignBasis(d)
+        p, prev = basis.point(a_mat), basis.point(a_prev)
+        g, _, _ = reference_wcm_measure(a_mat, d, alpha)
+        g_prev, _, _ = reference_wcm_measure(a_prev, d, alpha)
+        g_e = g + beta * (g - g_prev)
+        for eta in (blocksense.wcm._MM_STEP, blocksense.wcm._step_size(alpha)):
+            a_new = basis.step(p, prev, beta, alpha, m, eta)
+            a_ref = reference_wcm_step(d, g_e, alpha, m, eta)
+            np.testing.assert_allclose(
+                gram_of(a_new, d).matrix, gram_of(a_ref, d).matrix, rtol=0, atol=1e-10
+            )
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 3, 3), (2, 3, 4, 3), (1, 4, 1, 6)])
+    def test_terms_agree_with_reference(self, sizes):
+        rng = np.random.default_rng(26)
+        d = random_dictionary(rng, 8, sizes)
+        basis = blocksense.wcm._DesignBasis(d)
+        for _ in range(5):
+            a_mat = rng.standard_normal((4, 8))
+            _, terms, _ = reference_wcm_measure(a_mat, d, 0.5)
+            np.testing.assert_allclose(basis.terms(basis.point(a_mat)), terms, rtol=1e-12)
+
+    def test_no_k_by_k_array(self):
+        # K >> N: one K x K float64 array outweighs everything the loop keeps
+        rng = np.random.default_rng(27)
+        d = random_dictionary(rng, 40, (3,) * 200)
+        a_mat = SensingMatrix(rng.standard_normal((10, 40)))
+        tracemalloc.start()
+        try:
+            run_wcm(d, 10, WcmConfig(alpha=0.9, max_iters=3))
+            wcm_step(a_mat, d, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * 600 * 8
+
+
 class TestRunWcm:
     def test_monotone_trace(self):
         rng = np.random.default_rng(12)
@@ -244,6 +299,24 @@ class TestRunWcm:
         recomposed = 0.5 * norm + (1 - alpha) * inter + alpha * sub
         np.testing.assert_allclose(recomposed, report.objective_trace, rtol=1e-12, atol=1e-12)
         assert report.component_trace.shape == (report.iterations + 1, 3)
+
+    def test_mixed_sizes(self):
+        rng = np.random.default_rng(28)
+        d = random_dictionary(rng, 12, (2, 3, 4, 3) * 2)
+        for alpha in (0.3, 0.9):
+            report = run_wcm(d, 5, WcmConfig(alpha=alpha, max_iters=150))
+            trace = report.objective_trace
+            assert np.all(np.diff(trace) <= 1e-12)
+            inter, sub, norm = report.component_trace.T
+            np.testing.assert_allclose(
+                0.5 * norm + (1 - alpha) * inter + alpha * sub, trace, rtol=1e-12, atol=1e-12
+            )
+            final = report.final_report
+            np.testing.assert_allclose(
+                report.component_trace[-1],
+                [final.total_inter, final.total_sub, final.norm_penalty],
+                rtol=1e-10,
+            )
 
     def test_random_init_reproducible(self):
         rng = np.random.default_rng(17)
@@ -306,9 +379,9 @@ class TestRunWcm:
         etas = []
         step = blocksense.wcm._DesignBasis.step
 
-        def recording_step(self, g, alpha, m, eta):
+        def recording_step(self, p, prev, beta, alpha, m, eta):
             etas.append(eta)
-            return step(self, g, alpha, m, eta)
+            return step(self, p, prev, beta, alpha, m, eta)
 
         monkeypatch.setattr(blocksense.wcm._DesignBasis, "step", recording_step)
         report = run_wcm(c05_dictionary(), 14, WcmConfig(alpha=0.99))
