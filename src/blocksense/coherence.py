@@ -1,29 +1,31 @@
 """Coherence metrics, the weighted design objective, masking operators, and
 recovery-bound evaluators for block-partitioned Gram matrices.
 
-A block structure partitions the entries of its Gram matrix three ways. Each
-part is one boolean K x K mask, cached once per structure, and every penalty,
-deviation, gradient and block coherence below is an expression over that one
-mask table. The kinds are named after what they penalize:
+A block structure partitions the entries of its Gram matrix three ways, named
+after what they penalize:
 
 * ``"norm"``  - deviation of the Gram diagonal from 1 (column normalization),
 * ``"inter"`` - entries coupling different blocks,
 * ``"sub"``   - off-diagonal entries inside a diagonal block.
+
+Functions of a Gram matrix G express every penalty, deviation, gradient and
+block coherence over one uncached boolean K x K mask per kind. Callers holding
+only E = A D read the totals from its padded diagonal blocks (:func:`_block_terms`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import BlockGram, BlockStructure, EquivalentDictionary, _gram_matrix
+from .model import _block_rows, _padded_columns
 
 
 class _Masks(NamedTuple):
-    """Read-only boolean K x K masks, one field per kind."""
+    """Boolean K x K masks, one field per kind."""
 
     norm: np.ndarray
     inter: np.ndarray
@@ -33,15 +35,11 @@ class _Masks(NamedTuple):
 MASK_KINDS = _Masks._fields
 
 
-@lru_cache(maxsize=128)
 def _masks(structure: BlockStructure) -> _Masks:
     labels = structure.labels
     norm = np.eye(structure.num_columns, dtype=bool)
     inter = labels[:, None] != labels[None, :]
-    masks = _Masks(norm, inter, ~inter & ~norm)
-    for mask in masks:
-        mask.flags.writeable = False
-    return masks
+    return _Masks(norm, inter, ~inter & ~norm)
 
 
 def _kind_mask(structure: BlockStructure, kind: str) -> np.ndarray:
@@ -77,6 +75,24 @@ def _gram_terms(g: np.ndarray, structure: BlockStructure) -> _Terms:
         float(np.sum(g[masks.sub] ** 2)),
         float(np.sum((np.diagonal(g) - 1.0) ** 2)),
     )
+
+
+def _block_terms(eet: np.ndarray, blocks: np.ndarray, pad: np.ndarray) -> _Terms:
+    """Penalty totals of G = E'E from E E' and the diagonal blocks E_b' E_b,
+    zero-padded at ``pad``; inter is ||E E'||_F^2 = ||G||_F^2 less the blocks'."""
+    eye = np.eye(pad.shape[1], dtype=bool)
+    return _Terms(
+        float(np.sum(eet**2) - np.sum(blocks**2)),
+        float(np.sum(blocks[:, ~eye] ** 2)),
+        float(np.sum((blocks[:, eye][~pad] - 1.0) ** 2)),
+    )
+
+
+def _equivalent_terms(e: np.ndarray, structure: BlockStructure) -> _Terms:
+    """All three penalty totals of G = E'E, from ``e`` without forming G."""
+    cols, pad = _padded_columns(structure.offsets)
+    rows = _block_rows(e, cols, pad)
+    return _block_terms(e @ e.T, rows @ rows.transpose(0, 2, 1), pad)
 
 
 def mutual_coherence(E) -> float:
@@ -174,14 +190,12 @@ def _gradient(g: np.ndarray, structure: BlockStructure, alpha: float) -> np.ndar
 
 
 def decomposition_check(E: EquivalentDictionary) -> tuple[float, float]:
-    """Self-test pair: ||E'E - I||_F^2 and the sum of the three penalty terms.
-
-    The two numbers agree up to floating-point noise for every E; the first is
-    computed directly, the second from the masked totals.
-    """
+    """Self-test pair: ||E'E - I||_F^2 from the K x K Gram matrix, and the sum
+    of the three penalty totals from E by the sweep's kernel,
+    :func:`_equivalent_terms`. The two agree up to rounding for every E."""
     g = _gram_matrix(E.matrix)
     lhs = float(np.sum((g - np.eye(g.shape[0])) ** 2))
-    terms = _gram_terms(g, E.structure)
+    terms = _equivalent_terms(E.matrix, E.structure)
     return lhs, terms.norm + terms.inter + terms.sub
 
 

@@ -76,8 +76,10 @@ def load_block_matrix_json(path) -> tuple[np.ndarray, tuple[int, ...]]:
     for key in ("rows", "cols", "block_sizes", "data"):
         if key not in payload:
             raise ValueError(f"block matrix JSON is missing the key {key!r}")
-    rows = _number("rows", payload["rows"], int)
-    cols = _number("cols", payload["cols"], int)
+    rows, cols = (_number(key, payload[key], int) for key in ("rows", "cols"))
+    for key, value in (("rows", rows), ("cols", cols)):
+        if value < 1:
+            raise ValueError(f"{key} must be at least 1, got {value}")
     sizes = tuple(_numbers("block_sizes", payload["block_sizes"], int))
     data = np.asarray(_numbers("data", payload["data"], float))
     if data.size != rows * cols:

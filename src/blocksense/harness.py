@@ -21,10 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from .bomp import BompConfig, bomp_decode_batch
-from .coherence import _check_alpha, _gram_terms
+from .coherence import _check_alpha, _equivalent_terms
 from .ds import design_ds
 from .fileio import _number, save_table_csv
-from .model import BlockStructure, Dictionary, EquivalentDictionary, _gram_matrix
+from .model import BlockStructure, Dictionary, EquivalentDictionary
 from .wcm import WcmConfig, run_wcm
 
 _log = logging.getLogger(__name__)
@@ -236,7 +236,7 @@ def _evaluate(cfg, trial, designer, alpha, a_mat, D, X, theta) -> TrialResult:
     E = EquivalentDictionary(a_mat @ D.matrix, D.structure)
     Y = a_mat @ X
     theta_hat = bomp_decode_batch(E, Y, BompConfig(k_blocks=cfg.k))
-    terms = _gram_terms(_gram_matrix(E.matrix), D.structure)
+    terms = _equivalent_terms(E.matrix, D.structure)
     ratio = terms.sub / terms.inter if terms.inter > 0.0 else float("inf")
     # Baselines without an alpha of their own are scored at the neutral 0.5.
     objective = terms.objective(0.5 if alpha is None else alpha)

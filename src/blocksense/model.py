@@ -252,9 +252,9 @@ def equivalent_dictionary(A, D: Dictionary) -> EquivalentDictionary:
 def _gram_matrix(e: np.ndarray) -> np.ndarray:
     """E'E, symmetrized, without the checks of :class:`BlockGram`.
 
-    Every Gram matrix in the package is formed here. The design and scoring
-    loops call this directly because the PSD check of :func:`gram` is an
-    eigensolve of the K x K result.
+    Every Gram matrix in the package is formed here; the design and scoring
+    loops form none. The coherence diagnostics call this directly because
+    the PSD check of :func:`gram` is an eigensolve of the K x K result.
     """
     g = e.T @ e
     return (g + g.T) / 2.0
@@ -268,6 +268,14 @@ def _padded_columns(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s_max = int(sizes.max())
     pad = np.arange(s_max) >= sizes[:, None]
     return np.where(pad, offsets[-1], offsets[:-1, None] + np.arange(s_max)), pad
+
+
+def _block_rows(x: np.ndarray, cols: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """The columns of ``x`` as rows, laid out by :func:`_padded_columns`: a
+    (blocks, s_max, rows) array whose padding rows are zero."""
+    rows = np.take(x.T, cols, axis=0, mode="clip")
+    rows[pad] = 0.0
+    return rows
 
 
 def gram(E: EquivalentDictionary) -> BlockGram:

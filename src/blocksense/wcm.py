@@ -58,9 +58,7 @@ so the whitened target of a step of size eta from G = E'E is the N x N matrix
 with B = W D E' (N x M), where (W D) Q takes one s x s product per block. The
 iteration keeps only E = A D (M x K), B and the diagonal blocks E_b' E_b,
 padded to the widest block, and the momentum extrapolates B B' and the blocks
-linearly. f is read from the same state: the column norms and the sub-block
-entries lie in the diagonal blocks, and the inter-block total is
-||E E'||_F^2 = ||E'E||_F^2 less the squared Frobenius norms of the blocks.
+linearly. f is read from the same state by ``coherence._block_terms``.
 """
 
 from __future__ import annotations
@@ -75,9 +73,9 @@ import numpy as np
 
 from .coherence import (
     CoherenceReport,
+    _block_terms,
     _check_alpha,
     _gradient,
-    _Terms,
     coherence_report,
     objective_gradient,
     weighted_objective,
@@ -88,6 +86,7 @@ from .model import (
     Dictionary,
     EquivalentDictionary,
     SensingMatrix,
+    _block_rows,
     _padded_columns,
     sym_eig,
 )
@@ -225,32 +224,15 @@ class _DesignBasis:
         self.whiten = _whitening(D)
         self.cols, self.pad = _padded_columns(D.structure.offsets)
         self.eye = np.eye(self.pad.shape[1], dtype=bool)
-        self.whiten_dict = self._block_rows(self.whiten @ D.matrix)
+        self.whiten_dict = _block_rows(self.whiten @ D.matrix, self.cols, self.pad)
         self.whiten_dict_flat = self.whiten_dict.reshape(-1, D.signal_dim)
-
-    def _block_rows(self, x: np.ndarray) -> np.ndarray:
-        """The columns of ``x`` as rows, block by block: a (blocks, s_max,
-        rows) array whose padding rows are zero."""
-        rows = np.take(x.T, self.cols, axis=0, mode="clip")
-        rows[self.pad] = 0.0
-        return rows
 
     def point(self, a: np.ndarray) -> _Point:
         """The iterate of sensing matrix ``a``."""
         e = a @ self.dictionary
-        rows = self._block_rows(e)
+        rows = _block_rows(e, self.cols, self.pad)
         b = self.whiten_dict_flat.T @ rows.reshape(-1, e.shape[0])
         return _Point(a, e, b, rows @ rows.transpose(0, 2, 1))
-
-    def terms(self, p: _Point) -> _Terms:
-        """The three penalty totals of G = E'E, from ``p`` alone."""
-        blocks = p.blocks
-        eet = p.e @ p.e.T
-        return _Terms(
-            float(np.sum(eet**2) - np.sum(blocks**2)),
-            float(np.sum(blocks[:, ~self.eye] ** 2)),
-            float(np.sum((blocks[:, self.eye][~self.pad] - 1.0) ** 2)),
-        )
 
     def step(self, p: _Point, prev: _Point, beta: float, alpha: float, m: int,
              eta: float) -> np.ndarray:
@@ -329,7 +311,7 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
 
     def measure(a):
         p = basis.point(a)
-        terms = basis.terms(p)
+        terms = _block_terms(p.e @ p.e.T, p.blocks, basis.pad)
         return p, terms, terms.objective(alpha)
 
     p, terms, f = measure(a_mat)

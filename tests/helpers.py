@@ -125,7 +125,7 @@ def reference_bomp(E, offsets, Y, k, ls_tol):
 
 def reference_wcm_measure(a_mat, D: Dictionary, alpha):
     """The K x K Gram matrix of E = A D, its three penalty totals and f. The
-    reference for the Gram-free objective of ``run_wcm``."""
+    reference for the Gram-free totals of ``coherence._equivalent_terms``."""
     g = _gram_matrix(a_mat @ D.matrix)
     terms = _gram_terms(g, D.structure)
     return g, terms, terms.objective(alpha)

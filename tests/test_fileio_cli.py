@@ -74,6 +74,12 @@ class TestFileIO:
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match=f"^{key} must"):
                 load_block_matrix_json(path)
+        for key, value in [("rows", -2), ("cols", -3), ("rows", 0), ("cols", 0)]:
+            payload = {"rows": 1, "cols": 1, "block_sizes": [1], "data": []}
+            payload[key] = value
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=f"^{key} must be at least 1"):
+                load_block_matrix_json(path)
 
 
 @pytest.fixture
@@ -260,11 +266,20 @@ class TestCli:
         no_sizes.write_text(json.dumps(payload))
         int_sizes = tmp_path / "int_sizes.json"
         int_sizes.write_text(json.dumps({"rows": 1, "cols": 1, "block_sizes": 1, "data": [1.0]}))
+        negative = tmp_path / "negative.json"
+        negative.write_text(
+            json.dumps({"rows": -2, "cols": -3, "block_sizes": [-3], "data": [1, 2, 3, 4, 5, 6]})
+        )
+        measurements = tmp_path / "y.csv"
+        save_matrix_csv(measurements, np.ones((2, 1)))
         out = tmp_path / "a.csv"
         for argv, message in [
             (["design", "wcm", "--dict", str(path), "-M", "4", "--alpha", "1.5"], "alpha"),
             (["design", "ds", "--dict", str(no_sizes), "-M", "4"], "missing the key 'block_sizes'"),
             (["design", "ds", "--dict", str(int_sizes), "-M", "4"], "block_sizes must be a list"),
+            (["design", "ds", "--dict", str(negative), "-M", "4"], "rows must be at least 1"),
+            (["decode", "bomp", "--equiv", str(negative), "--measurements", str(measurements),
+              "-k", "1"], "rows must be at least 1"),
         ]:
             assert main(argv + ["--out", str(out)]) == 2
             assert message in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -23,7 +24,7 @@ from blocksense import (
     run_wcm,
     write_sweep_outputs,
 )
-from blocksense.harness import config_from_dict
+from blocksense.harness import config_from_dict, run_trial
 from helpers import random_dictionary
 
 TINY = dict(
@@ -224,6 +225,39 @@ class TestRunSweep:
         cells = [(s.designer, s.alpha) for s in result.summary]
         assert cells == [("random", None), ("ds", None), ("wcm", 0.3), ("wcm", 0.7)]
         assert all(s.n == cfg.trials for s in result.summary)
+
+
+class TestScoringFromE:
+    """The sweep scores a design from E = A D, by the kernel run_wcm uses."""
+
+    @pytest.mark.parametrize("sizes", [3, [2, 3, 4, 3] * 10])
+    def test_wcm_objective_is_the_design_trace_end(self, sizes):
+        cfg = ExperimentConfig(
+            dict_family="gaussian", N=60, K=120, M=14, block_sizes=sizes, k=2, L=4,
+            trials=6, alpha_grid=(0.5, 0.9, 0.99), seed=31, designers=("wcm",),
+        )
+        rows = run_sweep(cfg).trials
+        assert len(rows) == cfg.trials * len(cfg.alpha_grid)
+        for row in rows:
+            d = generate_dictionary(cfg, np.random.default_rng([cfg.seed, row.trial]))
+            report = run_wcm(d, cfg.M, WcmConfig(alpha=row.alpha))
+            assert row.objective == report.objective_trace[-1]
+
+    @pytest.mark.parametrize("sizes", [3, [2, 3, 4, 3] * 50])
+    def test_trial_allocates_no_k_by_k_array(self, sizes):
+        # K >> N: one K x K float64 array outweighs everything a trial keeps
+        cfg = ExperimentConfig(
+            dict_family="gaussian", N=40, K=600, M=10, block_sizes=sizes, k=2, L=20,
+            trials=1, alpha_grid=(0.9,), seed=32,
+        )
+        run_trial(cfg, 0)
+        tracemalloc.start()
+        try:
+            run_trial(cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.K * cfg.K * 8
 
 
 class TestOutputs:
