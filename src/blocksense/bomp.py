@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import _number
 from .model import BlockSparseVector, EquivalentDictionary, _padded_columns
 
 
@@ -33,7 +34,7 @@ class BompConfig:
     ls_tol: float = 1e-10
 
     def __post_init__(self):
-        if int(self.k_blocks) < 1:
+        if _number("k_blocks", self.k_blocks, int) < 1:
             raise ValueError(f"k_blocks must be >= 1, got {self.k_blocks}")
         if not float(self.ls_tol) >= 0.0:
             raise ValueError(f"ls_tol must be non-negative, got {self.ls_tol}")

@@ -251,14 +251,15 @@ class CoherenceReport:
 
 
 def coherence_report(E: EquivalentDictionary, alpha: float | None = None) -> CoherenceReport:
-    """Compute every coherence diagnostic of an equivalent dictionary at once."""
+    """Compute every coherence diagnostic of an equivalent dictionary at once.
+    The totals come from E by :func:`_equivalent_terms`, as ``run_wcm``'s trace does."""
     # E'E is symmetric PSD by construction, so the eigensolve check is skipped
     g = BlockGram(_gram_matrix(E.matrix), E.structure, validate=False)
     if g.structure.uniform_size is not None and g.structure.num_blocks >= 2:
         mu_block = inter_block_coherence(g)
     else:
         mu_block = None
-    terms = _gram_terms(g.matrix, g.structure)
+    terms = _equivalent_terms(E.matrix, E.structure)
     return CoherenceReport(
         mu=mutual_coherence(E),
         mu_block=mu_block,

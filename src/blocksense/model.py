@@ -83,11 +83,14 @@ class Dictionary:
 
     The dictionary may be square or overcomplete (N <= K) and must have full
     row rank: the smallest eigenvalue of D D' must exceed RANK_TOL times the
-    largest.
+    largest. That eigendecomposition, D D' = U diag(w) U' with w descending,
+    also gives the read-only N x N frame ``whitening`` = diag(w)^{-1/2} U',
+    with W D D' W' = I, in which both designers work.
     """
 
     matrix: np.ndarray
     structure: BlockStructure
+    whitening: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _as_readonly_matrix(self.matrix, "dictionary matrix")
@@ -100,12 +103,15 @@ class Dictionary:
             )
         if n > k:
             raise ValueError(f"dictionary must satisfy N <= K, got N={n}, K={k}")
-        w = np.linalg.eigvalsh(mat @ mat.T)
-        if w[-1] <= 0.0 or w[0] <= RANK_TOL * w[-1]:
+        w, u = sym_eig(mat @ mat.T)
+        if w[0] <= 0.0 or w[-1] <= RANK_TOL * w[0]:
             raise ValueError(
                 "dictionary is row-rank deficient "
-                f"(eigenvalue ratio {w[0] / max(w[-1], np.finfo(float).tiny):.3e})"
+                f"(eigenvalue ratio {w[-1] / max(w[0], np.finfo(float).tiny):.3e})"
             )
+        whitening = (u / np.sqrt(w)).T
+        whitening.flags.writeable = False
+        object.__setattr__(self, "whitening", whitening)
 
     @property
     def signal_dim(self) -> int:

@@ -46,7 +46,8 @@ iteration then takes the exact MM step from G itself, which cannot raise f,
 so the objective trace is non-increasing by construction.
 
 No K x K matrix is formed. With D D' = U diag(w) U' and the whitening
-W = diag(w)^{-1/2} U', the rows of W D are orthonormal, and the gradient is
+W = diag(w)^{-1/2} U' (``Dictionary.whitening``), the rows of W D are
+orthonormal, and the gradient is
 
     grad f(G) = 2 * (1 - alpha) * G + 2 * Q - I,
     Q = (2 * alpha - 1) * blockdiag(G) + (1/2 - alpha) * diag(G),
@@ -80,7 +81,7 @@ from .coherence import (
     objective_gradient,
     weighted_objective,
 )
-from .ds import _whitening
+from .fileio import _number
 from .model import (
     BlockGram,
     Dictionary,
@@ -123,7 +124,7 @@ class WcmConfig:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if int(self.max_iters) < 1:
+        if _number("max_iters", self.max_iters, int) < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not float(self.rel_tol) > 0.0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
@@ -216,12 +217,12 @@ class _Point(NamedTuple):
 
 
 class _DesignBasis:
-    """Whitening transforms of one dictionary, precomputed for the iteration."""
+    """The dictionary's whitening frame W = ``D.whitening`` and the rows of
+    (W D)' laid out block by block, precomputed for the iteration."""
 
     def __init__(self, D: Dictionary):
         self.dictionary = D.matrix
-        # diag(w)^{-1/2} U', and the rows of (W D)' block by block
-        self.whiten = _whitening(D)
+        self.whiten = D.whitening
         self.cols, self.pad = _padded_columns(D.structure.offsets)
         self.eye = np.eye(self.pad.shape[1], dtype=bool)
         self.whiten_dict = _block_rows(self.whiten @ D.matrix, self.cols, self.pad)

@@ -8,7 +8,6 @@ import numpy as np
 
 from blocksense import BlockStructure, Dictionary, EquivalentDictionary, RankDeficientSupportError
 from blocksense.coherence import _gradient, _gram_terms
-from blocksense.ds import _whitening
 from blocksense.model import _gram_matrix, sym_eig
 
 
@@ -136,7 +135,7 @@ def reference_wcm_step(D: Dictionary, g, alpha, m, eta):
     with the target formed and whitened as a K x K matrix. The reference for
     the Gram-free step of ``wcm._DesignBasis``: same projection, same
     clamping of negative eigenvalues."""
-    whiten = _whitening(D)
+    whiten = D.whitening
     whiten_dict = whiten @ D.matrix
     target = g - eta * _gradient(g, D.structure, alpha)
     w, v = sym_eig(whiten_dict @ target @ whiten_dict.T)

@@ -171,6 +171,10 @@ class TestBompConfig:
             BompConfig(k_blocks=0)
         with pytest.raises(ValueError):
             BompConfig(k_blocks=1, ls_tol=-1.0)
+        for bad in (2.5, True, "2"):
+            with pytest.raises(ValueError, match="k_blocks"):
+                BompConfig(k_blocks=bad)
+        assert BompConfig(k_blocks=np.int64(2)).k_blocks == 2
 
 
 def assert_agrees_with_reference(E, structure, Y, k):

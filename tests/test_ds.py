@@ -47,6 +47,18 @@ class TestDesign:
             a_rand = rng.standard_normal((5, 12))
             assert best <= ds_objective(a_rand, d) + 1e-9
 
+    def test_takes_no_eigensolve(self, monkeypatch):
+        d = random_dictionary(np.random.default_rng(5), 20, (4,) * 10)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(a) or eigh(*a, **kw))
+        design_ds(d, 8)
+        assert calls == []
+
+    def test_is_the_top_of_the_whitening_frame(self):
+        d = random_dictionary(np.random.default_rng(6), 20, (2, 3, 4, 3) * 3 + (4, 4))
+        np.testing.assert_array_equal(design_ds(d, 8).matrix, d.whitening[:8])
+
     def test_rejects_bad_m(self):
         d = random_dictionary(np.random.default_rng(3), 6, (3, 3))
         with pytest.raises(ValueError):

@@ -270,6 +270,8 @@ class TestCli:
         negative.write_text(
             json.dumps({"rows": -2, "cols": -3, "block_sizes": [-3], "data": [1, 2, 3, 4, 5, 6]})
         )
+        deficient = tmp_path / "deficient.json"
+        save_block_matrix_json(deficient, np.ones((3, 6)), [3, 3])
         measurements = tmp_path / "y.csv"
         save_matrix_csv(measurements, np.ones((2, 1)))
         out = tmp_path / "a.csv"
@@ -280,6 +282,11 @@ class TestCli:
             (["design", "ds", "--dict", str(negative), "-M", "4"], "rows must be at least 1"),
             (["decode", "bomp", "--equiv", str(negative), "--measurements", str(measurements),
               "-k", "1"], "rows must be at least 1"),
+            (["design", "ds", "--dict", str(deficient), "-M", "1"], "row-rank deficient"),
+            (["design", "wcm", "--dict", str(deficient), "-M", "1", "--alpha", "0.5"],
+             "row-rank deficient"),
+            (["histogram", "--dict", str(deficient), "-M", "1", "--alpha", "0.5",
+              "--replicates", "1", "--seed", "0"], "row-rank deficient"),
         ]:
             assert main(argv + ["--out", str(out)]) == 2
             assert message in capsys.readouterr().err

@@ -260,6 +260,34 @@ class TestScoringFromE:
         assert peak < cfg.K * cfg.K * 8
 
 
+class TestEigensolves:
+    def test_trial_eigendecomposes_the_dictionary_once(self, monkeypatch):
+        # one N x N eigensolve builds the dictionary's frame; after that each
+        # WCM iteration projects once, and each restart once more
+        cfg = ExperimentConfig(
+            dict_family="gaussian", N=60, K=120, M=14, block_sizes=3, k=2, L=20,
+            trials=1, alpha_grid=(0.5, 0.9), seed=33, designers=("random", "ds", "wcm"),
+        )
+        d = generate_dictionary(cfg, np.random.default_rng([cfg.seed, 0]))
+        steps = 0
+        for alpha in cfg.alpha_grid:
+            report = run_wcm(d, cfg.M, WcmConfig(alpha=alpha))
+            steps += report.iterations + report.fallbacks
+        calls = []
+
+        def counting(solver):
+            def solve(a, *args, **kwargs):
+                if np.shape(a) == (cfg.N, cfg.N):
+                    calls.append(solver.__name__)
+                return solver(a, *args, **kwargs)
+            return solve
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        run_trial(cfg, 0)
+        assert len(calls) == 1 + steps
+
+
 class TestOutputs:
     def test_byte_identical_csv_across_runs(self, tmp_path):
         cfg = ExperimentConfig(**{**TINY, "designers": ("random", "ds")})

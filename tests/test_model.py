@@ -62,6 +62,13 @@ class TestDictionary:
         with pytest.raises(ValueError):
             d.matrix[0, 0] = 1.0
 
+    def test_whitening_frame(self):
+        d = random_dictionary(np.random.default_rng(1), 6, (3, 4, 2, 3))
+        w = d.whitening
+        np.testing.assert_allclose(w @ d.matrix @ d.matrix.T @ w.T, np.eye(6), rtol=0, atol=1e-10)
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+
 
 class TestSensingMatrix:
     def test_rejects_square_or_tall(self):

@@ -425,6 +425,21 @@ class TestRunWcm:
             report.objective_trace[-1], rel=1e-12
         )
 
+    @pytest.mark.parametrize("sizes", [3, [2, 3, 4, 3] * 10])
+    def test_final_report_repeats_the_trace_end(self, sizes):
+        cfg = ExperimentConfig(
+            dict_family="gaussian", N=60, K=120, M=14, block_sizes=sizes, k=2, L=1,
+            trials=3, seed=31, designers=("wcm",),
+        )
+        for trial in range(cfg.trials):
+            d = generate_dictionary(cfg, np.random.default_rng([cfg.seed, trial]))
+            for alpha in (0.5, 0.9, 0.99):
+                report = run_wcm(d, cfg.M, WcmConfig(alpha=alpha))
+                final = report.final_report
+                totals = (final.total_inter, final.total_sub, final.norm_penalty)
+                assert totals == tuple(report.component_trace[-1])
+                assert final.objective_alpha == report.objective_trace[-1]
+
 
 class TestConfigValidation:
     def test_alpha_bounds(self):
@@ -436,6 +451,14 @@ class TestConfigValidation:
     def test_random_requires_seed(self):
         with pytest.raises(ValueError, match="seed"):
             WcmConfig(alpha=0.5, init="random")
+
+    def test_max_iters_must_be_a_positive_integer(self):
+        for bad in (0, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="max_iters"):
+                WcmConfig(alpha=0.5, max_iters=bad)
+        d = random_dictionary(np.random.default_rng(21), 6, (3, 3))
+        config = WcmConfig(alpha=0.9, max_iters=np.int64(2), rel_tol=1e-16)
+        assert run_wcm(d, 3, config).iterations == 2
 
     def test_bad_init_name(self):
         with pytest.raises(ValueError):
