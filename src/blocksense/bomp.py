@@ -36,8 +36,10 @@ class BompConfig:
     def __post_init__(self):
         if _number("k_blocks", self.k_blocks, int) < 1:
             raise ValueError(f"k_blocks must be >= 1, got {self.k_blocks}")
-        if not float(self.ls_tol) >= 0.0:
+        ls_tol = _number("ls_tol", self.ls_tol, float)
+        if not ls_tol >= 0.0:
             raise ValueError(f"ls_tol must be non-negative, got {self.ls_tol}")
+        object.__setattr__(self, "ls_tol", ls_tol)
 
 
 class RankDeficientSupportError(np.linalg.LinAlgError):

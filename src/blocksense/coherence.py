@@ -222,6 +222,31 @@ def block_recovery_bound(mu_block: float, nu_sub: float, s: int) -> float:
     return (1.0 / mu_block + s - (s - 1) * float(nu_sub) / mu_block) / (2.0 * s)
 
 
+def objective_lower_bound(K: int, M: int, alpha: float) -> float:
+    """Certified lower bound on the weighted objective of any M x K equivalent
+    dictionary, for any block sizes, when alpha >= 1/2:
+
+        f >= K (1 - alpha)(1 - rho) / (rho + 2 (1 - alpha)(1 - rho)),   rho = M / K.
+
+    Lowering the sub-block weight to 1 - alpha only lowers f; then
+    ||G||_F^2 >= (sum g_ii)^2 / M because rank G <= M, and what is left is a
+    convex function of the diagonal (for alpha >= 1/2), smallest when every
+    g_ii equals c * rho with c = 1 / (rho + 2 (1 - alpha)(1 - rho)). For
+    alpha > 1/2 the bound is met exactly when G = c P, with P a rank-M
+    orthogonal projector whose diagonal blocks are rho * I; at alpha = 1/2 it
+    is (K - M) / 2, the closed-form baseline's optimum.
+    """
+    alpha = _check_alpha(alpha)
+    if alpha < 0.5:
+        raise ValueError(f"the lower bound holds for alpha >= 0.5, got {alpha}")
+    K, M = int(K), int(M)
+    if not 1 <= M <= K:
+        raise ValueError(f"M must satisfy 1 <= M <= K={K}, got {M}")
+    rho = M / K
+    spread = 2.0 * (1.0 - alpha) * (1.0 - rho)
+    return 0.5 * K * spread / (rho + spread)
+
+
 @dataclass(frozen=True)
 class CoherenceReport:
     """Bundle of the coherence diagnostics of one equivalent dictionary.

@@ -1,13 +1,52 @@
-"""Weighted coherence minimization by accelerated projected gradient steps on
-the Gram matrix, safeguarded by majorization-minimization (MM).
+"""Weighted coherence minimization: two designers of one objective, chosen
+by alpha.
 
 The design objective
 
     f(G) = 1/2 * norm_penalty(G) + (1 - alpha) * total_inter(G) + alpha * total_sub(G)
 
 is a quadratic in the Gram matrix G = D'A'AD that weighs each squared entry
-by 1/2 (diagonal), 1 - alpha (across blocks) or alpha (inside blocks). Its
-MM majorizer at a Gram matrix G_p is
+by 1/2 (diagonal), 1 - alpha (across blocks) or alpha (inside blocks). With
+D D' = U diag(w) U' and the whitening W = diag(w)^{-1/2} U'
+(``Dictionary.whitening``), the rows of W D are orthonormal, and the
+gradient is
+
+    grad f(G) = 2 * (1 - alpha) * G + 2 * Q - I,
+    Q = (2 * alpha - 1) * blockdiag(G) + (1/2 - alpha) * diag(G),
+
+where Q is block-diagonal, so (W D) Q or E Q takes one s x s product per
+block. Neither designer forms a K x K matrix.
+
+``run_wcm`` picks the designer by alpha:
+
+* alpha >= 1/2: L-BFGS on the sensing matrix itself, with no eigensolve.
+  From 1/2 up the objective has a certified lower bound
+  (``coherence.objective_lower_bound``). On 45 desk designs (K = 120,
+  M = 14, alpha in {0.6, 0.9, 0.99}) this designer ended within 2e-7 of
+  it, in under half the projected loop's iterations.
+* alpha < 1/2: accelerated projected gradient steps on G, safeguarded by
+  majorization-minimization (MM). Here neither method ends lower
+  consistently: on the two dictionaries of acceptance criterion 05 at
+  alpha in {0.01, 0.3, 0.45}, L-BFGS ended lower in 3 of 6 runs and higher
+  in 3, by up to 0.08%, and took 1.4 to 3 times the iterations.
+
+L-BFGS (alpha >= 1/2). The iterate is C (M x N) with A = C W, so that
+E = A D = C (W D). Because W D has orthonormal rows, E E' = C C' and
+E (W D)' = C, and the chain rule through G = E'E gives
+
+    grad_C f = 2 * ((2 * (1 - alpha) * E E' - I) C + 2 * E Q (W D)'),
+
+so one evaluation costs two M x N x K products, E = (C W) D and
+(E Q)(W D)'. The start is C_0 = E_0 (W D)', which maps back to A_0 exactly
+because W^-1 = D D' W'; from the closed-form start it is [I_M 0]. The
+two-loop recursion (Nocedal, Math. Comp., 1980; Liu & Nocedal, Math. Prog.,
+1989) keeps ``_HISTORY`` curvature pairs, and every step is a backtracking
+Armijo step (constant ``_ARMIJO``), so the trace is non-increasing by
+construction.
+Designing the sensing matrix by gradient descent on the coherence penalty
+follows Abolghasemi, Ferdowsi & Sanei (Signal Processing, 2012).
+
+Projected steps (alpha < 1/2). The MM majorizer of f at a Gram matrix G_p is
 
     g(G, G_p) = f(G_p) + <grad f(G_p), G - G_p> + 3/2 * ||G - G_p||_F^2,
 
@@ -20,19 +59,16 @@ matrix, followed, as in Elad's optimized projections (2007), by a projection
 onto the Gram matrices the design can reach. That projection is exact: after
 whitening by the dictionary frame it is a nearest rank-M PSD approximation,
 solved by the top-M eigenpairs of the whitened target. ``wcm_step`` and the
-``surrogate_*`` functions are this exact majorizer.
+``surrogate_*`` functions are this exact majorizer, for every alpha.
 
-``run_wcm`` takes the longer step T = G_p - eta(alpha) * grad f(G_p), with
+The projected loop takes the longer step T = G_p - eta(alpha) * grad f(G_p),
+with
 
     eta(alpha) = 0.9 / max(1, 2 * (1 - alpha)),
 
-through the same projection. For alpha <= 1/2 that is 0.9 times the step of
+through the same projection. For alpha < 1/2 that is 0.9 times the step of
 the tightest majorizer, whose curvature is the largest weight 1 - alpha, so
-every step still descends. For alpha > 1/2 it over-relaxes only the
-within-block entries. The step stays below 1 at alpha = 1/2 because there
-the gradient is G - I: a unit step would make the whitened target exactly
-the identity, whose top-M eigenspace is then picked by rounding noise, while
-0.9 leaves a spectral gap of 0.1 and the closed-form baseline a fixed point.
+every step still descends.
 
 The step is taken from the extrapolated point G_e = G + beta * (G - G_prev),
 with FISTA's momentum
@@ -45,27 +81,23 @@ the momentum at t = 1 (O'Donoghue & Candes, Found. Comput. Math., 2015). The
 iteration then takes the exact MM step from G itself, which cannot raise f,
 so the objective trace is non-increasing by construction.
 
-No K x K matrix is formed. With D D' = U diag(w) U' and the whitening
-W = diag(w)^{-1/2} U' (``Dictionary.whitening``), the rows of W D are
-orthonormal, and the gradient is
-
-    grad f(G) = 2 * (1 - alpha) * G + 2 * Q - I,
-    Q = (2 * alpha - 1) * blockdiag(G) + (1/2 - alpha) * diag(G),
-
-so the whitened target of a step of size eta from G = E'E is the N x N matrix
+The whitened target of a step of size eta from G = E'E is the N x N matrix
 
     W D T (W D)' = (1 - 2 * eta * (1 - alpha)) * B B' - 2 * eta * (W D) Q (W D)' + eta * I
 
-with B = W D E' (N x M), where (W D) Q takes one s x s product per block. The
-iteration keeps only E = A D (M x K), B and the diagonal blocks E_b' E_b,
-padded to the widest block, and the momentum extrapolates B B' and the blocks
-linearly. f is read from the same state by ``coherence._block_terms``.
+with B = W D E' (N x M). The iteration keeps only E = A D (M x K), B and
+the diagonal blocks E_b' E_b, padded to the widest block, and the momentum
+extrapolates B B' and the blocks linearly.
+
+Both designers read f from E E' and the padded diagonal blocks by
+``coherence._block_terms``, the kernel that scores the sweep's designs.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -75,6 +107,7 @@ import numpy as np
 from .coherence import (
     CoherenceReport,
     _block_terms,
+    _Terms,
     _check_alpha,
     _gradient,
     coherence_report,
@@ -97,6 +130,13 @@ INIT_MODES = ("ds", "random")
 # Step of the exact MM majorizer: the inverse of twice its curvature 3/2.
 _MM_STEP = 1.0 / 3.0
 
+# L-BFGS for alpha >= 1/2: curvature pairs kept, the Armijo constant c_1 of
+# the backtracking line search, and the halvings it tries before giving up on
+# a direction.
+_HISTORY = 10
+_ARMIJO = 1e-4
+_BACKTRACKS = 40
+
 _log = logging.getLogger(__name__)
 
 
@@ -109,8 +149,10 @@ def _step_size(alpha: float) -> float:
 class WcmConfig:
     """Optimizer settings.
 
-    ``alpha`` weights sub-block against inter-block coherence and must lie
-    strictly inside (0, 1). Iteration stops when the objective changes by at
+    ``alpha`` weights sub-block against inter-block coherence, must lie
+    strictly inside (0, 1) and selects the designer (L-BFGS from 1/2 up,
+    projected steps below). ``alpha`` and ``rel_tol`` are stored as floats,
+    and a string or bool is rejected. Iteration stops when the objective changes by at
     most ``rel_tol * (1 + f)`` in one step, or at ``max_iters``. ``init``
     selects the starting sensing matrix: the closed-form baseline ("ds") or
     i.i.d. standard normal entries ("random", which requires a seed).
@@ -123,11 +165,13 @@ class WcmConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", _check_alpha(_number("alpha", self.alpha, float)))
         if _number("max_iters", self.max_iters, int) < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not float(self.rel_tol) > 0.0:
+        rel_tol = _number("rel_tol", self.rel_tol, float)
+        if not rel_tol > 0.0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+        object.__setattr__(self, "rel_tol", rel_tol)
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
         if self.init == "random" and self.seed is None:
@@ -141,9 +185,13 @@ class WcmReport:
     ``objective_trace`` holds f at the initial point and after every step, and
     is non-increasing up to floating-point slack. ``component_trace`` carries
     the matching (total_inter, total_sub, norm_penalty) triples, one row per
-    trace entry. ``fallbacks`` counts the restarts: the iterations whose
-    first step raised f, so that the momentum was reset and the exact MM
-    step taken from the current Gram matrix instead. ``equivalent`` is the
+    trace entry. ``fallbacks`` counts the iterations that abandoned their
+    first choice of step. For alpha >= 1/2 (L-BFGS) these are the
+    iterations whose quasi-Newton direction found no Armijo step, so the
+    curvature history was dropped for steepest descent. For alpha < 1/2
+    (projected steps) they are the restarts: the iterations whose first
+    step raised f, so that the momentum was reset and the exact MM step
+    taken from the current Gram matrix instead. ``equivalent`` is the
     final E = A D, and ``alpha`` the weight the design was run at.
     """
 
@@ -261,54 +309,125 @@ class _DesignBasis:
         return (v[:, :m] * top).T @ self.whiten
 
 
-def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatrix:
-    """Exact minimizer of the surrogate built at ``A_prev``.
+class _Iterate(NamedTuple):
+    """One L-BFGS iterate: C (M x N), the sensing matrix A = C W, E = A D,
+    E E', the columns of E as padded rows (blocks, s_max, M), the diagonal
+    blocks E_b' E_b, and f's totals and value."""
 
-    Among all sensing matrices of the same shape, the returned one minimizes
-    the surrogate anchored at the Gram matrix of ``A_prev @ D``. The result is
-    unique only up to left-orthonormal rotation; the Gram matrix it induces is
-    rotation-invariant.
-    """
-    alpha = _check_alpha(alpha)
-    if A_prev.signal_dim != D.signal_dim:
-        raise ValueError(
-            f"sensing matrix expects signals of dimension {A_prev.signal_dim}, "
-            f"dictionary has {D.signal_dim}"
-        )
-    basis = _DesignBasis(D)
-    p = basis.point(A_prev.matrix)
-    return SensingMatrix(basis.step(p, p, 0.0, alpha, A_prev.num_measurements, _MM_STEP))
+    c: np.ndarray
+    a: np.ndarray
+    e: np.ndarray
+    eet: np.ndarray
+    rows: np.ndarray
+    blocks: np.ndarray
+    terms: _Terms
+    f: float
 
 
-def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
-    """Iterate accelerated projected gradient steps until the objective stalls.
+def _iterate(basis: _DesignBasis, c: np.ndarray, alpha: float) -> _Iterate:
+    """f at C, read from E = (C W) D by ``coherence._block_terms``."""
+    a = c @ basis.whiten
+    e = a @ basis.dictionary
+    rows = _block_rows(e, basis.cols, basis.pad)
+    blocks = rows @ rows.transpose(0, 2, 1)
+    eet = e @ e.T
+    terms = _block_terms(eet, blocks, basis.pad)
+    return _Iterate(c, a, e, eet, rows, blocks, terms, terms.objective(alpha))
 
-    Starts from the closed-form baseline by default (or a random matrix when
-    ``config.init == "random"``). Each iteration projects the gradient step of
-    size ``eta(alpha)`` from the momentum-extrapolated Gram matrix (see the
-    module docstring). If that raises f, it restarts: the momentum is reset
-    and the exact MM step of :func:`wcm_step` is taken from the current
-    point instead. The objective is recorded after every iteration, and a
-    run that reaches ``config.max_iters`` unconverged logs a warning.
 
-    For ``alpha < 1/2`` the run can stop at a different stationary point
-    than iterating the plain MM step from the same start. On the desk
-    dictionaries (K = 120, M = 14, ds start, alpha in {0.05, 0.2, 0.4}) its
-    final f was higher in 5 of 9 runs, by up to 0.11%, and lower in the
-    other 4. No benchmark sweep grid has ``alpha < 1/2``.
-    """
-    M = int(M)
-    if not 1 <= M < D.signal_dim:
-        raise ValueError(f"M must satisfy 1 <= M < N={D.signal_dim}, got {M}")
-    basis = _DesignBasis(D)
-    alpha = config.alpha
+def _gradient_c(basis: _DesignBasis, p: _Iterate, alpha: float) -> np.ndarray:
+    """grad_C f = 2 ((2 (1 - alpha) E E' - I) C + 2 E Q (W D)'), with E Q
+    taken one s x s block at a time in the padded layout."""
+    q = p.blocks * np.where(basis.eye, alpha - 0.5, 2.0 * alpha - 1.0)
+    eq = (q @ p.rows).reshape(-1, p.c.shape[0])  # (E Q)', row per column
+    grad = (2.0 * (1.0 - alpha)) * (p.eet @ p.c) - p.c
+    grad += 2.0 * (eq.T @ basis.whiten_dict_flat)
+    grad *= 2.0
+    return grad
+
+
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS product H g over the stored (s, y, 1 / s'y) pairs, from
+    H_0 = (s'y / y'y) I of the newest pair (Nocedal, Math. Comp., 1980)."""
+    r = g.copy()
+    coefs = []
+    for s, y, rho in reversed(pairs):
+        coef = rho * np.vdot(s, r)
+        r -= coef * y
+        coefs.append(coef)
+    _, y, rho = pairs[-1]
+    r /= rho * np.vdot(y, y)
+    for (s, y, rho), coef in zip(pairs, reversed(coefs)):
+        r += (coef - rho * np.vdot(y, r)) * s
+    return r
+
+
+def _armijo(basis: _DesignBasis, p: _Iterate, g: np.ndarray, d: np.ndarray,
+            alpha: float) -> _Iterate | None:
+    """First of the steps 1, 1/2, 1/4, ... along ``d`` that decreases f by at
+    least ``_ARMIJO`` times the linear prediction, or None if ``d`` is not a
+    descent direction or no step within ``_BACKTRACKS`` halvings does. The
+    search also gives up once the predicted decrease is lost in the rounding
+    of f, where no decrease can be told apart from noise."""
+    slope = float(np.vdot(g, d))
+    if not slope < 0.0:
+        return None
+    t = 1.0
+    for _ in range(_BACKTRACKS):
+        if p.f + t * slope == p.f:
+            return None
+        trial = _iterate(basis, p.c + t * d, alpha)
+        if trial.f <= p.f + _ARMIJO * t * slope:
+            return trial
+        t *= 0.5
+    return None
+
+
+def _descend_lbfgs(basis: _DesignBasis, a_mat: np.ndarray, alpha: float,
+                   config: WcmConfig):
+    """L-BFGS on f over C for alpha >= 1/2 (Liu & Nocedal, Math. Prog., 1989).
+
+    Starts from C_0 = E_0 (W D)', which maps back to A_0 exactly because
+    W^-1 = D D' W'. Each accepted step passes the Armijo test, so f never
+    rises. When the quasi-Newton direction finds no such step, the history
+    is dropped and steepest descent tried instead (a fallback); when that
+    finds none either, the iterate stays and f repeats, which meets the
+    stop rule."""
+    flat = basis.whiten_dict_flat
+    rows = _block_rows(a_mat @ basis.dictionary, basis.cols, basis.pad)
+    p = _iterate(basis, rows.reshape(flat.shape[0], -1).T @ flat, alpha)
+    g = _gradient_c(basis, p, alpha)
+    trace, components = [p.f], [p.terms]
+    pairs = deque(maxlen=_HISTORY)
+    converged = False
+    fallbacks = 0
+    for _ in range(int(config.max_iters)):
+        p_new = _armijo(basis, p, g, -_two_loop(g, pairs), alpha) if pairs else None
+        if p_new is None:
+            if pairs:
+                fallbacks += 1
+                pairs.clear()
+            p_new = _armijo(basis, p, g, -g, alpha) or p
+        g_new = _gradient_c(basis, p_new, alpha)
+        s, y = p_new.c - p.c, g_new - g
+        sy = float(np.vdot(s, y))
+        if sy > np.finfo(float).eps * float(np.vdot(y, y)):
+            pairs.append((s, y, 1.0 / sy))
+        trace.append(p_new.f)
+        components.append(p_new.terms)
+        converged = abs(p.f - p_new.f) <= config.rel_tol * (1.0 + p.f)
+        p, g = p_new, g_new
+        if converged:
+            break
+    return p.a, p.e, trace, components, converged, fallbacks
+
+
+def _descend_projected(basis: _DesignBasis, a_mat: np.ndarray, alpha: float,
+                       config: WcmConfig):
+    """Accelerated projected gradient steps on G for alpha < 1/2, restarted
+    with the exact MM step whenever a step raises f."""
+    M = a_mat.shape[0]
     eta = _step_size(alpha)
-
-    if config.init == "ds":
-        a_mat = basis.whiten[:M]
-    else:
-        rng = np.random.default_rng(config.seed)
-        a_mat = rng.standard_normal((M, D.signal_dim))
 
     def measure(a):
         p = basis.point(a)
@@ -341,7 +460,66 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
         f = f_new
         if converged:
             break
+    return p.a, p.e, trace, components, converged, fallbacks
 
+
+def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatrix:
+    """Exact minimizer of the surrogate built at ``A_prev``.
+
+    Among all sensing matrices of the same shape, the returned one minimizes
+    the surrogate anchored at the Gram matrix of ``A_prev @ D``. The result is
+    unique only up to left-orthonormal rotation; the Gram matrix it induces is
+    rotation-invariant.
+    """
+    alpha = _check_alpha(alpha)
+    if A_prev.signal_dim != D.signal_dim:
+        raise ValueError(
+            f"sensing matrix expects signals of dimension {A_prev.signal_dim}, "
+            f"dictionary has {D.signal_dim}"
+        )
+    basis = _DesignBasis(D)
+    p = basis.point(A_prev.matrix)
+    return SensingMatrix(basis.step(p, p, 0.0, alpha, A_prev.num_measurements, _MM_STEP))
+
+
+def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
+    """Minimize the weighted objective until it stalls.
+
+    Starts from the closed-form baseline by default (or a random matrix when
+    ``config.init == "random"``). For ``alpha >= 1/2`` it runs L-BFGS on C,
+    with A = C W, and backtracking Armijo steps; it takes no eigensolve.
+    For ``alpha < 1/2`` each iteration projects the gradient step of size
+    ``eta(alpha)`` from the momentum-extrapolated Gram matrix, and if that
+    raises f, restarts: the momentum is reset and the exact MM step of
+    :func:`wcm_step` is taken from the current point instead. The module
+    docstring gives both designers and why alpha selects between them.
+
+    Either way the objective is recorded after every iteration and never
+    rises. The run stops once one iteration changes f by at most
+    ``config.rel_tol * (1 + f)``, and a run that reaches
+    ``config.max_iters`` unconverged logs a warning.
+
+    For ``alpha < 1/2`` the run can stop at a different stationary point
+    than iterating the plain MM step from the same start. On the desk
+    dictionaries (K = 120, M = 14, ds start, alpha in {0.05, 0.2, 0.4}) its
+    final f was higher in 5 of 9 runs, by up to 0.11%, and lower in the
+    other 4. No benchmark sweep grid has ``alpha < 1/2``.
+    """
+    M = int(M)
+    if not 1 <= M < D.signal_dim:
+        raise ValueError(f"M must satisfy 1 <= M < N={D.signal_dim}, got {M}")
+    basis = _DesignBasis(D)
+    alpha = config.alpha
+
+    if config.init == "ds":
+        a_mat = basis.whiten[:M]
+    else:
+        rng = np.random.default_rng(config.seed)
+        a_mat = rng.standard_normal((M, D.signal_dim))
+
+    descend = _descend_lbfgs if alpha >= 0.5 else _descend_projected
+    a_mat, e, trace, components, converged, fallbacks = descend(basis, a_mat, alpha, config)
+    f = trace[-1]
     iterations = len(trace) - 1
     if not converged:
         _log.warning(
@@ -349,12 +527,12 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
             alpha, iterations, f,
         )
     return WcmReport(
-        sensing=SensingMatrix(p.a),
+        sensing=SensingMatrix(a_mat),
         objective_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,
         component_trace=np.asarray(components),
         fallbacks=fallbacks,
-        equivalent=EquivalentDictionary(p.e, D.structure),
+        equivalent=EquivalentDictionary(e, D.structure),
         alpha=alpha,
     )

@@ -175,6 +175,11 @@ class TestBompConfig:
             with pytest.raises(ValueError, match="k_blocks"):
                 BompConfig(k_blocks=bad)
         assert BompConfig(k_blocks=np.int64(2)).k_blocks == 2
+        for bad in ("1e-10", True, None):
+            with pytest.raises(ValueError, match="ls_tol"):
+                BompConfig(k_blocks=1, ls_tol=bad)
+        config = BompConfig(k_blocks=1, ls_tol=np.float64(1e-8))
+        assert type(config.ls_tol) is float and config.ls_tol == 1e-8
 
 
 def assert_agrees_with_reference(E, structure, Y, k):

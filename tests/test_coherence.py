@@ -16,12 +16,14 @@ from blocksense import (
     mutual_coherence,
     normalization_penalty,
     objective_gradient,
+    objective_lower_bound,
     sparse_recovery_bound,
     sub_block_coherence,
     total_inter_block_coherence,
     total_sub_block_coherence,
     weighted_objective,
 )
+from blocksense.coherence import _equivalent_terms
 from helpers import numerical_gradient, random_dictionary, unit_columns
 
 
@@ -265,6 +267,42 @@ class TestBounds:
     def test_block_bound_rejects_nonpositive_mu(self):
         with pytest.raises(ValueError):
             block_recovery_bound(0.0, 0.1, 3)
+
+    def test_objective_lower_bound_holds_for_every_e(self):
+        # gaussian E at random scales, and scaled E with orthonormal rows,
+        # whose Gram c * P sits close to the bound
+        rng = np.random.default_rng(15)
+        for i in range(1200):
+            sizes = tuple(int(v) for v in rng.integers(1, 6, size=rng.integers(2, 9)))
+            k = sum(sizes)
+            m = int(rng.integers(1, k + 1))
+            alpha = 0.5 if i % 10 == 0 else float(rng.uniform(0.5, 1.0))
+            e = rng.standard_normal((m, k))
+            if i % 2:
+                e = np.linalg.qr(e.T)[0].T * np.sqrt(rng.uniform(0.2, 5.0))
+            else:
+                e *= rng.uniform(0.01, 2.0)
+            f = _equivalent_terms(e, BlockStructure(sizes)).objective(alpha)
+            assert f >= objective_lower_bound(k, m, alpha) * (1.0 - 1e-12)
+
+    def test_objective_lower_bound_is_attained(self):
+        # G = c P with P = [[I, I], [I, I]] / 2, a rank-M projector whose
+        # diagonal blocks are rho * I with rho = 1/2
+        m = 6
+        for alpha in (0.5, 0.6, 0.9, 0.99):
+            c = 1.0 / (0.5 + 2.0 * (1.0 - alpha) * 0.5)
+            e = np.sqrt(c / 2.0) * np.hstack((np.eye(m), np.eye(m)))
+            for sizes in ((3,) * 4, (2, 1, 3, 2, 4)):
+                f = _equivalent_terms(e, BlockStructure(sizes)).objective(alpha)
+                assert f == pytest.approx(objective_lower_bound(2 * m, m, alpha), rel=1e-13)
+        assert objective_lower_bound(120, 14, 0.5) == pytest.approx(53.0, rel=1e-15)
+
+    def test_objective_lower_bound_rejects_low_alpha(self):
+        for alpha in (0.3, 0.4999, 0.0, 1.0):
+            with pytest.raises(ValueError, match="alpha"):
+                objective_lower_bound(120, 14, alpha)
+        with pytest.raises(ValueError, match="M"):
+            objective_lower_bound(12, 13, 0.9)
 
 
 class TestMasks:

@@ -263,16 +263,16 @@ class TestScoringFromE:
 class TestEigensolves:
     def test_trial_eigendecomposes_the_dictionary_once(self, monkeypatch):
         # one N x N eigensolve builds the dictionary's frame; after that each
-        # WCM iteration projects once, and each restart once more
+        # projected WCM iteration (alpha < 1/2) projects once, and each
+        # restart once more, while the alpha >= 1/2 designer takes none
         cfg = ExperimentConfig(
             dict_family="gaussian", N=60, K=120, M=14, block_sizes=3, k=2, L=20,
-            trials=1, alpha_grid=(0.5, 0.9), seed=33, designers=("random", "ds", "wcm"),
+            trials=1, alpha_grid=(0.3, 0.9), seed=33, designers=("random", "ds", "wcm"),
         )
         d = generate_dictionary(cfg, np.random.default_rng([cfg.seed, 0]))
-        steps = 0
-        for alpha in cfg.alpha_grid:
-            report = run_wcm(d, cfg.M, WcmConfig(alpha=alpha))
-            steps += report.iterations + report.fallbacks
+        report = run_wcm(d, cfg.M, WcmConfig(alpha=0.3))
+        steps = report.iterations + report.fallbacks
+        assert steps > 0
         calls = []
 
         def counting(solver):

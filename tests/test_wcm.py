@@ -1,3 +1,4 @@
+import itertools
 import logging
 import tracemalloc
 
@@ -19,6 +20,7 @@ from blocksense import (
     gram,
     idealized,
     objective_gradient,
+    objective_lower_bound,
     run_wcm,
     surrogate_gradient,
     surrogate_target,
@@ -239,7 +241,8 @@ class TestGramFreeStep:
         a_mat = SensingMatrix(rng.standard_normal((10, 40)))
         tracemalloc.start()
         try:
-            run_wcm(d, 10, WcmConfig(alpha=0.9, max_iters=3))
+            for alpha in (0.3, 0.9):
+                run_wcm(d, 10, WcmConfig(alpha=alpha, max_iters=3))
             wcm_step(a_mat, d, 0.9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -327,6 +330,13 @@ class TestRunWcm:
         r2 = run_wcm(d, 4, cfg)
         np.testing.assert_array_equal(r1.objective_trace, r2.objective_trace)
         np.testing.assert_array_equal(r1.sensing.matrix, r2.sensing.matrix)
+        # the first trace entry is f at the drawn matrix, whichever designer runs
+        a0 = np.random.default_rng(123).standard_normal((4, 9))
+        for alpha in (0.3, 0.7):
+            report = run_wcm(d, 4, WcmConfig(alpha=alpha, init="random", seed=123, max_iters=1))
+            assert report.objective_trace[0] == pytest.approx(
+                weighted_objective(gram_of(a0, d), alpha), rel=1e-12
+            )
 
     def test_iteration_metadata(self, caplog):
         rng = np.random.default_rng(18)
@@ -343,8 +353,8 @@ class TestRunWcm:
         assert "7 iterations" in record.getMessage()
 
     def test_half_alpha_keeps_baseline_at_desk_size(self):
-        # At alpha = 1/2 a unit step would make the whitened target exactly
-        # the identity; the shorter step must leave the baseline in place.
+        # The closed-form baseline is stationary at alpha = 1/2, so the
+        # design must stay in place.
         cfg = ExperimentConfig(
             dict_family="gaussian", N=60, K=120, M=14, block_sizes=3, k=2,
             L=1, trials=1, designers=("ds",), seed=7,
@@ -357,11 +367,12 @@ class TestRunWcm:
 
     def test_fallback_reproduces_exact_mm_steps(self, monkeypatch):
         # A step far too long for the objective raises f every time, so every
-        # iteration must fall back to the exact surrogate minimizer.
+        # iteration of the projected loop (alpha < 1/2) must fall back to the
+        # exact surrogate minimizer.
         monkeypatch.setattr(blocksense.wcm, "_step_size", lambda alpha: 5.0)
         rng = np.random.default_rng(23)
         d = random_dictionary(rng, 12, (3,) * 8)
-        alpha = 0.7
+        alpha = 0.3
         report = run_wcm(d, 5, WcmConfig(alpha=alpha, max_iters=20))
         assert report.fallbacks > 0
         assert report.fallbacks == report.iterations
@@ -375,20 +386,22 @@ class TestRunWcm:
         )
 
     def test_restart_takes_one_exact_mm_step(self, monkeypatch):
-        # every iteration projects once, and a restart once more, with the
-        # exact MM step
-        etas = []
+        # every iteration of the projected loop (alpha < 1/2) projects once,
+        # and a restart once more, with the exact MM step
         step = blocksense.wcm._DesignBasis.step
+        d = c05_dictionary()
+        for alpha in (0.05, 0.3):
+            etas = []
 
-        def recording_step(self, p, prev, beta, alpha, m, eta):
-            etas.append(eta)
-            return step(self, p, prev, beta, alpha, m, eta)
+            def recording_step(self, p, prev, beta, alpha, m, eta):
+                etas.append(eta)
+                return step(self, p, prev, beta, alpha, m, eta)
 
-        monkeypatch.setattr(blocksense.wcm._DesignBasis, "step", recording_step)
-        report = run_wcm(c05_dictionary(), 14, WcmConfig(alpha=0.99))
-        assert report.fallbacks > 0
-        assert len(etas) == report.iterations + report.fallbacks
-        assert etas.count(blocksense.wcm._MM_STEP) == report.fallbacks
+            monkeypatch.setattr(blocksense.wcm._DesignBasis, "step", recording_step)
+            report = run_wcm(d, 14, WcmConfig(alpha=alpha))
+            assert report.fallbacks > 0
+            assert len(etas) == report.iterations + report.fallbacks
+            assert etas.count(blocksense.wcm._MM_STEP) == report.fallbacks
 
     def test_high_alpha_converges_within_default_cap(self):
         report = run_wcm(c05_dictionary(), 14, WcmConfig(alpha=0.99))
@@ -398,8 +411,8 @@ class TestRunWcm:
     @pytest.mark.parametrize("alpha, cap", [(0.9, 100), (0.99, 250)])
     def test_momentum_reaches_the_mm_optimum_in_fewer_iterations(self, alpha, cap):
         # Plain MM from the same start needs about 500 (0.9) and 1600 (0.99)
-        # steps to the same tolerance; the safeguarded step alone about 190
-        # and 680.
+        # steps to the same tolerance. At these alphas run_wcm is the L-BFGS
+        # designer, which needs 24 and 36.
         d = c05_dictionary()
         config = WcmConfig(alpha=alpha)
         report = run_wcm(d, 14, config)
@@ -441,6 +454,68 @@ class TestRunWcm:
                 assert final.objective_alpha == report.objective_trace[-1]
 
 
+class TestLbfgsDesigner:
+    """The alpha >= 1/2 designer: L-BFGS over C, with A = C W."""
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 3, 3), (2, 3, 4, 3)])
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 0.99])
+    def test_gradient_matches_central_differences(self, sizes, alpha):
+        rng = np.random.default_rng(29)
+        d = random_dictionary(rng, 8, sizes)
+        basis = blocksense.wcm._DesignBasis(d)
+        c = rng.standard_normal((4, 8))
+        grad = blocksense.wcm._gradient_c(basis, blocksense.wcm._iterate(basis, c, alpha), alpha)
+        fd = numerical_gradient(lambda x: blocksense.wcm._iterate(basis, x, alpha).f, c, h=1e-5)
+        assert np.linalg.norm(grad - fd) <= 1e-8 * np.linalg.norm(grad)
+
+    def test_takes_no_eigensolve(self, monkeypatch):
+        d = random_dictionary(np.random.default_rng(30), 12, (2, 3, 4, 3) * 2)
+        calls = []
+
+        def counting(solver):
+            def solve(*args, **kwargs):
+                calls.append(solver.__name__)
+                return solver(*args, **kwargs)
+            return solve
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        for alpha in (0.5, 0.9, 0.99):
+            run_wcm(d, 5, WcmConfig(alpha=alpha))
+            run_wcm(d, 5, WcmConfig(alpha=alpha, init="random", seed=1))
+        assert calls == []
+
+    def test_desk_designs_reach_the_lower_bound(self):
+        designs = [("gaussian", 3), ("dct_rows", 3), ("gaussian", [2, 3, 4, 3] * 10)]
+        for (family, sizes), seed in itertools.product(designs, (7, 11, 61, 108, 613)):
+            cfg = ExperimentConfig(
+                dict_family=family, N=60, K=120, M=14, block_sizes=sizes, k=2,
+                L=1, trials=1, designers=("wcm",), seed=seed,
+            )
+            d = generate_dictionary(cfg, np.random.default_rng([seed, 0]))
+            g_ds = gram(equivalent_dictionary(design_ds(d, cfg.M), d))
+            for alpha in (0.6, 0.9, 0.99):
+                report = run_wcm(d, cfg.M, WcmConfig(alpha=alpha))
+                # C_0 = E_0 (W D)' maps the closed-form start back to itself
+                assert report.objective_trace[0] == pytest.approx(
+                    weighted_objective(g_ds, alpha), rel=1e-13
+                )
+                gap = report.objective_trace[-1] / objective_lower_bound(cfg.K, cfg.M, alpha) - 1
+                assert report.converged
+                assert 0.0 <= gap <= 1e-5
+
+    def test_unreachable_bound_still_converges(self):
+        # N = 40, K = 120, M = 30, blocks of 6: no G = c P with diagonal
+        # blocks rho * I is reachable, so the gap stays well above zero
+        d = random_dictionary(np.random.default_rng(31), 40, (6,) * 20)
+        for alpha in (0.6, 0.9, 0.99):
+            report = run_wcm(d, 30, WcmConfig(alpha=alpha))
+            trace = report.objective_trace
+            assert report.converged
+            assert np.all(np.diff(trace) <= 0.0)
+            assert trace[-1] >= objective_lower_bound(120, 30, alpha) * (1.0 + 1e-4)
+
+
 class TestConfigValidation:
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):
@@ -459,6 +534,16 @@ class TestConfigValidation:
         d = random_dictionary(np.random.default_rng(21), 6, (3, 3))
         config = WcmConfig(alpha=0.9, max_iters=np.int64(2), rel_tol=1e-16)
         assert run_wcm(d, 3, config).iterations == 2
+
+    def test_float_fields_are_typed(self):
+        for key in ("alpha", "rel_tol"):
+            for bad in ("0.9", True, None, [0.9]):
+                with pytest.raises(ValueError, match=key):
+                    WcmConfig(**{"alpha": 0.9, key: bad})
+        config = WcmConfig(alpha=np.float64(0.9), rel_tol=np.float32(1e-6))
+        assert type(config.alpha) is float and config.alpha == 0.9
+        assert type(config.rel_tol) is float
+        assert type(WcmConfig(alpha=0.6, rel_tol=1).rel_tol) is float
 
     def test_bad_init_name(self):
         with pytest.raises(ValueError):
