@@ -64,10 +64,11 @@ def _cmd_design_wcm(args) -> int:
         header = ["iter", "f", "total_inter", "total_sub", "norm_penalty"]
         save_table_csv(args.trace, header, ((i, *row) for i, row in enumerate(trace)))
     status = "converged" if report.converged else "stopped at max iterations"
+    gap = "" if report.gap is None else f", gap {report.gap:.3g} to the lower bound"
     print(
         f"wrote sensing matrix to {args.out}; objective "
         f"{report.objective_trace[-1]:.9g} after {report.iterations} iterations, "
-        f"{report.fallbacks} restarts ({status})"
+        f"{report.fallbacks} fallbacks{gap} ({status})"
     )
     return 0
 

@@ -19,30 +19,35 @@ block. Neither designer forms a K x K matrix.
 
 ``run_wcm`` picks the designer by alpha:
 
-* alpha >= 1/2: L-BFGS on the sensing matrix itself, with no eigensolve.
+* alpha >= 1/2: L-BFGS on C (A = C W, below), with no eigensolve.
   From 1/2 up the objective has a certified lower bound
   (``coherence.objective_lower_bound``). On 45 desk designs (K = 120,
   M = 14, alpha in {0.6, 0.9, 0.99}) this designer ended within 2e-7 of
   it, in under half the projected loop's iterations.
 * alpha < 1/2: accelerated projected gradient steps on G, safeguarded by
-  majorization-minimization (MM). Here neither method ends lower
-  consistently: on the two dictionaries of acceptance criterion 05 at
-  alpha in {0.01, 0.3, 0.45}, L-BFGS ended lower in 3 of 6 runs and higher
-  in 3, by up to 0.08%, and took 1.4 to 3 times the iterations.
+  majorization-minimization (MM). Here L-BFGS ends worse: on 36 desk
+  designs (six dictionaries, alpha in {0.01, 0.05, 0.2, 0.3, 0.4, 0.45})
+  it ended with a higher f in 23, by up to 0.13%.
 
-L-BFGS (alpha >= 1/2). The iterate is C (M x N) with A = C W, so that
+Both designers iterate over the same C (M x N), with A = C W, so that
 E = A D = C (W D). Because W D has orthonormal rows, E E' = C C' and
-E (W D)' = C, and the chain rule through G = E'E gives
+E (W D)' = C. A sensing matrix A_0 enters as C_0 = E_0 (W D)', which maps
+back to A_0 exactly because W^-1 = D D' W'; from the closed-form start it
+is [I_M 0]. Each iterate also keeps E, E E' and the diagonal blocks
+E_b' E_b, padded to the widest block, from which both designers read f by
+``coherence._block_terms``, the kernel that scores the sweep's designs.
+Each designer is a generator of iterates; ``run_wcm`` holds the one loop
+that records the trace, applies the stop rule and counts fallbacks.
+
+L-BFGS (alpha >= 1/2). The chain rule through G = E'E gives
 
     grad_C f = 2 * ((2 * (1 - alpha) * E E' - I) C + 2 * E Q (W D)'),
 
 so one evaluation costs two M x N x K products, E = (C W) D and
-(E Q)(W D)'. The start is C_0 = E_0 (W D)', which maps back to A_0 exactly
-because W^-1 = D D' W'; from the closed-form start it is [I_M 0]. The
-two-loop recursion (Nocedal, Math. Comp., 1980; Liu & Nocedal, Math. Prog.,
-1989) keeps ``_HISTORY`` curvature pairs, and every step is a backtracking
-Armijo step (constant ``_ARMIJO``), so the trace is non-increasing by
-construction.
+(E Q)(W D)'. The two-loop recursion (Nocedal, Math. Comp., 1980; Liu &
+Nocedal, Math. Prog., 1989) keeps ``_HISTORY`` curvature pairs, and every
+step is a backtracking Armijo step (constant ``_ARMIJO``), so the trace is
+non-increasing by construction.
 Designing the sensing matrix by gradient descent on the coherence penalty
 follows Abolghasemi, Ferdowsi & Sanei (Signal Processing, 2012).
 
@@ -85,12 +90,11 @@ The whitened target of a step of size eta from G = E'E is the N x N matrix
 
     W D T (W D)' = (1 - 2 * eta * (1 - alpha)) * B B' - 2 * eta * (W D) Q (W D)' + eta * I
 
-with B = W D E' (N x M). The iteration keeps only E = A D (M x K), B and
-the diagonal blocks E_b' E_b, padded to the widest block, and the momentum
-extrapolates B B' and the blocks linearly.
-
-Both designers read f from E E' and the padded diagonal blocks by
-``coherence._block_terms``, the kernel that scores the sweep's designs.
+with B = W D E' (N x M). Since W D (W D)' = I, B is exactly C', so
+B B' = C' C takes no product with the dictionary, and the momentum
+extrapolates C' C and the diagonal blocks linearly. The projection returns
+the next C directly: the top-M eigenpairs of the target, scaled by the
+square roots of their eigenvalues.
 """
 
 from __future__ import annotations
@@ -100,6 +104,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -112,6 +117,7 @@ from .coherence import (
     _gradient,
     coherence_report,
     objective_gradient,
+    objective_lower_bound,
     weighted_objective,
 )
 from .fileio import _number
@@ -185,13 +191,12 @@ class WcmReport:
     ``objective_trace`` holds f at the initial point and after every step, and
     is non-increasing up to floating-point slack. ``component_trace`` carries
     the matching (total_inter, total_sub, norm_penalty) triples, one row per
-    trace entry. ``fallbacks`` counts the iterations that abandoned their
-    first choice of step. For alpha >= 1/2 (L-BFGS) these are the
-    iterations whose quasi-Newton direction found no Armijo step, so the
-    curvature history was dropped for steepest descent. For alpha < 1/2
-    (projected steps) they are the restarts: the iterations whose first
-    step raised f, so that the momentum was reset and the exact MM step
-    taken from the current Gram matrix instead. ``equivalent`` is the
+    trace entry. ``fallbacks`` counts the iterations whose designer fell
+    back from its first choice of step: for alpha >= 1/2 (L-BFGS) the
+    quasi-Newton direction found no Armijo step, so the curvature history
+    was dropped for steepest descent; for alpha < 1/2 (projected steps) the
+    first step raised f, so the momentum restarted and the exact MM step
+    was taken from the current Gram matrix instead. ``equivalent`` is the
     final E = A D, and ``alpha`` the weight the design was run at.
     """
 
@@ -203,6 +208,17 @@ class WcmReport:
     fallbacks: int
     equivalent: EquivalentDictionary
     alpha: float
+
+    @property
+    def gap(self) -> float | None:
+        """Certified relative gap f / f_lb - 1 of the final objective to
+        ``coherence.objective_lower_bound``, or None for alpha < 1/2, where
+        no bound is known."""
+        if self.alpha < 0.5:
+            return None
+        e = self.equivalent
+        bound = objective_lower_bound(e.num_atoms, e.num_measurements, self.alpha)
+        return float(self.objective_trace[-1] / bound - 1.0)
 
     @cached_property
     def final_report(self) -> CoherenceReport:
@@ -253,15 +269,19 @@ def surrogate_gradient(gram: BlockGram, gram_prev: BlockGram, alpha: float) -> n
     return objective_gradient(gram_prev, alpha) + 3.0 * (gram.matrix - gram_prev.matrix)
 
 
-class _Point(NamedTuple):
-    """One iterate: the sensing matrix A, E = A D (M x K), B = W D E' (N x M)
-    and the diagonal blocks E_b' E_b of G = E'E, padded to (blocks, s_max,
-    s_max) with zeros."""
+class _Iterate(NamedTuple):
+    """One iterate of either designer: C (M x N), the sensing matrix A = C W,
+    E = A D, E E', the columns of E as padded rows (blocks, s_max, M), the
+    diagonal blocks E_b' E_b, and f's totals and value."""
 
+    c: np.ndarray
     a: np.ndarray
     e: np.ndarray
-    b: np.ndarray
+    eet: np.ndarray
+    rows: np.ndarray
     blocks: np.ndarray
+    terms: _Terms
+    f: float
 
 
 class _DesignBasis:
@@ -276,28 +296,33 @@ class _DesignBasis:
         self.whiten_dict = _block_rows(self.whiten @ D.matrix, self.cols, self.pad)
         self.whiten_dict_flat = self.whiten_dict.reshape(-1, D.signal_dim)
 
-    def point(self, a: np.ndarray) -> _Point:
-        """The iterate of sensing matrix ``a``."""
-        e = a @ self.dictionary
-        rows = _block_rows(e, self.cols, self.pad)
-        b = self.whiten_dict_flat.T @ rows.reshape(-1, e.shape[0])
-        return _Point(a, e, b, rows @ rows.transpose(0, 2, 1))
+    def q_weights(self, alpha: float) -> np.ndarray:
+        """Entrywise weights that turn the padded diagonal blocks of G into
+        those of Q: alpha - 1/2 on the diagonal, 2 alpha - 1 off it."""
+        return np.where(self.eye, alpha - 0.5, 2.0 * alpha - 1.0)
 
-    def step(self, p: _Point, prev: _Point, beta: float, alpha: float, m: int,
+    def start(self, a: np.ndarray, alpha: float) -> _Iterate:
+        """The iterate of sensing matrix ``a``: C_0 = E_0 (W D)', which maps
+        back to ``a`` exactly because W^-1 = D D' W'."""
+        flat = self.whiten_dict_flat
+        rows = _block_rows(a @ self.dictionary, self.cols, self.pad)
+        return _iterate(self, rows.reshape(flat.shape[0], -1).T @ flat, alpha)
+
+    def step(self, p: _Iterate, prev: _Iterate, beta: float, alpha: float,
              eta: float) -> np.ndarray:
-        """Sensing matrix whose Gram matrix is nearest to the gradient step
-        ``G_e - eta * grad f(G_e)`` from G_e = G + beta * (G - G_prev), the
-        Gram matrices of ``p`` and ``prev``; with ``beta = 0`` and
-        ``eta = _MM_STEP`` this exactly minimizes the surrogate anchored at
-        ``p``."""
-        target = p.b @ p.b.T  # W D G (W D)'
+        """C of the sensing matrix whose Gram matrix is nearest to the
+        gradient step ``G_e - eta * grad f(G_e)`` from G_e = G + beta * (G -
+        G_prev), the Gram matrices of ``p`` and ``prev``; with ``beta = 0``
+        and ``eta = _MM_STEP`` this exactly minimizes the surrogate anchored
+        at ``p``."""
+        target = p.c.T @ p.c  # W D G (W D)'
         blocks = p.blocks
         if beta:
             target *= 1.0 + beta
-            target -= beta * (prev.b @ prev.b.T)
+            target -= beta * (prev.c.T @ prev.c)
             blocks = (1.0 + beta) * blocks - beta * prev.blocks
         # -2 eta Q, one s x s block per dictionary block
-        q = blocks * (-2.0 * eta * np.where(self.eye, alpha - 0.5, 2.0 * alpha - 1.0))
+        q = blocks * (-2.0 * eta * self.q_weights(alpha))
         flat = self.whiten_dict_flat
         target *= 1.0 - 2.0 * eta * (1.0 - alpha)
         target += flat.T @ (q @ self.whiten_dict).reshape(flat.shape)
@@ -305,23 +330,9 @@ class _DesignBasis:
         w, v = sym_eig(target)
         # Negative directions cannot be matched by a PSD Gram and only add a
         # constant, so they are clamped before the square root.
+        m = p.c.shape[0]
         top = np.sqrt(np.clip(w[:m], 0.0, None))
-        return (v[:, :m] * top).T @ self.whiten
-
-
-class _Iterate(NamedTuple):
-    """One L-BFGS iterate: C (M x N), the sensing matrix A = C W, E = A D,
-    E E', the columns of E as padded rows (blocks, s_max, M), the diagonal
-    blocks E_b' E_b, and f's totals and value."""
-
-    c: np.ndarray
-    a: np.ndarray
-    e: np.ndarray
-    eet: np.ndarray
-    rows: np.ndarray
-    blocks: np.ndarray
-    terms: _Terms
-    f: float
+        return (v[:, :m] * top).T
 
 
 def _iterate(basis: _DesignBasis, c: np.ndarray, alpha: float) -> _Iterate:
@@ -338,7 +349,7 @@ def _iterate(basis: _DesignBasis, c: np.ndarray, alpha: float) -> _Iterate:
 def _gradient_c(basis: _DesignBasis, p: _Iterate, alpha: float) -> np.ndarray:
     """grad_C f = 2 ((2 (1 - alpha) E E' - I) C + 2 E Q (W D)'), with E Q
     taken one s x s block at a time in the padded layout."""
-    q = p.blocks * np.where(basis.eye, alpha - 0.5, 2.0 * alpha - 1.0)
+    q = p.blocks * basis.q_weights(alpha)
     eq = (q @ p.rows).reshape(-1, p.c.shape[0])  # (E Q)', row per column
     grad = (2.0 * (1.0 - alpha)) * (p.eet @ p.c) - p.c
     grad += 2.0 * (eq.T @ basis.whiten_dict_flat)
@@ -383,84 +394,52 @@ def _armijo(basis: _DesignBasis, p: _Iterate, g: np.ndarray, d: np.ndarray,
     return None
 
 
-def _descend_lbfgs(basis: _DesignBasis, a_mat: np.ndarray, alpha: float,
-                   config: WcmConfig):
-    """L-BFGS on f over C for alpha >= 1/2 (Liu & Nocedal, Math. Prog., 1989).
+def _lbfgs_steps(basis: _DesignBasis, p: _Iterate, alpha: float):
+    """L-BFGS on f over C for alpha >= 1/2 (Liu & Nocedal, Math. Prog., 1989),
+    yielding (iterate, fell_back) once per iteration.
 
-    Starts from C_0 = E_0 (W D)', which maps back to A_0 exactly because
-    W^-1 = D D' W'. Each accepted step passes the Armijo test, so f never
-    rises. When the quasi-Newton direction finds no such step, the history
-    is dropped and steepest descent tried instead (a fallback); when that
-    finds none either, the iterate stays and f repeats, which meets the
-    stop rule."""
-    flat = basis.whiten_dict_flat
-    rows = _block_rows(a_mat @ basis.dictionary, basis.cols, basis.pad)
-    p = _iterate(basis, rows.reshape(flat.shape[0], -1).T @ flat, alpha)
+    Each accepted step passes the Armijo test, so f never rises. When the
+    quasi-Newton direction finds no such step, the history is dropped and
+    steepest descent tried instead (a fallback); when that finds none
+    either, the iterate stays and f repeats, which meets the stop rule.
+    The gradient at an iterate is taken only once the next step is asked
+    for, so the iterate a run stops at costs none."""
     g = _gradient_c(basis, p, alpha)
-    trace, components = [p.f], [p.terms]
     pairs = deque(maxlen=_HISTORY)
-    converged = False
-    fallbacks = 0
-    for _ in range(int(config.max_iters)):
+    while True:
         p_new = _armijo(basis, p, g, -_two_loop(g, pairs), alpha) if pairs else None
+        fell_back = p_new is None and bool(pairs)
         if p_new is None:
-            if pairs:
-                fallbacks += 1
-                pairs.clear()
+            pairs.clear()
             p_new = _armijo(basis, p, g, -g, alpha) or p
+        yield p_new, fell_back
         g_new = _gradient_c(basis, p_new, alpha)
         s, y = p_new.c - p.c, g_new - g
         sy = float(np.vdot(s, y))
         if sy > np.finfo(float).eps * float(np.vdot(y, y)):
             pairs.append((s, y, 1.0 / sy))
-        trace.append(p_new.f)
-        components.append(p_new.terms)
-        converged = abs(p.f - p_new.f) <= config.rel_tol * (1.0 + p.f)
         p, g = p_new, g_new
-        if converged:
-            break
-    return p.a, p.e, trace, components, converged, fallbacks
 
 
-def _descend_projected(basis: _DesignBasis, a_mat: np.ndarray, alpha: float,
-                       config: WcmConfig):
-    """Accelerated projected gradient steps on G for alpha < 1/2, restarted
-    with the exact MM step whenever a step raises f."""
-    M = a_mat.shape[0]
+def _projected_steps(basis: _DesignBasis, p: _Iterate, alpha: float):
+    """Accelerated projected gradient steps on G for alpha < 1/2, yielding
+    (iterate, fell_back) once per iteration. A step that raises f falls
+    back: the momentum restarts and the exact MM step, which cannot raise
+    f, is taken from G instead."""
     eta = _step_size(alpha)
-
-    def measure(a):
-        p = basis.point(a)
-        terms = _block_terms(p.e @ p.e.T, p.blocks, basis.pad)
-        return p, terms, terms.objective(alpha)
-
-    p, terms, f = measure(a_mat)
-    trace = [f]
-    components = [terms]
-
-    converged = False
-    fallbacks = 0
     t = 1.0
-    p_prev = p
-    for _ in range(int(config.max_iters)):
+    prev = p
+    while True:
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         t = t_next
-        p_new, terms, f_new = measure(basis.step(p, p_prev, beta, alpha, M, eta))
-        if f_new > f:
-            # Restart: drop the momentum and take the exact MM step from G,
-            # which cannot raise f.
-            fallbacks += 1
+        p_new = _iterate(basis, basis.step(p, prev, beta, alpha, eta), alpha)
+        fell_back = p_new.f > p.f
+        if fell_back:
             t = 1.0
-            p_new, terms, f_new = measure(basis.step(p, p, 0.0, alpha, M, _MM_STEP))
-        p_prev, p = p, p_new
-        trace.append(f_new)
-        components.append(terms)
-        converged = abs(f - f_new) <= config.rel_tol * (1.0 + f)
-        f = f_new
-        if converged:
-            break
-    return p.a, p.e, trace, components, converged, fallbacks
+            p_new = _iterate(basis, basis.step(p, p, 0.0, alpha, _MM_STEP), alpha)
+        prev, p = p, p_new
+        yield p, fell_back
 
 
 def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatrix:
@@ -478,24 +457,27 @@ def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatri
             f"dictionary has {D.signal_dim}"
         )
     basis = _DesignBasis(D)
-    p = basis.point(A_prev.matrix)
-    return SensingMatrix(basis.step(p, p, 0.0, alpha, A_prev.num_measurements, _MM_STEP))
+    p = basis.start(A_prev.matrix, alpha)
+    return SensingMatrix(basis.step(p, p, 0.0, alpha, _MM_STEP) @ basis.whiten)
 
 
 def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     """Minimize the weighted objective until it stalls.
 
     Starts from the closed-form baseline by default (or a random matrix when
-    ``config.init == "random"``). For ``alpha >= 1/2`` it runs L-BFGS on C,
-    with A = C W, and backtracking Armijo steps; it takes no eigensolve.
-    For ``alpha < 1/2`` each iteration projects the gradient step of size
-    ``eta(alpha)`` from the momentum-extrapolated Gram matrix, and if that
-    raises f, restarts: the momentum is reset and the exact MM step of
-    :func:`wcm_step` is taken from the current point instead. The module
-    docstring gives both designers and why alpha selects between them.
+    ``config.init == "random"``), mapped to its iterate C_0 with A = C W.
+    Both designers step over C. For ``alpha >= 1/2`` it is L-BFGS with
+    backtracking Armijo steps, which takes no eigensolve; a fallback drops
+    the curvature history for steepest descent. For ``alpha < 1/2`` each
+    iteration projects the gradient step of size ``eta(alpha)`` from the
+    momentum-extrapolated Gram matrix; a fallback (a step that raised f)
+    restarts the momentum and takes the exact MM step of :func:`wcm_step`
+    from the current point instead. The module docstring gives both
+    designers and why alpha selects between them.
 
-    Either way the objective is recorded after every iteration and never
-    rises. The run stops once one iteration changes f by at most
+    Whichever designer steps, the objective and its components are recorded
+    after every iteration and the fallbacks counted here, and the trace
+    never rises. The run stops once one iteration changes f by at most
     ``config.rel_tol * (1 + f)``, and a run that reaches
     ``config.max_iters`` unconverged logs a warning.
 
@@ -517,22 +499,32 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
         rng = np.random.default_rng(config.seed)
         a_mat = rng.standard_normal((M, D.signal_dim))
 
-    descend = _descend_lbfgs if alpha >= 0.5 else _descend_projected
-    a_mat, e, trace, components, converged, fallbacks = descend(basis, a_mat, alpha, config)
-    f = trace[-1]
+    p = basis.start(a_mat, alpha)
+    steps = _lbfgs_steps if alpha >= 0.5 else _projected_steps
+    trace, components = [p.f], [p.terms]
+    converged = False
+    fallbacks = 0
+    for p_new, fell_back in islice(steps(basis, p, alpha), config.max_iters):
+        fallbacks += fell_back
+        trace.append(p_new.f)
+        components.append(p_new.terms)
+        converged = abs(p.f - p_new.f) <= config.rel_tol * (1.0 + p.f)
+        p = p_new
+        if converged:
+            break
     iterations = len(trace) - 1
     if not converged:
         _log.warning(
             "WCM at alpha=%g stopped unconverged after %d iterations, f=%.9g",
-            alpha, iterations, f,
+            alpha, iterations, p.f,
         )
     return WcmReport(
-        sensing=SensingMatrix(a_mat),
+        sensing=SensingMatrix(p.a),
         objective_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,
         component_trace=np.asarray(components),
         fallbacks=fallbacks,
-        equivalent=EquivalentDictionary(e, D.structure),
+        equivalent=EquivalentDictionary(p.e, D.structure),
         alpha=alpha,
     )

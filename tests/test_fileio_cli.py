@@ -131,8 +131,21 @@ class TestCli:
         assert float(first[1]) == report.objective_trace[0]
         summary = capsys.readouterr().out
         assert (
-            f"after {report.iterations} iterations, {report.fallbacks} restarts" in summary
+            f"after {report.iterations} iterations, {report.fallbacks} fallbacks, "
+            f"gap {report.gap:.3g} to the lower bound" in summary
         )
+
+    def test_design_wcm_below_half_prints_no_gap(self, tmp_path, dict_file, capsys):
+        path, d = dict_file
+        out = tmp_path / "a.csv"
+        args = ["design", "wcm", "--dict", str(path), "-M", "4", "--alpha", "0.3",
+                "--max-iters", "40", "--out", str(out)]
+        assert main(args) == 0
+        report = run_wcm(d, 4, WcmConfig(alpha=0.3, max_iters=40))
+        assert report.gap is None
+        summary = capsys.readouterr().out
+        assert f"after {report.iterations} iterations, {report.fallbacks} fallbacks (" in summary
+        assert "gap" not in summary
 
     def test_decode_bomp(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -213,12 +213,12 @@ class TestGramFreeStep:
         m = 4
         a_mat, a_prev = rng.standard_normal((2, m, 8))
         basis = blocksense.wcm._DesignBasis(d)
-        p, prev = basis.point(a_mat), basis.point(a_prev)
+        p, prev = basis.start(a_mat, alpha), basis.start(a_prev, alpha)
         g, _, _ = reference_wcm_measure(a_mat, d, alpha)
         g_prev, _, _ = reference_wcm_measure(a_prev, d, alpha)
         g_e = g + beta * (g - g_prev)
         for eta in (blocksense.wcm._MM_STEP, blocksense.wcm._step_size(alpha)):
-            a_new = basis.step(p, prev, beta, alpha, m, eta)
+            a_new = basis.step(p, prev, beta, alpha, eta) @ basis.whiten
             a_ref = reference_wcm_step(d, g_e, alpha, m, eta)
             np.testing.assert_allclose(
                 gram_of(a_new, d).matrix, gram_of(a_ref, d).matrix, rtol=0, atol=1e-10
@@ -393,9 +393,9 @@ class TestRunWcm:
         for alpha in (0.05, 0.3):
             etas = []
 
-            def recording_step(self, p, prev, beta, alpha, m, eta):
+            def recording_step(self, p, prev, beta, alpha, eta):
                 etas.append(eta)
-                return step(self, p, prev, beta, alpha, m, eta)
+                return step(self, p, prev, beta, alpha, eta)
 
             monkeypatch.setattr(blocksense.wcm._DesignBasis, "step", recording_step)
             report = run_wcm(d, 14, WcmConfig(alpha=alpha))
@@ -485,6 +485,31 @@ class TestLbfgsDesigner:
             run_wcm(d, 5, WcmConfig(alpha=alpha, init="random", seed=1))
         assert calls == []
 
+    @pytest.mark.parametrize("alpha", [0.7, 0.95])
+    def test_ascent_direction_falls_back_to_steepest_descent(self, alpha, monkeypatch):
+        # A quasi-Newton direction that ascends finds no Armijo step, so every
+        # iteration with a history drops it and descends along -g, exactly as
+        # a run that keeps no history at all
+        d = random_dictionary(np.random.default_rng(32), 12, (3,) * 8)
+        config = WcmConfig(alpha=alpha, max_iters=60)
+        monkeypatch.setattr(blocksense.wcm, "_HISTORY", 0)
+        plain = run_wcm(d, 5, config)
+        monkeypatch.undo()
+        history = []
+
+        def ascent(g, pairs):
+            history.append(len(pairs))
+            return -g
+
+        monkeypatch.setattr(blocksense.wcm, "_two_loop", ascent)
+        report = run_wcm(d, 5, config)
+        assert report.iterations == 60
+        assert report.fallbacks == report.iterations - 1
+        # each fallback dropped the history, so only the newest pair is left
+        assert history == [1] * report.fallbacks
+        assert plain.fallbacks == 0
+        np.testing.assert_array_equal(report.objective_trace, plain.objective_trace)
+
     def test_desk_designs_reach_the_lower_bound(self):
         designs = [("gaussian", 3), ("dct_rows", 3), ("gaussian", [2, 3, 4, 3] * 10)]
         for (family, sizes), seed in itertools.product(designs, (7, 11, 61, 108, 613)):
@@ -501,8 +526,11 @@ class TestLbfgsDesigner:
                     weighted_objective(g_ds, alpha), rel=1e-13
                 )
                 gap = report.objective_trace[-1] / objective_lower_bound(cfg.K, cfg.M, alpha) - 1
+                assert report.gap == gap
                 assert report.converged
-                assert 0.0 <= gap <= 1e-5
+                assert 0.0 <= report.gap <= 1e-5
+        # below 1/2 no bound is known
+        assert run_wcm(d, cfg.M, WcmConfig(alpha=0.3, max_iters=5)).gap is None
 
     def test_unreachable_bound_still_converges(self):
         # N = 40, K = 120, M = 30, blocks of 6: no G = c P with diagonal
