@@ -11,7 +11,10 @@ re-normalization.
 
 All signals of a batch advance through the iterations together, sharing one
 block-scoring product per iteration (after Batch-OMP, Rubinstein, Zibulevsky
-& Elad, Technion CS-2008-08); a single signal is a batch of one.
+& Elad, Technion CS-2008-08); a single signal is a batch of one. Everything
+else a step does per signal is elementwise work across the batch or one
+batched LAPACK call: no per-signal QR, and singular values only for the
+signals whose conditioning a cheaper bound cannot clear.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import _number
-from .model import BlockSparseVector, EquivalentDictionary, _padded_columns
+from .model import BlockSparseVector, EquivalentDictionary, _block_rows, _padded_columns
 
 
 @dataclass(frozen=True)
@@ -60,13 +63,23 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
 
     Each of the k steps scores the blocks against all L residuals with one
     product, orthogonalizes every signal's chosen block against that
-    signal's running orthonormal basis (two Gram-Schmidt passes, then a
-    stacked QR) and deflates the residuals. The basis Q and the triangular
-    factor R with E_S = Q R are carried along. Blocks are padded to the
-    widest block with a zero column whose basis column is zeroed. The
-    conditioning check takes the singular values of R and the coefficients
-    solve R theta_S = Q' y, in one padded stack for all signals, so E_S is
-    never gathered.
+    signal's running orthonormal basis and deflates the residuals. The basis
+    Q and the triangular factor R with E_S = Q R are carried along. Blocks
+    are padded to the widest block with zero columns, which stay zero.
+
+    Against the earlier blocks a block takes one classical Gram-Schmidt
+    pass, and a second only when some column of the batch keeps less than
+    half its squared norm ("twice is enough", Giraud, Langou & Rozloznik,
+    2005, after Kahan and Parlett). Within the block, its columns are
+    orthonormalized by Gram-Schmidt with reorthogonalization (CGS2),
+    elementwise across signals.
+
+    The conditioning check clears a signal when kappa_F(R) * ls_tol < 1e-2,
+    with kappa_F(R) = |R|_F |R^-1|_F >= kappa_2(R) from one batched inverse;
+    only the signals it cannot clear, or all of them when some R is exactly
+    singular, take the singular values of R. The coefficients solve
+    R theta_S = Q' y, in one padded stack for all signals, so E_S is never
+    gathered.
 
     Returns (theta, supports): the K x L coefficient matrix and the k x L
     selected block indices in selection order. Raises
@@ -77,40 +90,55 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
     m_rows, n_cols = E.shape
     n_signals = Y.shape[1]
     sizes = np.diff(offsets)
-    # padding indexes the zero row appended to E'
     block_cols, pad = _padded_columns(offsets)
-    s_max = pad.shape[1]
+    n_blocks, s_max = pad.shape
     width = k * s_max
-    et = np.vstack([E.T, np.zeros((1, m_rows))])
+    rows = _block_rows(E, block_cols, pad)  # each block's columns as rows
+    # E with its columns in block_cols order: E itself for uniform sizes
+    e_pad = np.ascontiguousarray(rows.reshape(-1, m_rows).T)
     every = np.arange(n_signals)
     supports = np.empty((k, n_signals), dtype=np.int64)
     resid = Y.T.copy()
-    corr = np.empty((n_signals, n_cols))  # E' r for every residual r
+    corr = np.empty((n_signals, n_blocks, s_max))  # E' r for every residual r
     q = np.zeros((n_signals, width, m_rows))  # rows: each signal's basis Q
     r = np.zeros((n_signals, width, width))
     qty = np.zeros((n_signals, width))  # Q' y
     for t in range(k):
-        np.square(np.matmul(resid, E, out=corr), out=corr)
-        scores = np.add.reduceat(corr, offsets[:-1], axis=1)
+        np.matmul(resid, e_pad, out=corr.reshape(n_signals, n_blocks * s_max))
+        np.square(corr, out=corr)
+        # summed in column order, as np.add.reduceat would; padding adds +0.0
+        scores = corr[:, :, 0].copy()
+        for j in range(1, s_max):
+            scores += corr[:, :, j]
         scores[every, supports[:t]] = -1.0
         best = np.argmax(scores, axis=1)
         supports[t] = best
         lo, hi = t * s_max, (t + 1) * s_max
-        block = et[block_cols[best]]
-        for _ in range(2 if t else 0):
-            proj = q[:, :lo] @ block.transpose(0, 2, 1)
-            block -= proj.transpose(0, 2, 1) @ q[:, :lo]
-            r[:, :lo, lo:hi] += proj
-        qb, rb = np.linalg.qr(block.transpose(0, 2, 1))
-        # a block wider than M yields only M basis columns
-        n = qb.shape[2]
-        qb *= ~pad[best, None, :n]
-        qb = np.ascontiguousarray(qb.transpose(0, 2, 1))
-        q[:, lo : lo + n] = qb
-        r[:, lo : lo + n, lo:hi] = rb
-        coef = (qb @ resid[:, :, None])[:, :, 0]
-        resid -= (coef[:, None, :] @ qb)[:, 0]
-        qty[:, lo : lo + n] = coef
+        block = rows[best]
+        if t:
+            before = np.einsum("lsm,lsm->ls", block, block)
+            # a second pass only when some column kept under half its squared norm
+            for sweep in range(2):
+                proj = q[:, :lo] @ block.transpose(0, 2, 1)
+                block -= proj.transpose(0, 2, 1) @ q[:, :lo]
+                r[:, :lo, lo:hi] += proj
+                if sweep or not np.any(np.einsum("lsm,lsm->ls", block, block) < 0.5 * before):
+                    break
+        rb = r[:, lo:hi, lo:hi]
+        for j in range(s_max):
+            col = block[:, j]
+            for _ in range(2 if j else 0):
+                proj = np.einsum("lim,lm->li", block[:, :j], col)
+                col -= np.einsum("li,lim->lm", proj, block[:, :j])
+                rb[:, :j, j] += proj
+            norm = np.sqrt(np.einsum("lm,lm->l", col, col))
+            rb[:, j, j] = norm
+            # a zero column (padding, exact dependence) stays zero
+            np.divide(col, norm[:, None], out=col, where=norm[:, None] > 0.0)
+        q[:, lo:hi] = block
+        coef = (block @ resid[:, :, None])[:, :, 0]
+        resid -= (coef[:, None, :] @ block)[:, 0]
+        qty[:, lo:hi] = coef
     del q, corr  # released before the solve allocates; it needs only R and Q' y
 
     # Padding rows and columns of R are exactly zero. On their diagonal goes
@@ -120,8 +148,18 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
     diag = np.arange(width)
     r[:, diag, diag] += pad[supports.T].reshape(n_signals, width) * np.abs(r[:, :1, 0])
     widths = np.cumsum(sizes[supports], axis=0)  # support width after each step
-    sv = np.linalg.svd(r, compute_uv=False)
-    fails = (widths[-1] > m_rows) | (sv[:, -1] <= ls_tol * sv[:, 0])
+    fails = widths[-1] > m_rows
+    # kappa_2 <= kappa_F, and at kappa_F * ls_tol < 1e-2 the rounding of the
+    # inverse and of the singular values is far from moving the decision
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa = np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(r), axis=(1, 2))
+            unsure = ~(kappa * ls_tol < 1e-2)
+    except np.linalg.LinAlgError:  # some R is exactly singular
+        unsure = np.ones(n_signals, dtype=bool)
+    if unsure.any():
+        sv = np.linalg.svd(r[unsure], compute_uv=False)
+        fails[unsure] |= sv[:, -1] <= ls_tol * sv[:, 0]
     # sigma_min / sigma_max never rises as columns are appended, so the final
     # supports flag exactly the signals that fail at some step, before the solve.
     if fails.any():

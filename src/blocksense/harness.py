@@ -24,7 +24,7 @@ from .bomp import BompConfig, bomp_decode_batch
 from .coherence import _check_alpha, _equivalent_terms
 from .ds import design_ds
 from .fileio import _number, save_table_csv
-from .model import BlockStructure, Dictionary, EquivalentDictionary
+from .model import BlockStructure, Dictionary, EquivalentDictionary, _padded_columns
 from .wcm import WcmConfig, run_wcm
 
 _log = logging.getLogger(__name__)
@@ -193,17 +193,26 @@ def generate_signals(
     Active blocks are chosen uniformly without replacement and their
     coefficients drawn i.i.d. uniform on [-1, 1]. Returns (X, Theta) with
     X = D @ Theta.
+
+    Each signal draws its blocks, then one uniform vector over all their
+    columns in selection order. That consumes the generator exactly as one
+    draw per block would, so X, Theta and the generator state afterwards
+    do not depend on how the draws are split.
     """
-    k = int(k)
+    k, L = int(k), int(L)
     structure = D.structure
     if k > structure.num_blocks:
         raise ValueError(f"k={k} exceeds the number of blocks {structure.num_blocks}")
-    theta = np.zeros((D.num_atoms, int(L)))
-    for sig in range(int(L)):
-        blocks = rng.choice(structure.num_blocks, size=k, replace=False)
-        for j in blocks:
-            sl = structure.block_slice(int(j))
-            theta[sl, sig] = rng.uniform(-1.0, 1.0, size=sl.stop - sl.start)
+    sizes = np.diff(structure.offsets)
+    blocks = np.empty((L, k), dtype=np.int64)
+    values = []
+    for sig in range(L):
+        blocks[sig] = rng.choice(structure.num_blocks, size=k, replace=False)
+        values.append(rng.uniform(-1.0, 1.0, size=int(sizes[blocks[sig]].sum())))
+    cols, pad = _padded_columns(structure.offsets)
+    live = ~pad[blocks]  # (L, k, s_max), in the order the values were drawn
+    theta = np.zeros((D.num_atoms, L))
+    theta[cols[blocks][live], np.nonzero(live)[0]] = np.concatenate(values) if values else 0.0
     return D.matrix @ theta, theta
 
 

@@ -122,6 +122,20 @@ def reference_bomp(E, offsets, Y, k, ls_tol):
     return theta, supports
 
 
+def reference_signals(D: Dictionary, k: int, L: int, rng):
+    """Signals drawn one uniform vector per active block, block by block.
+    The reference for ``harness.generate_signals``: same arguments, same
+    returns, and the same draws from ``rng``."""
+    structure = D.structure
+    theta = np.zeros((D.num_atoms, L))
+    for sig in range(L):
+        blocks = rng.choice(structure.num_blocks, size=k, replace=False)
+        for j in blocks:
+            sl = structure.block_slice(int(j))
+            theta[sl, sig] = rng.uniform(-1.0, 1.0, size=sl.stop - sl.start)
+    return D.matrix @ theta, theta
+
+
 def reference_wcm_measure(a_mat, D: Dictionary, alpha):
     """The K x K Gram matrix of E = A D, its three penalty totals and f. The
     reference for the Gram-free totals of ``coherence._equivalent_terms``."""

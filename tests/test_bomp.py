@@ -182,12 +182,17 @@ class TestBompConfig:
         assert type(config.ls_tol) is float and config.ls_tol == 1e-8
 
 
-def assert_agrees_with_reference(E, structure, Y, k):
-    theta, supports = _bomp_batch(E, structure.offsets, Y, k, LS_TOL)
-    ref_theta, ref_supports = reference_bomp(E, structure.offsets, Y, k, LS_TOL)
+def assert_agrees_with_reference(E, structure, Y, k, ls_tol=LS_TOL, kappa=1.0):
+    """Same supports as the reference, and theta within THETA_RTOL times
+    kappa, a bound on the condition number of the selected columns: the
+    forward error of a backward-stable solve grows with it."""
+    theta, supports = _bomp_batch(E, structure.offsets, Y, k, ls_tol)
+    ref_theta, ref_supports = reference_bomp(E, structure.offsets, Y, k, ls_tol)
     np.testing.assert_array_equal(supports, ref_supports)
     assert theta.shape == ref_theta.shape
-    assert np.all(np.abs(theta - ref_theta) <= THETA_RTOL * np.abs(ref_theta).max(initial=0.0))
+    bound = THETA_RTOL * kappa * np.abs(ref_theta).max(initial=0.0)
+    assert np.all(np.abs(theta - ref_theta) <= bound)
+    return theta, supports
 
 
 def assert_same_error(E, sizes, Y, k, ls_tol=LS_TOL):
@@ -237,6 +242,23 @@ class TestLockstepAgreesWithReference:
         E = scale * unit_columns(rng.standard_normal((16, structure.num_columns)))
         Y = scale * rng.standard_normal((16, n_signals))
         assert_agrees_with_reference(E, structure, Y, 3)
+
+    def test_block_near_span_of_earlier_block(self):
+        # the second block lies within 1e-3 of the first block's span, so
+        # one Gram-Schmidt pass leaves about 1e-6 of its squared norm and the
+        # second pass runs, whichever block is selected first
+        rng = np.random.default_rng(13)
+        first = unit_columns(rng.standard_normal((16, 3)))
+        near = first @ rng.standard_normal((3, 3)) + 1e-3 * unit_columns(
+            rng.standard_normal((16, 3))
+        )
+        E = np.hstack([first, unit_columns(near)])
+        structure = BlockStructure((3, 3))
+        Y = E @ rng.uniform(-1.0, 1.0, (6, 20)) + rng.standard_normal((16, 20))
+        theta, supports = assert_agrees_with_reference(E, structure, Y, 2)
+        assert set(supports[0]) == {0, 1}
+        resid = Y - E @ theta
+        assert np.all(np.abs(E.T @ resid) <= 1e-10 * np.linalg.norm(Y, axis=0))
 
     @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
     def test_sweep_workloads(self, name):
@@ -301,4 +323,51 @@ class TestLockstepErrors:
         good = E[:, 0:2] @ [1.0, -1.0]
         bad = np.array([0.0, 0.0, 1.0])  # only the 4-column block reaches it
         err = assert_same_error(E, (2, 2, 4), np.column_stack([good, bad]), 1)
+        assert (err.support, err.signal) == ((2,), 1)
+
+
+def near_dependent_instance(delta):
+    """Five blocks of 3 in 16 dimensions. Block 2's last column is a
+    combination of its other two plus delta times noise. Signal 0 is made
+    from blocks 4 and 1; signal 1 from blocks 2 and 0, so it selects
+    block 2 first."""
+    rng = np.random.default_rng(11)
+    E = unit_columns(rng.standard_normal((16, 15)))
+    E[:, 8] = 0.6 * E[:, 6] - 0.8 * E[:, 7] + delta * rng.standard_normal(16)
+    E = unit_columns(E)
+    good = E[:, 12:15] @ [1.0, 0.5, 0.3] + E[:, 3:6] @ [0.2, 0.1, 0.3]
+    bad = E[:, 6:9] @ [1.0, -0.5, 0.7] + E[:, 0:3] @ [0.2, 0.1, -0.3]
+    return E, np.column_stack([good, bad])
+
+
+@pytest.mark.filterwarnings("error")
+class TestConditioningScreen:
+    """The inverse-based screen and the singular values it falls back to
+    decide exactly as the reference's singular values do."""
+
+    @pytest.mark.parametrize("ls_tol", [LS_TOL, 0.0])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-7, 1e-9, 1e-12])
+    def test_near_dependent_block(self, delta, ls_tol):
+        E, Y = near_dependent_instance(delta)
+        if ls_tol and delta < ls_tol:
+            err = assert_same_error(E, (3,) * 5, Y, 2, ls_tol)
+            assert (err.support, err.signal) == ((2,), 1)
+        else:
+            # block 2 is about delta from singular
+            _, supports = assert_agrees_with_reference(
+                E, BlockStructure((3,) * 5), Y, 2, ls_tol, kappa=1.0 / delta
+            )
+            assert supports[0, 1] == 2
+
+    def test_exactly_repeated_column(self):
+        # a column of entries +-1/2 has norm exactly 1, so Gram-Schmidt
+        # cancels its repeat exactly: R is singular, the batched inverse
+        # raises, and the singular values decide for every signal
+        rng = np.random.default_rng(12)
+        E = unit_columns(rng.standard_normal((16, 15)))
+        E[:, 6:8] = 0.0
+        E[[0, 4, 8, 12], 6:8] = [[0.5], [-0.5], [0.5], [0.5]]
+        good = E[:, 12:15] @ [1.0, 0.5, 0.3] + E[:, 3:6] @ [0.2, 0.1, 0.3]
+        bad = E[:, 6:9] @ [2.0, 1.0, 1.0] + E[:, 0:3] @ [0.2, 0.1, -0.3]
+        err = assert_same_error(E, (3,) * 5, np.column_stack([good, bad]), 2)
         assert (err.support, err.signal) == ((2,), 1)

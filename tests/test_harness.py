@@ -25,7 +25,7 @@ from blocksense import (
     write_sweep_outputs,
 )
 from blocksense.harness import config_from_dict, run_trial
-from helpers import random_dictionary
+from helpers import random_dictionary, reference_signals
 
 TINY = dict(
     dict_family="gaussian",
@@ -106,6 +106,16 @@ class TestGenerateSignals:
         d = random_dictionary(rng, 6, (3, 3))
         with pytest.raises(ValueError):
             generate_signals(d, 3, 2, rng)
+
+    @pytest.mark.parametrize("sizes, k", [((3,) * 40, 2), ((2, 3, 4) * 14, 3)])
+    def test_keeps_the_random_stream(self, sizes, k):
+        d = random_dictionary(np.random.default_rng(6), 60, sizes)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        x, theta = generate_signals(d, k, 50, rng)
+        ref_x, ref_theta = reference_signals(d, k, 50, ref_rng)
+        np.testing.assert_array_equal(theta, ref_theta)
+        np.testing.assert_array_equal(x, ref_x)
+        assert rng.random() == ref_rng.random()
 
 
 class TestMetrics:
