@@ -326,20 +326,6 @@ class TestLockstepErrors:
         assert (err.support, err.signal) == ((2,), 1)
 
 
-def near_dependent_instance(delta):
-    """Five blocks of 3 in 16 dimensions. Block 2's last column is a
-    combination of its other two plus delta times noise. Signal 0 is made
-    from blocks 4 and 1; signal 1 from blocks 2 and 0, so it selects
-    block 2 first."""
-    rng = np.random.default_rng(11)
-    E = unit_columns(rng.standard_normal((16, 15)))
-    E[:, 8] = 0.6 * E[:, 6] - 0.8 * E[:, 7] + delta * rng.standard_normal(16)
-    E = unit_columns(E)
-    good = E[:, 12:15] @ [1.0, 0.5, 0.3] + E[:, 3:6] @ [0.2, 0.1, 0.3]
-    bad = E[:, 6:9] @ [1.0, -0.5, 0.7] + E[:, 0:3] @ [0.2, 0.1, -0.3]
-    return E, np.column_stack([good, bad])
-
-
 @pytest.mark.filterwarnings("error")
 class TestConditioningScreen:
     """The inverse-based screen and the singular values it falls back to
@@ -348,7 +334,16 @@ class TestConditioningScreen:
     @pytest.mark.parametrize("ls_tol", [LS_TOL, 0.0])
     @pytest.mark.parametrize("delta", [1e-4, 1e-7, 1e-9, 1e-12])
     def test_near_dependent_block(self, delta, ls_tol):
-        E, Y = near_dependent_instance(delta)
+        # block 2's last column is a combination of its other two plus delta
+        # times noise; signal 1 is made from blocks 2 and 0, signal 0 from
+        # blocks 4 and 1
+        rng = np.random.default_rng(11)
+        E = unit_columns(rng.standard_normal((16, 15)))
+        E[:, 8] = 0.6 * E[:, 6] - 0.8 * E[:, 7] + delta * rng.standard_normal(16)
+        E = unit_columns(E)
+        good = E[:, 12:15] @ [1.0, 0.5, 0.3] + E[:, 3:6] @ [0.2, 0.1, 0.3]
+        bad = E[:, 6:9] @ [1.0, -0.5, 0.7] + E[:, 0:3] @ [0.2, 0.1, -0.3]
+        Y = np.column_stack([good, bad])
         if ls_tol and delta < ls_tol:
             err = assert_same_error(E, (3,) * 5, Y, 2, ls_tol)
             assert (err.support, err.signal) == ((2,), 1)
