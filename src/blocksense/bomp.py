@@ -67,12 +67,11 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
     Q and the triangular factor R with E_S = Q R are carried along. Blocks
     are padded to the widest block with zero columns, which stay zero.
 
-    Against the earlier blocks a block takes one classical Gram-Schmidt
-    pass, and a second only when some column of the batch keeps less than
-    half its squared norm ("twice is enough", Giraud, Langou & Rozloznik,
-    2005, after Kahan and Parlett). Within the block, its columns are
-    orthonormalized by Gram-Schmidt with reorthogonalization (CGS2),
-    elementwise across signals.
+    Against the earlier blocks a block always takes two classical
+    Gram-Schmidt passes ("twice is enough", Giraud, Langou & Rozloznik,
+    2005), so every signal's arithmetic is the same whatever else is in its
+    batch. Within the block, its columns are orthonormalized by Gram-Schmidt
+    with reorthogonalization (CGS2), elementwise across signals.
 
     The conditioning check clears a signal when kappa_F(R) * ls_tol < 1e-2,
     with kappa_F(R) = |R|_F |R^-1|_F >= kappa_2(R) from one batched inverse;
@@ -115,15 +114,10 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
         supports[t] = best
         lo, hi = t * s_max, (t + 1) * s_max
         block = rows[best]
-        if t:
-            before = np.einsum("lsm,lsm->ls", block, block)
-            # a second pass only when some column kept under half its squared norm
-            for sweep in range(2):
-                proj = q[:, :lo] @ block.transpose(0, 2, 1)
-                block -= proj.transpose(0, 2, 1) @ q[:, :lo]
-                r[:, :lo, lo:hi] += proj
-                if sweep or not np.any(np.einsum("lsm,lsm->ls", block, block) < 0.5 * before):
-                    break
+        for _ in range(2 if t else 0):
+            proj = q[:, :lo] @ block.transpose(0, 2, 1)
+            block -= proj.transpose(0, 2, 1) @ q[:, :lo]
+            r[:, :lo, lo:hi] += proj
         rb = r[:, lo:hi, lo:hi]
         for j in range(s_max):
             col = block[:, j]

@@ -146,6 +146,29 @@ class TestBatchDecode:
             single = bomp_decode(e, y[:, sig], BompConfig(k_blocks=2))
             np.testing.assert_array_equal(batch[:, sig], single.values)
 
+    def test_batch_agrees_with_single_near_span(self):
+        # block 1 keeps under a fifth of a column's squared norm outside
+        # block 0's span, so the signals that select both blocks lose most
+        # of it to the first Gram-Schmidt pass and the others do not; a
+        # signal's bits must not depend on what else is in its batch
+        rng = np.random.default_rng(9)
+        e_mat = unit_columns(rng.standard_normal((16, 18)))
+        e_mat[:, 3:6] = unit_columns(
+            e_mat[:, 0:3] @ rng.standard_normal((3, 3)) + 0.5 * rng.standard_normal((16, 3))
+        )
+        e = EquivalentDictionary(e_mat, BlockStructure((3,) * 6))
+        near = e_mat[:, 0:6] @ rng.uniform(-1.0, 1.0, (6, 3))
+        far = e_mat[:, 9:18] @ rng.uniform(-1.0, 1.0, (9, 3))
+        y = np.column_stack([near, far]) + 0.1 * rng.standard_normal((16, 6))
+        cfg = BompConfig(k_blocks=2)
+        batch = bomp_decode_batch(e, y, cfg)
+        both = 0
+        for sig in range(6):
+            single = bomp_decode(e, y[:, sig], cfg)
+            both += set(single.support) == {0, 1}
+            np.testing.assert_array_equal(batch[:, sig], single.values)
+        assert 0 < both < 6
+
     def test_decode_is_idempotent(self):
         rng = np.random.default_rng(8)
         e = EquivalentDictionary(rng.standard_normal((6, 9)), BlockStructure((3, 3, 3)))
@@ -244,21 +267,25 @@ class TestLockstepAgreesWithReference:
         assert_agrees_with_reference(E, structure, Y, 3)
 
     def test_block_near_span_of_earlier_block(self):
-        # the second block lies within 1e-3 of the first block's span, so
-        # one Gram-Schmidt pass leaves about 1e-6 of its squared norm and the
-        # second pass runs, whichever block is selected first
+        # blocks 1 and 2 lie within delta of block 0's span. One Gram-Schmidt
+        # pass against the basis leaves the second selected block's basis
+        # about eps / delta off orthogonal, and the third one's about
+        # eps / delta^2, which moves theta far past the bound at kappa
+        # 1 / delta; the second pass keeps it at eps / delta.
+        delta = 1e-5
         rng = np.random.default_rng(13)
         first = unit_columns(rng.standard_normal((16, 3)))
-        near = first @ rng.standard_normal((3, 3)) + 1e-3 * unit_columns(
-            rng.standard_normal((16, 3))
-        )
-        E = np.hstack([first, unit_columns(near)])
-        structure = BlockStructure((3, 3))
-        Y = E @ rng.uniform(-1.0, 1.0, (6, 20)) + rng.standard_normal((16, 20))
-        theta, supports = assert_agrees_with_reference(E, structure, Y, 2)
-        assert set(supports[0]) == {0, 1}
+        near = [
+            unit_columns(first @ rng.standard_normal((3, 3)) + delta * unit_columns(noise))
+            for noise in rng.standard_normal((2, 16, 3))
+        ]
+        E = np.hstack([first, *near])
+        structure = BlockStructure((3, 3, 3))
+        Y = E @ rng.uniform(-1.0, 1.0, (9, 20)) + rng.standard_normal((16, 20))
+        theta, _ = assert_agrees_with_reference(E, structure, Y, 3, kappa=1.0 / delta)
         resid = Y - E @ theta
-        assert np.all(np.abs(E.T @ resid) <= 1e-10 * np.linalg.norm(Y, axis=0))
+        bound = 1e-14 / delta * np.linalg.norm(Y, axis=0)
+        assert np.all(np.abs(E.T @ resid) <= bound)
 
     @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
     def test_sweep_workloads(self, name):
