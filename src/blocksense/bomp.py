@@ -12,9 +12,12 @@ re-normalization.
 All signals of a batch advance through the iterations together, sharing one
 block-scoring product per iteration (after Batch-OMP, Rubinstein, Zibulevsky
 & Elad, Technion CS-2008-08); a single signal is a batch of one. Everything
-else a step does per signal is elementwise work across the batch or one
-batched LAPACK call: no per-signal QR, and singular values only for the
-signals whose conditioning a cheaper bound cannot clear.
+else a step does per signal is elementwise work across the batch or a
+batched product: no per-signal QR and no LU. A second Gram-Schmidt pass is
+taken only by the signals whose first pass cancelled most of a column, and
+singular values only by the signals whose conditioning a cheaper bound
+cannot clear. Both decisions are made per signal, so a signal's result does
+not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -67,24 +70,31 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
     Q and the triangular factor R with E_S = Q R are carried along. Blocks
     are padded to the widest block with zero columns, which stay zero.
 
-    Against the earlier blocks a block always takes two classical
-    Gram-Schmidt passes ("twice is enough", Giraud, Langou & Rozloznik,
-    2005), so every signal's arithmetic is the same whatever else is in its
-    batch. Within the block, its columns are orthonormalized by Gram-Schmidt
-    with reorthogonalization (CGS2), elementwise across signals.
+    Each column of the chosen block takes one classical Gram-Schmidt pass
+    against the signal's earlier blocks, then one within the block (CGS).
+    A signal takes a second pass against the earlier blocks when some column
+    of its block kept less than half its squared norm, and a column takes a
+    second pass within the block under the same rule: the classical
+    reorthogonalization criterion (Daniel, Gragg, Kaufman & Stewart, 1976),
+    for which two passes are enough (Giraud, Langou & Rozloznik, 2005). The
+    signals that need a pass are gathered, so the decision and the
+    arithmetic of each signal do not depend on the rest of its batch.
 
-    The conditioning check clears a signal when kappa_F(R) * ls_tol < 1e-2,
-    with kappa_F(R) = |R|_F |R^-1|_F >= kappa_2(R) from one batched inverse;
-    only the signals it cannot clear, or all of them when some R is exactly
-    singular, take the singular values of R. The coefficients solve
-    R theta_S = Q' y, in one padded stack for all signals, so E_S is never
-    gathered.
+    R^-1 comes from back substitution over the s_max x s_max diagonal
+    blocks (_triangular_inverse), with no LU. The conditioning check clears
+    a signal when kappa_F(R) * ls_tol < 1e-2, with kappa_F(R) = |R|_F |R^-1|_F
+    >= kappa_2(R); only the signals it cannot clear, those with an exactly
+    zero pivot among them, take the singular values of R. The coefficients
+    are theta_S = R^-1 Q' y, one batched product for all signals, so E_S is
+    never gathered.
 
     Returns (theta, supports): the K x L coefficient matrix and the k x L
     selected block indices in selection order. Raises
     RankDeficientSupportError at the lowest-indexed signal whose stacked
     sub-dictionary fails the conditioning check, naming its support up to
-    the first step at which it fails.
+    the first step at which it fails. Raises a plain LinAlgError when an R
+    with an exactly zero pivot passes the check, which only ls_tol = 0 lets
+    happen: it has no solution.
     """
     m_rows, n_cols = E.shape
     n_signals = Y.shape[1]
@@ -114,18 +124,37 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
         supports[t] = best
         lo, hi = t * s_max, (t + 1) * s_max
         block = rows[best]
-        for _ in range(2 if t else 0):
+        if t:
+            before = np.einsum("lim,lim->li", block, block)
             proj = q[:, :lo] @ block.transpose(0, 2, 1)
             block -= proj.transpose(0, 2, 1) @ q[:, :lo]
             r[:, :lo, lo:hi] += proj
+            kept = np.einsum("lim,lim->li", block, block)
+            redo = np.flatnonzero((kept < 0.5 * before).any(axis=1))
+            if redo.size:
+                sub, basis = block[redo], q[redo, :lo]
+                proj = basis @ sub.transpose(0, 2, 1)
+                sub -= proj.transpose(0, 2, 1) @ basis
+                block[redo] = sub
+                r[redo, :lo, lo:hi] += proj
         rb = r[:, lo:hi, lo:hi]
         for j in range(s_max):
             col = block[:, j]
-            for _ in range(2 if j else 0):
+            norm2 = np.einsum("lm,lm->l", col, col)
+            if j:
                 proj = np.einsum("lim,lm->li", block[:, :j], col)
                 col -= np.einsum("li,lim->lm", proj, block[:, :j])
                 rb[:, :j, j] += proj
-            norm = np.sqrt(np.einsum("lm,lm->l", col, col))
+                before, norm2 = norm2, np.einsum("lm,lm->l", col, col)
+                redo = np.flatnonzero(norm2 < 0.5 * before)
+                if redo.size:
+                    sub, basis = col[redo], block[redo, :j]
+                    proj = np.einsum("lim,lm->li", basis, sub)
+                    sub -= np.einsum("li,lim->lm", proj, basis)
+                    col[redo] = sub
+                    rb[redo, :j, j] += proj
+                    norm2[redo] = np.einsum("lm,lm->l", sub, sub)
+            norm = np.sqrt(norm2)
             rb[:, j, j] = norm
             # a zero column (padding, exact dependence) stays zero
             np.divide(col, norm[:, None], out=col, where=norm[:, None] > 0.0)
@@ -133,7 +162,7 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
         coef = (block @ resid[:, :, None])[:, :, 0]
         resid -= (coef[:, None, :] @ block)[:, 0]
         qty[:, lo:hi] = coef
-    del q, corr  # released before the solve allocates; it needs only R and Q' y
+    del q, corr  # released before the inverse allocates; it needs only R and Q' y
 
     # Padding rows and columns of R are exactly zero. On their diagonal goes
     # |R[0, 0]|, the norm of a real column, which lies between the extreme
@@ -144,13 +173,12 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
     widths = np.cumsum(sizes[supports], axis=0)  # support width after each step
     fails = widths[-1] > m_rows
     # kappa_2 <= kappa_F, and at kappa_F * ls_tol < 1e-2 the rounding of the
-    # inverse and of the singular values is far from moving the decision
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            kappa = np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(r), axis=(1, 2))
-            unsure = ~(kappa * ls_tol < 1e-2)
-    except np.linalg.LinAlgError:  # some R is exactly singular
-        unsure = np.ones(n_signals, dtype=bool)
+    # inverse and of the singular values is far from moving the decision. An
+    # exactly zero pivot makes kappa_F non-finite, so that signal is unsure.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r_inv = _triangular_inverse(r, s_max)
+        kappa = np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(r_inv, axis=(1, 2))
+        unsure = ~(kappa * ls_tol < 1e-2)
     if unsure.any():
         sv = np.linalg.svd(r[unsure], compute_uv=False)
         fails[unsure] |= sv[:, -1] <= ls_tol * sv[:, 0]
@@ -161,11 +189,41 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
         t = _first_failing_step(r[sig], widths[:, sig], s_max, m_rows, ls_tol)
         raise RankDeficientSupportError(supports[: t + 1, sig], signal=sig)
 
+    if not np.all(r[:, diag, diag]):  # cleared at ls_tol = 0, yet exactly singular
+        raise np.linalg.LinAlgError("Singular matrix")
     # padding coefficients land in the extra row K, which is dropped
     theta = np.zeros((n_cols + 1, n_signals))
-    coef = np.linalg.solve(r, qty[:, :, None])[:, :, 0]
+    coef = (r_inv @ qty[:, :, None])[:, :, 0]
     theta[block_cols[supports.T].reshape(n_signals, width), every[:, None]] = coef
     return theta[:n_cols], supports
+
+
+def _triangular_inverse(r, s_max):
+    """Inverse of every upper-triangular matrix in the (n, w, w) stack r, with
+    w a multiple of s_max, by back substitution over its s_max x s_max
+    diagonal blocks: each diagonal block is inverted elementwise across the
+    stack, and each block row to its right takes two batched products. An
+    exactly zero pivot leaves non-finite entries in its own matrix only."""
+    n_mats, width, _ = r.shape
+    n_diag = width // s_max
+    every = np.arange(n_diag)
+    blocks = r.reshape(n_mats, n_diag, s_max, n_diag, s_max)
+    tri = blocks[:, every, :, every]  # (n_diag, n_mats, s_max, s_max)
+    tri_inv = np.zeros_like(tri)
+    for j in range(s_max):
+        tri_inv[..., j, j] = 1.0 / tri[..., j, j]
+        for i in range(j - 1, -1, -1):
+            acc = tri[..., i, i + 1] * tri_inv[..., i + 1, j]
+            for m in range(i + 2, j + 1):
+                acc += tri[..., i, m] * tri_inv[..., m, j]
+            tri_inv[..., i, j] = -acc / tri[..., i, i]
+    r_inv = np.zeros_like(r)
+    r_inv.reshape(blocks.shape)[:, every, :, every] = tri_inv
+    for b in range(n_diag - 2, -1, -1):
+        lo, hi = b * s_max, (b + 1) * s_max
+        panel = r[:, lo:hi, hi:] @ r_inv[:, hi:, hi:]
+        r_inv[:, lo:hi, hi:] = -(r_inv[:, lo:hi, lo:hi] @ panel)
+    return r_inv
 
 
 def _first_failing_step(r, widths, s_max, m_rows, ls_tol):

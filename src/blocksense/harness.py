@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import repeat
 from typing import Sequence
@@ -324,6 +323,10 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     if workers <= 1:
         per_trial = [run_trial(cfg, t) for t in range(cfg.trials)]
     else:
+        # imported here: the pool's modules take ~20 ms to import, which every
+        # serial run and every CLI command would otherwise pay
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(run_trial, repeat(cfg), range(cfg.trials)))
     rows = tuple(row for trial_rows in per_trial for row in trial_rows)

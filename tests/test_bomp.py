@@ -16,7 +16,7 @@ from blocksense import (
     inter_block_coherence,
     sub_block_coherence,
 )
-from blocksense.bomp import _bomp_batch
+from blocksense.bomp import _bomp_batch, _triangular_inverse
 from blocksense.harness import _design, _grid
 from helpers import (
     oracle_block_support,
@@ -168,6 +168,33 @@ class TestBatchDecode:
             both += set(single.support) == {0, 1}
             np.testing.assert_array_equal(batch[:, sig], single.values)
         assert 0 < both < 6
+
+    def test_batch_agrees_with_single_near_dependent_block(self):
+        # block 1's last column keeps under a third of its squared norm
+        # outside the span of the block's other two, so the signals that
+        # select block 1 first lose most of it to the first in-block
+        # Gram-Schmidt pass and the others do not
+        rng = np.random.default_rng(10)
+        e_mat = unit_columns(rng.standard_normal((16, 18)))
+        e_mat[:, 5] = unit_columns(
+            e_mat[:, 3:5] @ rng.standard_normal(2) + 0.15 * rng.standard_normal(16)
+        )
+        basis, _ = np.linalg.qr(e_mat[:, 3:5])
+        outside = e_mat[:, 5] - basis @ (basis.T @ e_mat[:, 5])
+        assert outside @ outside < 1.0 / 3.0
+        e = EquivalentDictionary(e_mat, BlockStructure((3,) * 6))
+        near = e_mat[:, 3:6] @ rng.uniform(-1.0, 1.0, (3, 3))
+        near += e_mat[:, 9:12] @ rng.uniform(-0.3, 0.3, (3, 3))
+        far = e_mat[:, 12:18] @ rng.uniform(-1.0, 1.0, (6, 3))
+        y = np.column_stack([near, far]) + 0.1 * rng.standard_normal((16, 6))
+        cfg = BompConfig(k_blocks=2)
+        batch = bomp_decode_batch(e, y, cfg)
+        first = 0
+        for sig in range(6):
+            single = bomp_decode(e, y[:, sig], cfg)
+            first += single.support[0] == 1
+            np.testing.assert_array_equal(batch[:, sig], single.values)
+        assert 0 < first < 6
 
     def test_decode_is_idempotent(self):
         rng = np.random.default_rng(8)
@@ -383,13 +410,84 @@ class TestConditioningScreen:
 
     def test_exactly_repeated_column(self):
         # a column of entries +-1/2 has norm exactly 1, so Gram-Schmidt
-        # cancels its repeat exactly: R is singular, the batched inverse
-        # raises, and the singular values decide for every signal
-        rng = np.random.default_rng(12)
-        E = unit_columns(rng.standard_normal((16, 15)))
-        E[:, 6:8] = 0.0
-        E[[0, 4, 8, 12], 6:8] = [[0.5], [-0.5], [0.5], [0.5]]
-        good = E[:, 12:15] @ [1.0, 0.5, 0.3] + E[:, 3:6] @ [0.2, 0.1, 0.3]
-        bad = E[:, 6:9] @ [2.0, 1.0, 1.0] + E[:, 0:3] @ [0.2, 0.1, -0.3]
-        err = assert_same_error(E, (3,) * 5, np.column_stack([good, bad]), 2)
+        # cancels its repeat exactly: R has a zero pivot, its inverse is not
+        # finite, and the singular values decide for that signal
+        E, Y = repeated_column_batch()
+        err = assert_same_error(E, (3,) * 5, Y, 2)
         assert (err.support, err.signal) == ((2,), 1)
+
+    def test_zero_pivot_takes_the_singular_values_alone(self, monkeypatch):
+        E, Y = repeated_column_batch()
+        offsets = BlockStructure((3,) * 5).offsets
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        with pytest.raises(RankDeficientSupportError, match="signal 1"):
+            _bomp_batch(E, offsets, Y, 2, LS_TOL)
+        # the screen's call holds signal 1's factor only; the prefix re-check follows
+        assert shapes == [(1, 6, 6), (3, 3)]
+        # with no tolerance the singular values clear the singular R, which
+        # has no solution: the decode raises as an LU solve would
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix") as err:
+            _bomp_batch(E, offsets, Y, 2, 0.0)
+        assert not isinstance(err.value, RankDeficientSupportError)
+
+
+def repeated_column_batch():
+    """Signal 0 is well conditioned; signal 1 selects block 2, which holds an
+    exactly repeated column."""
+    rng = np.random.default_rng(12)
+    E = unit_columns(rng.standard_normal((16, 15)))
+    E[:, 6:8] = 0.0
+    E[[0, 4, 8, 12], 6:8] = [[0.5], [-0.5], [0.5], [0.5]]
+    good = E[:, 12:15] @ [1.0, 0.5, 0.3] + E[:, 3:6] @ [0.2, 0.1, 0.3]
+    bad = E[:, 6:9] @ [2.0, 1.0, 1.0] + E[:, 0:3] @ [0.2, 0.1, -0.3]
+    return E, np.column_stack([good, bad])
+
+
+def padded_triangular(rng, s_max, n_diag):
+    """An upper-triangular factor laid out as _bomp_batch lays out R: n_diag
+    blocks of up to s_max real columns, padded to s_max with zero rows and
+    columns that carry |R[0, 0]| on the diagonal."""
+    sizes = rng.integers(1, s_max + 1, n_diag)
+    real = np.concatenate([b * s_max + np.arange(s) for b, s in enumerate(sizes)])
+    factor = np.linalg.qr(rng.standard_normal((real.size + 2, real.size)))[1]
+    r = np.zeros((n_diag * s_max, n_diag * s_max))
+    r[np.ix_(real, real)] = factor
+    padding = np.setdiff1d(np.arange(n_diag * s_max), real)
+    r[padding, padding] = abs(factor[0, 0])
+    return r
+
+
+class TestTriangularInverse:
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("s_max", [1, 2, 3, 4])
+    def test_agrees_with_linalg_inv(self, s_max, scale):
+        rng = np.random.default_rng(s_max)
+        for n_diag in range(1, 5):
+            r = scale * np.array([padded_triangular(rng, s_max, n_diag) for _ in range(20)])
+            got = _triangular_inverse(r, s_max)
+            ref = np.linalg.inv(r)
+            assert np.all(np.tril(got, -1) == 0.0)
+            # the forward error of either inverse is of order kappa * eps
+            kappa = np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(ref, axis=(1, 2))
+            bound = 1e-13 * kappa * np.abs(ref).max(axis=(1, 2))
+            assert np.all(np.abs(got - ref) <= bound[:, None, None])
+
+    def test_zero_pivot_stays_in_its_matrix(self):
+        # theta = R^-1 Q'y per signal, so a good signal's coefficients
+        # keep their bits next to a singular factor
+        rng = np.random.default_rng(5)
+        r = np.array([padded_triangular(rng, 3, 3) for _ in range(3)])
+        r[1, 4, 4] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = _triangular_inverse(r, 3)
+        assert not np.all(np.isfinite(got[1]))
+        alone = _triangular_inverse(r[[0, 2]], 3)
+        assert np.all(np.isfinite(alone))
+        np.testing.assert_array_equal(got[[0, 2]], alone)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -5,7 +6,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-import blocksense.harness
 from blocksense import (
     BompConfig,
     ExperimentConfig,
@@ -220,7 +220,7 @@ class TestRunSweep:
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(blocksense.harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = ExperimentConfig(**TINY)
         assert run_sweep(cfg, workers=8) == run_sweep(cfg, workers=1)
         assert sizes == [cfg.trials]
