@@ -92,9 +92,10 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
     selected block indices in selection order. Raises
     RankDeficientSupportError at the lowest-indexed signal whose stacked
     sub-dictionary fails the conditioning check, naming its support up to
-    the first step at which it fails. Raises a plain LinAlgError when an R
-    with an exactly zero pivot passes the check, which only ls_tol = 0 lets
-    happen: it has no solution.
+    the first step at which it fails. An R with an exactly zero pivot has
+    no solution; when it passes the check anyway, which only ls_tol = 0
+    lets happen, the lowest-indexed such signal raises the same error,
+    naming its whole support.
     """
     m_rows, n_cols = E.shape
     n_signals = Y.shape[1]
@@ -189,8 +190,11 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
         t = _first_failing_step(r[sig], widths[:, sig], s_max, m_rows, ls_tol)
         raise RankDeficientSupportError(supports[: t + 1, sig], signal=sig)
 
-    if not np.all(r[:, diag, diag]):  # cleared at ls_tol = 0, yet exactly singular
-        raise np.linalg.LinAlgError("Singular matrix")
+    # cleared at ls_tol = 0, yet exactly singular
+    singular = ~np.all(r[:, diag, diag], axis=1)
+    if singular.any():
+        sig = int(np.argmax(singular))
+        raise RankDeficientSupportError(supports[:, sig], signal=sig)
     # padding coefficients land in the extra row K, which is dropped
     theta = np.zeros((n_cols + 1, n_signals))
     coef = (r_inv @ qty[:, :, None])[:, :, 0]

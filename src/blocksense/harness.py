@@ -5,6 +5,10 @@ Every quantity is derived from ``(seed, trial)`` through independent
 `numpy.random.default_rng` streams, so sweeps are fully deterministic no
 matter how trials are scheduled: the same config and seed produce
 byte-identical CSV output, with or without the process pool.
+
+A trial decodes and scores each distinct sensing matrix once: cells whose
+designs are equal bit for bit, such as ``ds`` and ``wcm`` at alpha = 1/2,
+share one decode, and only their objective is weighed at each cell's alpha.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .bomp import BompConfig, bomp_decode_batch
-from .coherence import _check_alpha, _equivalent_terms
+from .coherence import _Terms, _check_alpha, _equivalent_terms
 from .ds import design_ds
 from .fileio import _number, save_table_csv
 from .model import BlockStructure, Dictionary, EquivalentDictionary, _padded_columns
@@ -240,22 +244,16 @@ def representation_error(X: np.ndarray, D, theta_hat: np.ndarray) -> float:
     return float(np.linalg.norm(x - d_mat @ np.asarray(theta_hat, dtype=float))) / denom
 
 
-def _evaluate(cfg, trial, designer, alpha, a_mat, D, X, theta) -> TrialResult:
+def _score(cfg, a_mat, D, X, theta) -> tuple[float, float, _Terms]:
+    """Decode the trial's signals through sensing matrix ``a_mat`` and return
+    the representation error, the classification rate and the penalty
+    totals of E = A D, from which every alpha's objective follows."""
     E = EquivalentDictionary(a_mat @ D.matrix, D.structure)
-    Y = a_mat @ X
-    theta_hat = bomp_decode_batch(E, Y, BompConfig(k_blocks=cfg.k))
-    terms = _equivalent_terms(E.matrix, D.structure)
-    ratio = terms.sub / terms.inter if terms.inter > 0.0 else float("inf")
-    # Baselines without an alpha of their own are scored at the neutral 0.5.
-    objective = terms.objective(0.5 if alpha is None else alpha)
-    return TrialResult(
-        trial=trial,
-        designer=designer,
-        alpha=alpha,
-        e=representation_error(X, D, theta_hat),
-        r=classification_rate(theta_hat, theta),
-        ratio_nu_mu=ratio,
-        objective=objective,
+    theta_hat = bomp_decode_batch(E, a_mat @ X, BompConfig(k_blocks=cfg.k))
+    return (
+        representation_error(X, D, theta_hat),
+        classification_rate(theta_hat, theta),
+        _equivalent_terms(E.matrix, D.structure),
     )
 
 
@@ -280,17 +278,31 @@ def _design(cfg: ExperimentConfig, trial: int, D: Dictionary, designer: str, alp
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
-    """Run one trial: draw data, design with every configured method, decode,
-    and score. Deterministic in (cfg.seed, trial). Logs the trial's cell
-    count and wall time at INFO."""
+    """Run one trial: draw data, design with every configured method, then
+    decode and score each distinct sensing matrix once. Deterministic in
+    (cfg.seed, trial). Logs the trial's cell count and wall time at INFO."""
     start = time.perf_counter()
     rng = np.random.default_rng([cfg.seed, trial])
     D = generate_dictionary(cfg, rng)
     X, theta = generate_signals(D, cfg.k, cfg.L, rng)
     rows = []
+    scores = {}  # keyed on the bytes of A: each distinct design is scored once
     for designer, alpha in _grid(cfg):
         a_mat = _design(cfg, trial, D, designer, alpha)
-        rows.append(_evaluate(cfg, trial, designer, alpha, a_mat, D, X, theta))
+        key = a_mat.tobytes()
+        if key not in scores:
+            scores[key] = _score(cfg, a_mat, D, X, theta)
+        e, r, terms = scores[key]
+        rows.append(TrialResult(
+            trial=trial,
+            designer=designer,
+            alpha=alpha,
+            e=e,
+            r=r,
+            ratio_nu_mu=terms.sub / terms.inter if terms.inter > 0.0 else float("inf"),
+            # baselines without an alpha of their own are scored at the neutral 0.5
+            objective=terms.objective(0.5 if alpha is None else alpha),
+        ))
     _log.info("trial %d: %d cells in %.3f s", trial, len(rows), time.perf_counter() - start)
     return rows
 

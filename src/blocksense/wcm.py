@@ -32,10 +32,13 @@ block. Neither designer forms a K x K matrix.
 Both designers iterate over the same C (M x N), with A = C W, so that
 E = A D = C (W D). Because W D has orthonormal rows, E E' = C C' and
 E (W D)' = C. A sensing matrix A_0 enters as C_0 = E_0 (W D)', which maps
-back to A_0 exactly because W^-1 = D D' W'; from the closed-form start it
-is [I_M 0]. Each iterate also keeps E, E E' and the diagonal blocks
-E_b' E_b, padded to the widest block, from which both designers read f by
-``coherence._block_terms``, the kernel that scores the sweep's designs.
+back to A_0 in exact arithmetic because W^-1 = D D' W'; from the
+closed-form start it is [I_M 0]. The start iterate keeps A_0 and
+E_0 = A_0 D themselves rather than C_0 W, which differs from A_0 by
+rounding. Each iterate also keeps E,
+E E' and the diagonal blocks E_b' E_b, padded to the widest block, from
+which both designers read f by ``coherence._block_terms``, the kernel that
+scores the sweep's designs.
 Each designer is a generator of iterates; ``run_wcm`` holds the one loop
 that records the trace, applies the stop rule and counts fallbacks.
 
@@ -303,10 +306,13 @@ class _DesignBasis:
 
     def start(self, a: np.ndarray, alpha: float) -> _Iterate:
         """The iterate of sensing matrix ``a``: C_0 = E_0 (W D)', which maps
-        back to ``a`` exactly because W^-1 = D D' W'."""
+        back to ``a`` in exact arithmetic because W^-1 = D D' W'. It keeps
+        ``a`` itself and E_0 = ``a`` D, not C_0 W, which would differ from
+        ``a`` by rounding; so a run that takes no step returns its start
+        bit for bit."""
+        p = _iterate(self, None, alpha, a)
         flat = self.whiten_dict_flat
-        rows = _block_rows(a @ self.dictionary, self.cols, self.pad)
-        return _iterate(self, rows.reshape(flat.shape[0], -1).T @ flat, alpha)
+        return p._replace(c=p.rows.reshape(flat.shape[0], -1).T @ flat)
 
     def step(self, p: _Iterate, prev: _Iterate, beta: float, alpha: float,
              eta: float) -> np.ndarray:
@@ -335,9 +341,13 @@ class _DesignBasis:
         return (v[:, :m] * top).T
 
 
-def _iterate(basis: _DesignBasis, c: np.ndarray, alpha: float) -> _Iterate:
-    """f at C, read from E = (C W) D by ``coherence._block_terms``."""
-    a = c @ basis.whiten
+def _iterate(basis: _DesignBasis, c: np.ndarray | None, alpha: float,
+             a: np.ndarray | None = None) -> _Iterate:
+    """f at C, read from E = A D by ``coherence._block_terms``, with the
+    sensing matrix A = C W unless ``a`` is given (then ``c`` may be None,
+    for the caller to fill in)."""
+    if a is None:
+        a = c @ basis.whiten
     e = a @ basis.dictionary
     rows = _block_rows(e, basis.cols, basis.pad)
     blocks = rows @ rows.transpose(0, 2, 1)
@@ -465,7 +475,8 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     """Minimize the weighted objective until it stalls.
 
     Starts from the closed-form baseline by default (or a random matrix when
-    ``config.init == "random"``), mapped to its iterate C_0 with A = C W.
+    ``config.init == "random"``), mapped to its iterate C_0 with A = C W;
+    the start iterate keeps that matrix A_0 itself.
     Both designers step over C. For ``alpha >= 1/2`` it is L-BFGS with
     backtracking Armijo steps, which takes no eigensolve; a fallback drops
     the curvature history for steepest descent. For ``alpha < 1/2`` each
@@ -480,6 +491,11 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     never rises. The run stops once one iteration changes f by at most
     ``config.rel_tol * (1 + f)``, and a run that reaches
     ``config.max_iters`` unconverged logs a warning.
+
+    At alpha = 1/2 the closed-form start is a global minimizer and its
+    gradient is rounding noise, so L-BFGS finds no step: the run stops
+    after one iteration and returns the baseline's A and E = A D bit for
+    bit.
 
     For ``alpha < 1/2`` the run can stop at a different stationary point
     than iterating the plain MM step from the same start. On the desk

@@ -432,10 +432,10 @@ class TestConditioningScreen:
         # the screen's call holds signal 1's factor only; the prefix re-check follows
         assert shapes == [(1, 6, 6), (3, 3)]
         # with no tolerance the singular values clear the singular R, which
-        # has no solution: the decode raises as an LU solve would
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix") as err:
+        # has no solution: the decode still names the signal and its support
+        with pytest.raises(RankDeficientSupportError, match="signal 1") as err:
             _bomp_batch(E, offsets, Y, 2, 0.0)
-        assert not isinstance(err.value, RankDeficientSupportError)
+        assert (err.value.support, err.value.signal) == ((2, 0), 1)
 
 
 def repeated_column_batch():

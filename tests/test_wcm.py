@@ -353,17 +353,21 @@ class TestRunWcm:
         assert "7 iterations" in record.getMessage()
 
     def test_half_alpha_keeps_baseline_at_desk_size(self):
-        # The closed-form baseline is stationary at alpha = 1/2, so the
-        # design must stay in place.
-        cfg = ExperimentConfig(
-            dict_family="gaussian", N=60, K=120, M=14, block_sizes=3, k=2,
-            L=1, trials=1, designers=("ds",), seed=7,
-        )
-        d = generate_dictionary(cfg, np.random.default_rng([7, 0]))
-        report = run_wcm(d, 14, WcmConfig(alpha=0.5))
-        g_ds = gram(equivalent_dictionary(design_ds(d, 14), d)).matrix
-        g_wcm = gram(equivalent_dictionary(report.sensing, d)).matrix
-        np.testing.assert_allclose(g_wcm, g_ds, rtol=0, atol=1e-10)
+        # The closed-form baseline is stationary at alpha = 1/2: its gradient
+        # is rounding noise, so no step is taken and the design comes back
+        # bit for bit, with E = A D as the sweep computes it.
+        for family in ("gaussian", "dct_rows"):
+            cfg = ExperimentConfig(
+                dict_family=family, N=60, K=120, M=14, block_sizes=3, k=2,
+                L=1, trials=1, designers=("ds",), seed=7,
+            )
+            d = generate_dictionary(cfg, np.random.default_rng([7, 0]))
+            report = run_wcm(d, 14, WcmConfig(alpha=0.5))
+            a_ds = design_ds(d, 14).matrix
+            np.testing.assert_array_equal(report.sensing.matrix, a_ds)
+            np.testing.assert_array_equal(report.equivalent.matrix, a_ds @ d.matrix)
+            assert report.iterations == 1
+            assert report.converged
 
     def test_fallback_reproduces_exact_mm_steps(self, monkeypatch):
         # A step far too long for the objective raises f every time, so every
@@ -509,6 +513,31 @@ class TestLbfgsDesigner:
         assert history == [1] * report.fallbacks
         assert plain.fallbacks == 0
         np.testing.assert_array_equal(report.objective_trace, plain.objective_trace)
+
+    def test_armijo_gives_up_after_its_backtracks(self, monkeypatch):
+        # a descent direction so long that every step it tries raises f
+        d = random_dictionary(np.random.default_rng(33), 12, (3,) * 8)
+        basis = blocksense.wcm._DesignBasis(d)
+        p = basis.start(design_ds(d, 5).matrix, 0.9)
+        p = blocksense.wcm._iterate(basis, p.c + 0.1, 0.9)
+        g = blocksense.wcm._gradient_c(basis, p, 0.9)
+        tried = []
+
+        def recording(basis, c, alpha):
+            tried.append(c)
+            return iterate(basis, c, alpha)
+
+        iterate = blocksense.wcm._iterate
+        monkeypatch.setattr(blocksense.wcm, "_iterate", recording)
+        monkeypatch.setattr(blocksense.wcm, "_BACKTRACKS", 3)
+        assert blocksense.wcm._armijo(basis, p, g, -1e6 * g, 0.9) is None
+        # steps 1, 1/2 and 1/4 were each tried and rejected
+        assert len(tried) == 3
+        np.testing.assert_array_equal(tried[-1], p.c - 0.25e6 * g)
+        # the same direction, short enough, is accepted at the first step
+        tried.clear()
+        assert blocksense.wcm._armijo(basis, p, g, -1e-3 * g, 0.9) is not None
+        assert len(tried) == 1
 
     def test_desk_designs_reach_the_lower_bound(self):
         designs = [("gaussian", 3), ("dct_rows", 3), ("gaussian", [2, 3, 4, 3] * 10)]
