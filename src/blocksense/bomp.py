@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import _number
-from .model import BlockSparseVector, EquivalentDictionary, _block_rows, _padded_columns
+from .model import BlockSparseVector, EquivalentDictionary, _block_rows
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,15 @@ class RankDeficientSupportError(np.linalg.LinAlgError):
         )
 
 
-def _bomp_batch(E, offsets, Y, k, ls_tol):
+def _bomp_batch(E, structure, Y, k, ls_tol):
     """Decode every column of Y against E, with all signals in lockstep.
 
     Each of the k steps scores the blocks against all L residuals with one
     product, orthogonalizes every signal's chosen block against that
     signal's running orthonormal basis and deflates the residuals. The basis
     Q and the triangular factor R with E_S = Q R are carried along. Blocks
-    are padded to the widest block with zero columns, which stay zero.
+    are read in the padded layout of ``structure`` (``BlockStructure.columns``):
+    zero columns, which stay zero, fill each block to the widest, s_max.
 
     Each column of the chosen block takes one classical Gram-Schmidt pass
     against the signal's earlier blocks, then one within the block (CGS).
@@ -99,12 +100,11 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
     """
     m_rows, n_cols = E.shape
     n_signals = Y.shape[1]
-    sizes = np.diff(offsets)
-    block_cols, pad = _padded_columns(offsets)
+    pad = structure.padding
     n_blocks, s_max = pad.shape
     width = k * s_max
-    rows = _block_rows(E, block_cols, pad)  # each block's columns as rows
-    # E with its columns in block_cols order: E itself for uniform sizes
+    rows = _block_rows(E, structure)  # each block's columns as rows
+    # E with its columns in the padded order: E itself for uniform sizes
     e_pad = np.ascontiguousarray(rows.reshape(-1, m_rows).T)
     every = np.arange(n_signals)
     supports = np.empty((k, n_signals), dtype=np.int64)
@@ -171,7 +171,7 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
     # stays exact and every padding coefficient solves to 0.
     diag = np.arange(width)
     r[:, diag, diag] += pad[supports.T].reshape(n_signals, width) * np.abs(r[:, :1, 0])
-    widths = np.cumsum(sizes[supports], axis=0)  # support width after each step
+    widths = np.cumsum(np.array(structure.sizes)[supports], axis=0)  # after each step
     fails = widths[-1] > m_rows
     # kappa_2 <= kappa_F, and at kappa_F * ls_tol < 1e-2 the rounding of the
     # inverse and of the singular values is far from moving the decision. An
@@ -198,7 +198,7 @@ def _bomp_batch(E, offsets, Y, k, ls_tol):
     # padding coefficients land in the extra row K, which is dropped
     theta = np.zeros((n_cols + 1, n_signals))
     coef = (r_inv @ qty[:, :, None])[:, :, 0]
-    theta[block_cols[supports.T].reshape(n_signals, width), every[:, None]] = coef
+    theta[structure.columns[supports.T].reshape(n_signals, width), every[:, None]] = coef
     return theta[:n_cols], supports
 
 
@@ -263,7 +263,7 @@ def _check_batch(E: EquivalentDictionary, Y: np.ndarray, cfg: BompConfig) -> np.
 def bomp_decode_batch(E: EquivalentDictionary, Y, cfg: BompConfig) -> np.ndarray:
     """Decode every column of Y, returning the K x L coefficient matrix."""
     y = _check_batch(E, Y, cfg)
-    theta, _ = _bomp_batch(E.matrix, E.structure.offsets, y, int(cfg.k_blocks), float(cfg.ls_tol))
+    theta, _ = _bomp_batch(E.matrix, E.structure, y, int(cfg.k_blocks), float(cfg.ls_tol))
     return theta
 
 
@@ -277,10 +277,8 @@ def bomp_decode(E: EquivalentDictionary, y, cfg: BompConfig) -> BlockSparseVecto
     vec = np.asarray(y, dtype=float)
     if vec.ndim != 1:
         raise ValueError(f"expected a 1-D measurement vector, got shape {vec.shape}")
-    batch = _check_batch(E, vec[:, None], cfg)
-    theta, supports = _bomp_batch(
-        E.matrix, E.structure.offsets, batch, int(cfg.k_blocks), float(cfg.ls_tol)
-    )
+    y = _check_batch(E, vec[:, None], cfg)
+    theta, supports = _bomp_batch(E.matrix, E.structure, y, int(cfg.k_blocks), float(cfg.ls_tol))
     return BlockSparseVector(
         values=theta[:, 0],
         structure=E.structure,

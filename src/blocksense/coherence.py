@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import BlockGram, BlockStructure, EquivalentDictionary, _gram_matrix
-from .model import _block_rows, _padded_columns
+from .model import BlockGram, BlockStructure, EquivalentDictionary, _block_rows, _gram_matrix
 
 
 class _Masks(NamedTuple):
@@ -77,22 +76,21 @@ def _gram_terms(g: np.ndarray, structure: BlockStructure) -> _Terms:
     )
 
 
-def _block_terms(eet: np.ndarray, blocks: np.ndarray, pad: np.ndarray) -> _Terms:
-    """Penalty totals of G = E'E from E E' and the diagonal blocks E_b' E_b,
-    zero-padded at ``pad``; inter is ||E E'||_F^2 = ||G||_F^2 less the blocks'."""
-    eye = np.eye(pad.shape[1], dtype=bool)
+def _block_terms(eet: np.ndarray, blocks: np.ndarray, structure: BlockStructure) -> _Terms:
+    """Penalty totals of G = E'E from E E' and the diagonal blocks E_b' E_b in
+    the layout of ``structure``; inter is ||E E'||_F^2 = ||G||_F^2 less the blocks'."""
+    eye = np.eye(blocks.shape[1], dtype=bool)
     return _Terms(
         float(np.sum(eet**2) - np.sum(blocks**2)),
         float(np.sum(blocks[:, ~eye] ** 2)),
-        float(np.sum((blocks[:, eye][~pad] - 1.0) ** 2)),
+        float(np.sum((blocks[:, eye][~structure.padding] - 1.0) ** 2)),
     )
 
 
 def _equivalent_terms(e: np.ndarray, structure: BlockStructure) -> _Terms:
     """All three penalty totals of G = E'E, from ``e`` without forming G."""
-    cols, pad = _padded_columns(structure.offsets)
-    rows = _block_rows(e, cols, pad)
-    return _block_terms(e @ e.T, rows @ rows.transpose(0, 2, 1), pad)
+    rows = _block_rows(e, structure)
+    return _block_terms(e @ e.T, rows @ rows.transpose(0, 2, 1), structure)
 
 
 def mutual_coherence(E) -> float:

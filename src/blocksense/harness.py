@@ -27,7 +27,7 @@ from .bomp import BompConfig, bomp_decode_batch
 from .coherence import _Terms, _check_alpha, _equivalent_terms
 from .ds import design_ds
 from .fileio import _number, save_table_csv
-from .model import BlockStructure, Dictionary, EquivalentDictionary, _padded_columns
+from .model import BlockStructure, Dictionary, EquivalentDictionary
 from .wcm import WcmConfig, run_wcm
 
 _log = logging.getLogger(__name__)
@@ -45,6 +45,10 @@ PRESETS = {
 # Per-cell statistics of summary.csv, in column order: a mean and a sample
 # standard deviation of each of these TrialResult fields.
 _METRICS = ("e", "r", "ratio_nu_mu", "objective")
+
+# Stop rule of every run_histogram restart.
+_HISTOGRAM_MAX_ITERS = 1000
+_HISTOGRAM_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,10 @@ class ExperimentConfig:
         if not designers:
             raise ValueError("at least one designer is required")
         object.__setattr__(self, "designers", designers)
+        # a repeated value would pool copies of one cell's trials in summary.csv
+        for key, values in (("alpha_grid", alphas), ("designers", designers)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} repeats a value: {list(values)}")
         if "wcm" in designers:
             if not self.alpha_grid:
                 raise ValueError("the wcm designer needs a non-empty alpha_grid")
@@ -206,16 +214,16 @@ def generate_signals(
     structure = D.structure
     if k > structure.num_blocks:
         raise ValueError(f"k={k} exceeds the number of blocks {structure.num_blocks}")
-    sizes = np.diff(structure.offsets)
+    sizes = np.array(structure.sizes)
     blocks = np.empty((L, k), dtype=np.int64)
     values = []
     for sig in range(L):
         blocks[sig] = rng.choice(structure.num_blocks, size=k, replace=False)
         values.append(rng.uniform(-1.0, 1.0, size=int(sizes[blocks[sig]].sum())))
-    cols, pad = _padded_columns(structure.offsets)
-    live = ~pad[blocks]  # (L, k, s_max), in the order the values were drawn
+    cols = structure.columns[blocks]
+    live = ~structure.padding[blocks]  # (L, k, s_max), in the order the values were drawn
     theta = np.zeros((D.num_atoms, L))
-    theta[cols[blocks][live], np.nonzero(live)[0]] = np.concatenate(values) if values else 0.0
+    theta[cols[live], np.nonzero(live)[0]] = np.concatenate(values) if values else 0.0
     return D.matrix @ theta, theta
 
 
@@ -351,23 +359,21 @@ def run_histogram(
     alpha: float,
     replicates: int,
     rng: np.random.Generator,
-    max_iters: int = 1000,
-    rel_tol: float = 1e-10,
 ) -> np.ndarray:
-    """Converged objective values of repeated randomly-initialized runs.
+    """Converged objective values of ``replicates`` >= 1 randomly-initialized runs.
 
     The spread of the returned values indicates whether distinct local optima
     were reached from different starts.
     """
-    finals = np.empty(int(replicates))
-    for i in range(int(replicates)):
+    replicates = _number("replicates", replicates, int)
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    finals = np.empty(replicates)
+    for i in range(replicates):
         seed = int(rng.integers(0, 2**63 - 1))
-        report = run_wcm(
-            D,
-            M,
-            WcmConfig(alpha=alpha, init="random", seed=seed, max_iters=max_iters, rel_tol=rel_tol),
-        )
-        finals[i] = report.objective_trace[-1]
+        config = WcmConfig(alpha=alpha, init="random", seed=seed,
+                           max_iters=_HISTOGRAM_MAX_ITERS, rel_tol=_HISTOGRAM_REL_TOL)
+        finals[i] = run_wcm(D, M, config).objective_trace[-1]
     return finals
 
 

@@ -36,12 +36,16 @@ class BlockStructure:
 
     ``sizes`` holds one positive integer per block; derived fields give the
     number of blocks, the total column count, the start offset of each block,
-    and a per-column block label.
+    a per-column block label, and the padded layout every block-wise kernel
+    reads: ``columns`` (blocks, s_max), each block's column indices padded
+    with K, one past the last column, and ``padding``, the mask of those slots.
     """
 
     sizes: tuple[int, ...]
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
     labels: np.ndarray = field(init=False, repr=False, compare=False)
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
+    padding: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
@@ -51,11 +55,14 @@ class BlockStructure:
             raise ValueError(f"block sizes must be >= 1, got {sizes}")
         offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
         labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        offsets.flags.writeable = False
-        labels.flags.writeable = False
+        slots = np.arange(max(sizes))
+        padding = slots >= np.array(sizes)[:, None]
+        columns = np.where(padding, offsets[-1], offsets[:-1, None] + slots)
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "labels", labels)
+        for name, arr in (("offsets", offsets), ("labels", labels),
+                          ("columns", columns), ("padding", padding)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def num_blocks(self) -> int:
@@ -266,21 +273,11 @@ def _gram_matrix(e: np.ndarray) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def _padded_columns(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column indices of every block, padded to the widest block: a
-    (blocks, s_max) index array whose padding slots hold K, one past the last
-    column, and the mask of those slots."""
-    sizes = np.diff(offsets)
-    s_max = int(sizes.max())
-    pad = np.arange(s_max) >= sizes[:, None]
-    return np.where(pad, offsets[-1], offsets[:-1, None] + np.arange(s_max)), pad
-
-
-def _block_rows(x: np.ndarray, cols: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """The columns of ``x`` as rows, laid out by :func:`_padded_columns`: a
+def _block_rows(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """The columns of ``x`` as rows, in the padded layout of ``structure``: a
     (blocks, s_max, rows) array whose padding rows are zero."""
-    rows = np.take(x.T, cols, axis=0, mode="clip")
-    rows[pad] = 0.0
+    rows = np.take(x.T, structure.columns, axis=0, mode="clip")
+    rows[structure.padding] = 0.0
     return rows
 
 

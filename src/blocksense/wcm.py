@@ -35,10 +35,10 @@ E (W D)' = C. A sensing matrix A_0 enters as C_0 = E_0 (W D)', which maps
 back to A_0 in exact arithmetic because W^-1 = D D' W'; from the
 closed-form start it is [I_M 0]. The start iterate keeps A_0 and
 E_0 = A_0 D themselves rather than C_0 W, which differs from A_0 by
-rounding. Each iterate also keeps E,
-E E' and the diagonal blocks E_b' E_b, padded to the widest block, from
-which both designers read f by ``coherence._block_terms``, the kernel that
-scores the sweep's designs.
+rounding. Each iterate also keeps E, E E' and the diagonal blocks E_b' E_b
+in the structure's padded layout (``BlockStructure.columns``: every block
+padded to the widest with zero columns), from which both designers read f
+by ``coherence._block_terms``, the kernel that scores the sweep's designs.
 Each designer is a generator of iterates; ``run_wcm`` holds the one loop
 that records the trace, applies the stop rule and counts fallbacks.
 
@@ -130,7 +130,6 @@ from .model import (
     EquivalentDictionary,
     SensingMatrix,
     _block_rows,
-    _padded_columns,
     sym_eig,
 )
 
@@ -289,14 +288,14 @@ class _Iterate(NamedTuple):
 
 class _DesignBasis:
     """The dictionary's whitening frame W = ``D.whitening`` and the rows of
-    (W D)' laid out block by block, precomputed for the iteration."""
+    (W D)' in its structure's padded layout, precomputed for the iteration."""
 
     def __init__(self, D: Dictionary):
         self.dictionary = D.matrix
+        self.structure = D.structure
         self.whiten = D.whitening
-        self.cols, self.pad = _padded_columns(D.structure.offsets)
-        self.eye = np.eye(self.pad.shape[1], dtype=bool)
-        self.whiten_dict = _block_rows(self.whiten @ D.matrix, self.cols, self.pad)
+        self.eye = np.eye(D.structure.padding.shape[1], dtype=bool)
+        self.whiten_dict = _block_rows(self.whiten @ D.matrix, D.structure)
         self.whiten_dict_flat = self.whiten_dict.reshape(-1, D.signal_dim)
 
     def q_weights(self, alpha: float) -> np.ndarray:
@@ -349,10 +348,10 @@ def _iterate(basis: _DesignBasis, c: np.ndarray | None, alpha: float,
     if a is None:
         a = c @ basis.whiten
     e = a @ basis.dictionary
-    rows = _block_rows(e, basis.cols, basis.pad)
+    rows = _block_rows(e, basis.structure)
     blocks = rows @ rows.transpose(0, 2, 1)
     eet = e @ e.T
-    terms = _block_terms(eet, blocks, basis.pad)
+    terms = _block_terms(eet, blocks, basis.structure)
     return _Iterate(c, a, e, eet, rows, blocks, terms, terms.objective(alpha))
 
 

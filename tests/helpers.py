@@ -91,7 +91,9 @@ def packed_equivalent(rng, n_blocks=8, s=3, m=14, iters=2500, cap0=0.40, cap1=0.
 def reference_bomp(E, offsets, Y, k, ls_tol):
     """Block-OMP one signal at a time, re-solving the least squares on the
     gathered sub-dictionary at every step. The reference for the lockstep
-    kernel: same arguments, returns and exception as ``bomp._bomp_batch``."""
+    kernel: same returns and exception as ``bomp._bomp_batch``, but it takes
+    the block ``offsets`` in place of the structure, so it builds every block
+    from them and never reads the structure's padded layout."""
     m_rows, n_cols = E.shape
     n_blocks = offsets.shape[0] - 1
     n_signals = Y.shape[1]

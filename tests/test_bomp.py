@@ -236,7 +236,7 @@ def assert_agrees_with_reference(E, structure, Y, k, ls_tol=LS_TOL, kappa=1.0):
     """Same supports as the reference, and theta within THETA_RTOL times
     kappa, a bound on the condition number of the selected columns: the
     forward error of a backward-stable solve grows with it."""
-    theta, supports = _bomp_batch(E, structure.offsets, Y, k, ls_tol)
+    theta, supports = _bomp_batch(E, structure, Y, k, ls_tol)
     ref_theta, ref_supports = reference_bomp(E, structure.offsets, Y, k, ls_tol)
     np.testing.assert_array_equal(supports, ref_supports)
     assert theta.shape == ref_theta.shape
@@ -247,11 +247,11 @@ def assert_agrees_with_reference(E, structure, Y, k, ls_tol=LS_TOL, kappa=1.0):
 
 def assert_same_error(E, sizes, Y, k, ls_tol=LS_TOL):
     """The lockstep kernel raises what the reference raises; returns it."""
-    offsets = BlockStructure(sizes).offsets
+    structure = BlockStructure(sizes)
     with pytest.raises(RankDeficientSupportError) as ref:
-        reference_bomp(E, offsets, Y, k, ls_tol)
+        reference_bomp(E, structure.offsets, Y, k, ls_tol)
     with pytest.raises(RankDeficientSupportError) as got:
-        _bomp_batch(E, offsets, Y, k, ls_tol)
+        _bomp_batch(E, structure, Y, k, ls_tol)
     assert (got.value.support, got.value.signal) == (ref.value.support, ref.value.signal)
     assert str(got.value) == str(ref.value)
     return ref.value
@@ -418,7 +418,7 @@ class TestConditioningScreen:
 
     def test_zero_pivot_takes_the_singular_values_alone(self, monkeypatch):
         E, Y = repeated_column_batch()
-        offsets = BlockStructure((3,) * 5).offsets
+        structure = BlockStructure((3,) * 5)
         shapes = []
         svd = np.linalg.svd
 
@@ -428,13 +428,13 @@ class TestConditioningScreen:
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         with pytest.raises(RankDeficientSupportError, match="signal 1"):
-            _bomp_batch(E, offsets, Y, 2, LS_TOL)
+            _bomp_batch(E, structure, Y, 2, LS_TOL)
         # the screen's call holds signal 1's factor only; the prefix re-check follows
         assert shapes == [(1, 6, 6), (3, 3)]
         # with no tolerance the singular values clear the singular R, which
         # has no solution: the decode still names the signal and its support
         with pytest.raises(RankDeficientSupportError, match="signal 1") as err:
-            _bomp_batch(E, offsets, Y, 2, 0.0)
+            _bomp_batch(E, structure, Y, 2, 0.0)
         assert (err.value.support, err.value.signal) == ((2, 0), 1)
 
 

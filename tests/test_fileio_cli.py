@@ -300,6 +300,10 @@ class TestCli:
              "row-rank deficient"),
             (["histogram", "--dict", str(deficient), "-M", "1", "--alpha", "0.5",
               "--replicates", "1", "--seed", "0"], "row-rank deficient"),
+            (["histogram", "--dict", str(path), "-M", "4", "--alpha", "0.5",
+              "--replicates", "0", "--seed", "0"], "replicates must be >= 1, got 0"),
+            (["histogram", "--dict", str(path), "-M", "4", "--alpha", "0.5",
+              "--replicates", "-1", "--seed", "0"], "replicates must be >= 1, got -1"),
         ]:
             assert main(argv + ["--out", str(out)]) == 2
             assert message in capsys.readouterr().err

@@ -384,7 +384,7 @@ class TestRunHistogram:
     def test_high_alpha_spread_is_recorded(self):
         rng = np.random.default_rng(12)
         d = random_dictionary(rng, 18, (3,) * 6)
-        vals = run_histogram(d, 12, 0.99, 3, np.random.default_rng(2), max_iters=300)
+        vals = run_histogram(d, 12, 0.99, 3, np.random.default_rng(2))
         assert vals.shape == (3,)
         assert np.all(np.isfinite(vals))
         assert float(np.ptp(vals)) >= 0.0
@@ -412,6 +412,11 @@ class TestConfigParsing:
             ExperimentConfig(**{**TINY, "designers": ("bogus",)})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**TINY, "k": 9})
+        # a repeated grid value would double-count its cell in summary.csv
+        with pytest.raises(ValueError, match="designers repeats"):
+            ExperimentConfig(**{**TINY, "designers": ("ds", "wcm", "ds")})
+        with pytest.raises(ValueError, match="alpha_grid repeats"):
+            ExperimentConfig(**{**TINY, "designers": ("ds", "wcm"), "alpha_grid": (0.9, 0.9)})
 
     @pytest.mark.parametrize("alpha", [1.5, 0.0, 1.0, -0.2])
     def test_wcm_alpha_grid_range_checked(self, alpha):

@@ -22,6 +22,15 @@ class TestBlockStructure:
         assert s.offsets.tolist() == [0, 2, 5, 6]
         assert s.labels.tolist() == [0, 0, 1, 1, 1, 2]
         assert s.block_slice(1) == slice(2, 5)
+        # each block's columns, padded to the widest block with K = 6
+        assert s.columns.tolist() == [[0, 1, 6], [2, 3, 4], [5, 6, 6]]
+        assert s.padding.tolist() == [
+            [False, False, True], [False, False, False], [False, True, True]
+        ]
+        for arr in (s.offsets, s.labels, s.columns, s.padding):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_uniform_size(self):
         assert BlockStructure((3, 3, 3)).uniform_size == 3
