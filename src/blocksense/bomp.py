@@ -18,6 +18,13 @@ taken only by the signals whose first pass cancelled most of a column, and
 singular values only by the signals whose conditioning a cheaper bound
 cannot clear. Both decisions are made per signal, so a signal's result does
 not depend on the rest of its batch.
+
+A batch is decoded in consecutive chunks of signals, each as large as a
+fixed byte budget over the per-signal buffers allows (_CHUNK_BYTES), so the
+decoder's working memory is bounded by that budget and does not grow with
+the number of signals; the result is the same bit for bit. A rank-deficient
+support raises RankDeficientSupportError at the lowest-indexed signal of the
+batch that fails, whichever way it fails.
 """
 
 from __future__ import annotations
@@ -48,6 +55,12 @@ class BompConfig:
         object.__setattr__(self, "ls_tol", ls_tol)
 
 
+# Byte budget for the per-signal buffers of one decoded chunk of signals. At
+# K = 1200, L = 500, 4 MiB decoded faster than 1 MiB or 16 MiB, and 16 MiB
+# raised the process peak.
+_CHUNK_BYTES = 4 << 20
+
+
 class RankDeficientSupportError(np.linalg.LinAlgError):
     """Raised when the columns of the selected blocks are numerically
     dependent, naming the offending support."""
@@ -62,7 +75,54 @@ class RankDeficientSupportError(np.linalg.LinAlgError):
 
 
 def _bomp_batch(E, structure, Y, k, ls_tol):
-    """Decode every column of Y against E, with all signals in lockstep.
+    """Decode every column of Y against E, in consecutive chunks of signals.
+
+    A chunk holds as many signals as fit _CHUNK_BYTES of the kernel's
+    per-signal buffers (basis, factor R, Q' y, block correlations), and at
+    least one, so the working memory does not grow with the number of
+    signals. E's padded layout is built once per call. Every chunk writes
+    its signals' supports and their coefficients on them into arrays for
+    the whole batch, which are scattered into theta once, after the last
+    chunk. A signal's result does not depend on its chunk (_decode_chunk).
+
+    Returns (theta, supports): the K x L coefficient matrix and the k x L
+    selected block indices in selection order. Raises
+    RankDeficientSupportError at the lowest-indexed signal of the whole
+    batch whose support fails: either the conditioning check, naming its
+    support up to the first step at which it fails, or, when it passes the
+    check with an exactly zero pivot in R (which only ls_tol = 0 lets
+    happen), the solve, naming its whole support.
+    """
+    m_rows, n_cols = E.shape
+    n_signals = Y.shape[1]
+    n_blocks, s_max = structure.padding.shape
+    width = k * s_max
+    rows = _block_rows(E, structure)  # each block's columns as rows
+    # E with its columns in the padded order: E itself for uniform sizes
+    e_pad = np.ascontiguousarray(rows.reshape(-1, m_rows).T)
+    # float64 bytes of one signal's basis, factor R, Q' y and correlations
+    per_signal = 8 * (width * m_rows + width * width + width + n_blocks * s_max)
+    chunk = max(1, _CHUNK_BYTES // per_signal)
+    supports = np.empty((k, n_signals), dtype=np.int64)
+    coef = np.empty((n_signals, width))  # on each signal's padded support
+    for first in range(0, n_signals, chunk):
+        part = slice(first, first + chunk)
+        _decode_chunk(
+            rows, e_pad, structure, Y[:, part], k, ls_tol, coef[part], supports[:, part], first
+        )
+    # allocated once the chunks' buffers are released; padding coefficients
+    # land in the extra row K, which is dropped
+    theta = np.zeros((n_cols + 1, n_signals))
+    cols = structure.columns[supports.T].reshape(n_signals, width)
+    theta[cols, np.arange(n_signals)[:, None]] = coef
+    return theta[:n_cols], supports
+
+
+def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, first):
+    """Decode every column of Y with all signals in lockstep, writing into
+    coef (L x k s_max) each signal's coefficients on its support in the
+    padded layout, and into supports (k x L) its blocks; first is Y's
+    offset in the whole batch, which an error adds to the signal it names.
 
     Each of the k steps scores the blocks against all L residuals with one
     product, orthogonalizes every signal's chosen block against that
@@ -87,27 +147,16 @@ def _bomp_batch(E, structure, Y, k, ls_tol):
     >= kappa_2(R); only the signals it cannot clear, those with an exactly
     zero pivot among them, take the singular values of R. The coefficients
     are theta_S = R^-1 Q' y, one batched product for all signals, so E_S is
-    never gathered.
-
-    Returns (theta, supports): the K x L coefficient matrix and the k x L
-    selected block indices in selection order. Raises
-    RankDeficientSupportError at the lowest-indexed signal whose stacked
-    sub-dictionary fails the conditioning check, naming its support up to
-    the first step at which it fails. An R with an exactly zero pivot has
-    no solution; when it passes the check anyway, which only ls_tol = 0
-    lets happen, the lowest-indexed such signal raises the same error,
-    naming its whole support.
+    never gathered. The lowest-indexed signal that fails the check or has
+    an exactly zero pivot raises RankDeficientSupportError, as
+    _bomp_batch describes.
     """
-    m_rows, n_cols = E.shape
+    m_rows = e_pad.shape[0]
     n_signals = Y.shape[1]
     pad = structure.padding
     n_blocks, s_max = pad.shape
     width = k * s_max
-    rows = _block_rows(E, structure)  # each block's columns as rows
-    # E with its columns in the padded order: E itself for uniform sizes
-    e_pad = np.ascontiguousarray(rows.reshape(-1, m_rows).T)
     every = np.arange(n_signals)
-    supports = np.empty((k, n_signals), dtype=np.int64)
     resid = Y.T.copy()
     corr = np.empty((n_signals, n_blocks, s_max))  # E' r for every residual r
     q = np.zeros((n_signals, width, m_rows))  # rows: each signal's basis Q
@@ -160,9 +209,9 @@ def _bomp_batch(E, structure, Y, k, ls_tol):
             # a zero column (padding, exact dependence) stays zero
             np.divide(col, norm[:, None], out=col, where=norm[:, None] > 0.0)
         q[:, lo:hi] = block
-        coef = (block @ resid[:, :, None])[:, :, 0]
-        resid -= (coef[:, None, :] @ block)[:, 0]
-        qty[:, lo:hi] = coef
+        qy = (block @ resid[:, :, None])[:, :, 0]
+        resid -= (qy[:, None, :] @ block)[:, 0]
+        qty[:, lo:hi] = qy
     del q, corr  # released before the inverse allocates; it needs only R and Q' y
 
     # Padding rows and columns of R are exactly zero. On their diagonal goes
@@ -184,22 +233,17 @@ def _bomp_batch(E, structure, Y, k, ls_tol):
         sv = np.linalg.svd(r[unsure], compute_uv=False)
         fails[unsure] |= sv[:, -1] <= ls_tol * sv[:, 0]
     # sigma_min / sigma_max never rises as columns are appended, so the final
-    # supports flag exactly the signals that fail at some step, before the solve.
-    if fails.any():
-        sig = int(np.argmax(fails))
-        t = _first_failing_step(r[sig], widths[:, sig], s_max, m_rows, ls_tol)
-        raise RankDeficientSupportError(supports[: t + 1, sig], signal=sig)
-
-    # cleared at ls_tol = 0, yet exactly singular
-    singular = ~np.all(r[:, diag, diag], axis=1)
-    if singular.any():
-        sig = int(np.argmax(singular))
-        raise RankDeficientSupportError(supports[:, sig], signal=sig)
-    # padding coefficients land in the extra row K, which is dropped
-    theta = np.zeros((n_cols + 1, n_signals))
-    coef = (r_inv @ qty[:, :, None])[:, :, 0]
-    theta[structure.columns[supports.T].reshape(n_signals, width), every[:, None]] = coef
-    return theta[:n_cols], supports
+    # supports flag exactly the signals that fail at some step, before the
+    # solve. An exactly zero pivot that the check cleared, which only
+    # ls_tol = 0 allows, has no solution and fails the whole support.
+    bad = fails | ~np.all(r[:, diag, diag], axis=1)
+    if bad.any():
+        sig = int(np.argmax(bad))
+        t = k - 1
+        if fails[sig]:
+            t = _first_failing_step(r[sig], widths[:, sig], s_max, m_rows, ls_tol)
+        raise RankDeficientSupportError(supports[: t + 1, sig], signal=first + sig)
+    coef[...] = (r_inv @ qty[:, :, None])[:, :, 0]
 
 
 def _triangular_inverse(r, s_max):

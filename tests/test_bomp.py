@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from blocksense import (
     inter_block_coherence,
     sub_block_coherence,
 )
+from blocksense import bomp
 from blocksense.bomp import _bomp_batch, _triangular_inverse
 from blocksense.harness import _design, _grid
 from helpers import (
@@ -357,6 +360,26 @@ class TestLockstepErrors:
         err = assert_same_error(E, sizes, np.column_stack([wide, narrow]), 2)
         assert (err.support, err.signal) == ((2, 0), 0)
 
+    def test_lowest_failing_signal_wins_across_kinds(self):
+        # at ls_tol = 0 signal 0 passes the check with an exactly zero pivot,
+        # and signal 1 fails it: its support is wider than the measurements.
+        # The lowest-indexed signal that fails either way is named.
+        rng = np.random.default_rng(7)
+        E = unit_columns(rng.standard_normal((5, 12)))
+        # block 1 holds one column twice; its entries are +-1/2, so
+        # Gram-Schmidt cancels the repeat exactly
+        E[:, 4:6] = np.array([[0.5], [-0.5], [0.5], [0.5], [0.0]])
+        singular = 3.0 * E[:, 4] + E[:, 8:10] @ [0.2, -0.1]
+        wide = E[:, 0:4] @ [2.0, -1.5, 1.0, 1.0] + E[:, 10:12] @ [0.3, 0.2]
+        structure = BlockStructure((4, 2, 2, 2, 2))
+        for Y, named in [
+            (np.column_stack([singular, wide]), ((1, 3), 0)),
+            (np.column_stack([wide, singular]), ((0, 2), 0)),
+        ]:
+            with pytest.raises(RankDeficientSupportError) as err:
+                _bomp_batch(E, structure, Y, 2, 0.0)
+            assert (err.value.support, err.value.signal) == named
+
     def test_more_columns_than_measurements(self):
         rng = np.random.default_rng(4)
         E = unit_columns(rng.standard_normal((5, 12)))
@@ -436,6 +459,124 @@ class TestConditioningScreen:
         with pytest.raises(RankDeficientSupportError, match="signal 1") as err:
             _bomp_batch(E, structure, Y, 2, 0.0)
         assert (err.value.support, err.value.signal) == ((2, 0), 1)
+
+
+def chunk_bytes(structure, k, m_rows, signals):
+    """A budget that fits exactly ``signals`` signals' worth of the
+    kernel's per-signal buffers: basis, factor R, Q' y and correlations."""
+    n_blocks, s_max = structure.padding.shape
+    width = k * s_max
+    return signals * 8 * (width * m_rows + width * width + width + n_blocks * s_max)
+
+
+def recorded_chunks(monkeypatch):
+    """(first, signals) of every chunk _bomp_batch decodes from now on."""
+    chunks = []
+    decode = bomp._decode_chunk
+
+    def recording(rows, e_pad, structure, Y, *args):
+        chunks.append((args[-1], Y.shape[1]))
+        return decode(rows, e_pad, structure, Y, *args)
+
+    monkeypatch.setattr(bomp, "_decode_chunk", recording)
+    return chunks
+
+
+class TestChunkedDecode:
+    """A batch is decoded in chunks of signals that fit a byte budget; the
+    chunks change neither a bit of the result nor the error raised."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 7])
+    @pytest.mark.parametrize("sizes", [(3,) * 12, (2, 3, 4) * 4], ids=["uniform", "mixed"])
+    def test_chunks_agree_with_one_chunk(self, monkeypatch, sizes, per_chunk):
+        rng = np.random.default_rng(per_chunk)
+        structure = BlockStructure(sizes)
+        E = unit_columns(rng.standard_normal((16, structure.num_columns)))
+        Y = rng.standard_normal((16, 37))
+        chunks = recorded_chunks(monkeypatch)
+        whole, whole_supports = _bomp_batch(E, structure, Y, 3, LS_TOL)
+        assert chunks == [(0, 37)]
+        monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 3, 16, per_chunk))
+        theta, supports = _bomp_batch(E, structure, Y, 3, LS_TOL)
+        assert len(chunks) == 1 + -(-37 // per_chunk)
+        np.testing.assert_array_equal(theta, whole)
+        np.testing.assert_array_equal(supports, whole_supports)
+
+    def test_near_span_blocks_agree_with_one_chunk(self, monkeypatch):
+        # some signals take the second Gram-Schmidt pass and some do not
+        rng = np.random.default_rng(9)
+        E = unit_columns(rng.standard_normal((16, 18)))
+        E[:, 3:6] = unit_columns(
+            E[:, 0:3] @ rng.standard_normal((3, 3)) + 0.5 * rng.standard_normal((16, 3))
+        )
+        structure = BlockStructure((3,) * 6)
+        Y = E[:, 0:9] @ rng.uniform(-1.0, 1.0, (9, 24)) + 0.1 * rng.standard_normal((16, 24))
+        whole = _bomp_batch(E, structure, Y, 3, LS_TOL)
+        monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 3, 16, 5))
+        for got, want in zip(_bomp_batch(E, structure, Y, 3, LS_TOL), whole):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("ls_tol, support", [(LS_TOL, (2,)), (0.0, (2, 0))])
+    @pytest.mark.parametrize("per_chunk", [1, 2, 4])
+    def test_error_in_a_later_chunk_names_the_batch_index(
+        self, monkeypatch, per_chunk, ls_tol, support
+    ):
+        E, pair = repeated_column_batch()
+        structure = BlockStructure((3,) * 5)
+        Y = pair[:, [0, 0, 0, 0, 0, 1, 0, 1]]  # signal 5 is the first to fail
+        with pytest.raises(RankDeficientSupportError) as whole:
+            _bomp_batch(E, structure, Y, 2, ls_tol)
+        chunks = recorded_chunks(monkeypatch)
+        monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 2, 16, per_chunk))
+        with pytest.raises(RankDeficientSupportError) as err:
+            _bomp_batch(E, structure, Y, 2, ls_tol)
+        assert (err.value.support, err.value.signal) == (support, 5)
+        assert str(err.value) == str(whole.value)
+        # the chunks after the failing one are never decoded
+        assert chunks[-1] == (5 - 5 % per_chunk, per_chunk)
+
+    def test_no_chunk_exceeds_the_budget(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        structure = BlockStructure((2, 3, 4) * 4)
+        E = unit_columns(rng.standard_normal((16, structure.num_columns)))
+        Y = rng.standard_normal((16, 50))
+        chunks = recorded_chunks(monkeypatch)
+        one = chunk_bytes(structure, 3, 16, 1)
+        for budget, per_chunk in [(7 * one, 7), (8 * one - 1, 7), (one - 1, 1), (1, 1)]:
+            monkeypatch.setattr(bomp, "_CHUNK_BYTES", budget)
+            chunks.clear()
+            _bomp_batch(E, structure, Y, 3, LS_TOL)
+            firsts = list(range(0, 50, per_chunk))
+            assert chunks == [(i, min(per_chunk, 50 - i)) for i in firsts]
+
+    def test_working_memory_does_not_grow_with_signals(self, monkeypatch):
+        # numpy reports its array allocations to tracemalloc; a chunk's peak
+        # counts what it allocates on top of what was live when it started
+        rng = np.random.default_rng(15)
+        structure = BlockStructure((2, 3, 4) * 4)
+        E = unit_columns(rng.standard_normal((16, structure.num_columns)))
+        monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 3, 16, 20))
+        peaks = []
+        decode = bomp._decode_chunk
+
+        def measured(*args):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            decode(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - live)
+
+        monkeypatch.setattr(bomp, "_decode_chunk", measured)
+        largest = []
+        for n_signals in (200, 2000):
+            Y = rng.standard_normal((16, n_signals))
+            peaks.clear()
+            tracemalloc.start()
+            try:
+                _bomp_batch(E, structure, Y, 3, LS_TOL)
+            finally:
+                tracemalloc.stop()
+            largest.append(max(peaks))
+        assert 0 < largest[1] < 1.1 * largest[0]
 
 
 def repeated_column_batch():
