@@ -192,7 +192,7 @@ def generate_dictionary(cfg: ExperimentConfig, rng: np.random.Generator) -> Dict
     else:
         rows = rng.choice(cfg.K, size=cfg.N, replace=False)
         mat = dct_matrix(cfg.K)[rows]
-    mat = mat / np.linalg.norm(mat, axis=0)
+    mat /= np.linalg.norm(mat, axis=0)
     return Dictionary(mat, cfg.structure())
 
 
@@ -249,7 +249,9 @@ def representation_error(X: np.ndarray, D, theta_hat: np.ndarray) -> float:
     denom = float(np.linalg.norm(x))
     if denom == 0.0:
         raise ValueError("signals are identically zero")
-    return float(np.linalg.norm(x - d_mat @ np.asarray(theta_hat, dtype=float))) / denom
+    residual = d_mat @ np.asarray(theta_hat, dtype=float)
+    np.subtract(x, residual, out=residual)
+    return float(np.linalg.norm(residual)) / denom
 
 
 def _score(cfg, a_mat, D, X, theta) -> tuple[float, float, _Terms]:
@@ -335,12 +337,16 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     cfg : ExperimentConfig
         Sweep description.
     workers : int
-        Size of the process pool, at most one worker per trial; 1 runs trials
-        inline. Results are identical either way because each trial owns its
-        own seeded generator and rows are assembled in trial order.
+        Size of the process pool, an integer >= 1, capped at one worker per
+        trial; 1 runs trials inline. Results are identical either way because
+        each trial owns its own seeded generator and rows are assembled in
+        trial order. Any other value raises a ValueError before a trial runs.
     """
-    workers = min(int(workers), cfg.trials)
-    if workers <= 1:
+    workers = _number("workers", workers, int)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, cfg.trials)
+    if workers == 1:
         per_trial = [run_trial(cfg, t) for t in range(cfg.trials)]
     else:
         # imported here: the pool's modules take ~20 ms to import, which every

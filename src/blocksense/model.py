@@ -110,7 +110,13 @@ class Dictionary:
             )
         if n > k:
             raise ValueError(f"dictionary must satisfy N <= K, got N={n}, K={k}")
-        w, u = sym_eig(mat @ mat.T)
+        # numpy forms X X' by one syrk, so the product is exactly symmetric
+        # and goes to eigh as it is (eigh reads one triangle in any case)
+        dd = mat @ mat.T
+        if not np.all(np.isfinite(dd)):
+            raise ValueError("dictionary Gram matrix D D' has non-finite entries")
+        w, u = np.linalg.eigh(dd)
+        w, u = w[::-1], u[:, ::-1]  # descending, as views
         if w[0] <= 0.0 or w[-1] <= RANK_TOL * w[0]:
             raise ValueError(
                 "dictionary is row-rank deficient "
@@ -276,8 +282,9 @@ def _gram_matrix(e: np.ndarray) -> np.ndarray:
 def _block_rows(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
     """The columns of ``x`` as rows, in the padded layout of ``structure``: a
     (blocks, s_max, rows) array whose padding rows are zero."""
-    rows = np.take(x.T, structure.columns, axis=0, mode="clip")
-    rows[structure.padding] = 0.0
+    rows = np.zeros(structure.padding.shape + (x.shape[0],))
+    # the live slots, in C order, are the columns in order
+    rows[~structure.padding] = x.T
     return rows
 
 

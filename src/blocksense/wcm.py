@@ -54,6 +54,16 @@ non-increasing by construction.
 Designing the sensing matrix by gradient descent on the coherence penalty
 follows Abolghasemi, Ferdowsi & Sanei (Signal Processing, 2012).
 
+Certified start (alpha >= 1/2). Before its first gradient, L-BFGS compares
+the start's f with ``coherence.objective_lower_bound``. When the two agree
+within the rounding error of f's own evaluation (``_meets_bound``), the
+start is a global minimizer as far as f can resolve, and the one iteration
+returns it unchanged. So at alpha = 1/2, where f is the structure-blind
+1/2 ||G - I||_F^2 and the closed-form start meets the bound (K - M) / 2,
+``run_wcm`` takes no gradient and never forms C_0 or the (W D)' basis (the
+product of the N x N frame with the N x K dictionary); the report is still
+one iteration with the trace [f_0, f_0].
+
 Projected steps (alpha < 1/2). The MM majorizer of f at a Gram matrix G_p is
 
     g(G, G_p) = f(G_p) + <grad f(G_p), G - G_p> + 3/2 * ||G - G_p||_F^2,
@@ -145,6 +155,9 @@ _HISTORY = 10
 _ARMIJO = 1e-4
 _BACKTRACKS = 40
 
+# The unit roundoff u = 2^-53 of float64, in the certificate of _meets_bound.
+_UNIT_ROUNDOFF = 2.0**-53
+
 _log = logging.getLogger(__name__)
 
 
@@ -200,6 +213,10 @@ class WcmReport:
     first step raised f, so the momentum restarted and the exact MM step
     was taken from the current Gram matrix instead. ``equivalent`` is the
     final E = A D, and ``alpha`` the weight the design was run at.
+
+    A start certified optimal by the lower bound (the closed-form start at
+    alpha = 1/2) reports one iteration, converged, no fallbacks and the
+    trace [f_0, f_0]: that iteration is a null step, with no gradient taken.
     """
 
     sensing: SensingMatrix
@@ -274,7 +291,8 @@ def surrogate_gradient(gram: BlockGram, gram_prev: BlockGram, alpha: float) -> n
 class _Iterate(NamedTuple):
     """One iterate of either designer: C (M x N), the sensing matrix A = C W,
     E = A D, E E', the columns of E as padded rows (blocks, s_max, M), the
-    diagonal blocks E_b' E_b, and f's totals and value."""
+    diagonal blocks E_b' E_b, and f's totals and value. A start iterate may
+    hold C = None until a designer first needs it (``_DesignBasis.lift``)."""
 
     c: np.ndarray
     a: np.ndarray
@@ -288,15 +306,26 @@ class _Iterate(NamedTuple):
 
 class _DesignBasis:
     """The dictionary's whitening frame W = ``D.whitening`` and the rows of
-    (W D)' in its structure's padded layout, precomputed for the iteration."""
+    (W D)' in its structure's padded layout. The rows are built on first
+    use, so a run whose start is certified (``_meets_bound``) never forms
+    them: they cost the product of the N x N frame with the N x K
+    dictionary, and N x K floats."""
 
     def __init__(self, D: Dictionary):
         self.dictionary = D.matrix
         self.structure = D.structure
         self.whiten = D.whitening
         self.eye = np.eye(D.structure.padding.shape[1], dtype=bool)
-        self.whiten_dict = _block_rows(self.whiten @ D.matrix, D.structure)
-        self.whiten_dict_flat = self.whiten_dict.reshape(-1, D.signal_dim)
+
+    @cached_property
+    def whiten_dict(self) -> np.ndarray:
+        """(W D)' as padded rows (blocks, s_max, N)."""
+        return _block_rows(self.whiten @ self.dictionary, self.structure)
+
+    @property
+    def whiten_dict_flat(self) -> np.ndarray:
+        """``whiten_dict`` with blocks and slots in one axis, a view."""
+        return self.whiten_dict.reshape(-1, self.whiten.shape[0])
 
     def q_weights(self, alpha: float) -> np.ndarray:
         """Entrywise weights that turn the padded diagonal blocks of G into
@@ -304,12 +333,18 @@ class _DesignBasis:
         return np.where(self.eye, alpha - 0.5, 2.0 * alpha - 1.0)
 
     def start(self, a: np.ndarray, alpha: float) -> _Iterate:
-        """The iterate of sensing matrix ``a``: C_0 = E_0 (W D)', which maps
-        back to ``a`` in exact arithmetic because W^-1 = D D' W'. It keeps
-        ``a`` itself and E_0 = ``a`` D, not C_0 W, which would differ from
-        ``a`` by rounding; so a run that takes no step returns its start
+        """The iterate of sensing matrix ``a``, with its C_0 (``lift``). It
+        keeps ``a`` itself and E_0 = ``a`` D, not C_0 W, which would differ
+        from ``a`` by rounding; so a run that takes no step returns its start
         bit for bit."""
-        p = _iterate(self, None, alpha, a)
+        return self.lift(_iterate(self, None, alpha, a))
+
+    def lift(self, p: _Iterate) -> _Iterate:
+        """``p`` with C filled in if it has none: C_0 = E_0 (W D)', which
+        maps back to A_0 in exact arithmetic because W^-1 = D D' W'. This
+        is the first use of the (W D)' rows."""
+        if p.c is not None:
+            return p
         flat = self.whiten_dict_flat
         return p._replace(c=p.rows.reshape(flat.shape[0], -1).T @ flat)
 
@@ -403,16 +438,69 @@ def _armijo(basis: _DesignBasis, p: _Iterate, g: np.ndarray, d: np.ndarray,
     return None
 
 
+def _meets_bound(p: _Iterate, alpha: float) -> bool:
+    """Whether f at ``p`` equals ``coherence.objective_lower_bound`` to
+    within the rounding error of f's own evaluation (alpha >= 1/2).
+
+    ``_block_terms`` reads f from the stored E E' and diagonal blocks
+    E_b' E_b: it sums the squares of E E' (M^2 of them), of the blocks
+    (their total S_b), of the blocks' off-diagonal entries (sub) and of
+    the shifted diagonal g_ii - 1 (norm), then forms inter = ||E E'||^2 - S_b
+    and f = 1/2 norm + (1 - alpha) inter + alpha sub. A floating-point sum
+    of m terms, in any order, errs by at most gamma_{m-1} times the sum of
+    their magnitudes, and a product of k roundings (1 + d_i) lies within
+    gamma_k of 1, where gamma_k = k u / (1 - k u) and u is the unit
+    roundoff (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., eq. 4.6 and Lemma 3.1). Each square passes through at most
+    max(M^2, blocks.size) - 1 additions in its sum, plus its own rounding,
+    the shift, the difference, its weight and f's two additions. The bound
+    takes a handful of roundings of K, M and alpha. With
+    n = M^2 + blocks.size + 16, the computed f therefore lies within
+    gamma_n * F of f evaluated exactly on the stored arrays, and the
+    computed bound within gamma_n * F of the exact bound, where
+
+        F = 1/2 norm + (1 - alpha) (||E E'||^2 + S_b) + alpha sub >= f
+
+    is f with the difference inter replaced by the sum of its two parts.
+
+    No E has f below the exact bound. So when the computed f and bound
+    differ by at most gamma_n * F, the exact f of the stored E lies within
+    3 gamma_n * F of the global minimum: no step can lower f by more than a
+    few times the error of f's own evaluation, so no computed decrease could
+    be told from rounding. The closed-form start at alpha = 1/2 is such a
+    start; its f is (K - M) / 2 up to a few ulps. ``rel_tol`` is no
+    substitute for this slack: it is 1e-8 relative by default, while a
+    start scaled by 1 + 1e-6 from that optimum lies about 5e-13 relative
+    above it and still descends.
+    """
+    m, k = p.e.shape
+    bound = objective_lower_bound(k, m, alpha)
+    terms = p.terms
+    # F, with ||E E'||^2 + S_b = inter + 2 S_b
+    magnitude = (0.5 * terms.norm + alpha * terms.sub
+                 + (1.0 - alpha) * (terms.inter + 2.0 * float(np.sum(p.blocks**2))))
+    n = p.eet.size + p.blocks.size + 16
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return abs(p.f - bound) <= gamma * magnitude
+
+
 def _lbfgs_steps(basis: _DesignBasis, p: _Iterate, alpha: float):
     """L-BFGS on f over C for alpha >= 1/2 (Liu & Nocedal, Math. Prog., 1989),
     yielding (iterate, fell_back) once per iteration.
 
-    Each accepted step passes the Armijo test, so f never rises. When the
-    quasi-Newton direction finds no such step, the history is dropped and
-    steepest descent tried instead (a fallback); when that finds none
-    either, the iterate stays and f repeats, which meets the stop rule.
-    The gradient at an iterate is taken only once the next step is asked
-    for, so the iterate a run stops at costs none."""
+    A start that meets the lower bound within f's rounding (``_meets_bound``)
+    is certified optimal: its one iteration yields it unchanged, and no
+    gradient, C_0 or (W D)' basis is formed. Otherwise each accepted step
+    passes the Armijo test, so f never rises. When the quasi-Newton
+    direction finds no such step, the history is dropped and steepest
+    descent tried instead (a fallback); when that finds none either, the
+    iterate stays and f repeats, which meets the stop rule. The gradient at
+    an iterate is taken only once the next step is asked for, so the
+    iterate a run stops at costs none."""
+    if _meets_bound(p, alpha):
+        yield p, False
+        return
+    p = basis.lift(p)
     g = _gradient_c(basis, p, alpha)
     pairs = deque(maxlen=_HISTORY)
     while True:
@@ -437,7 +525,7 @@ def _projected_steps(basis: _DesignBasis, p: _Iterate, alpha: float):
     f, is taken from G instead."""
     eta = _step_size(alpha)
     t = 1.0
-    prev = p
+    p = prev = basis.lift(p)
     while True:
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
@@ -491,10 +579,12 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     ``config.rel_tol * (1 + f)``, and a run that reaches
     ``config.max_iters`` unconverged logs a warning.
 
-    At alpha = 1/2 the closed-form start is a global minimizer and its
-    gradient is rounding noise, so L-BFGS finds no step: the run stops
-    after one iteration and returns the baseline's A and E = A D bit for
-    bit.
+    At alpha = 1/2 the closed-form start is a global minimizer: its f meets
+    ``coherence.objective_lower_bound`` within the rounding of f itself,
+    which certifies that no step can lower it (``_meets_bound``). So the
+    one iteration is a null step taken with no gradient and no (W D)'
+    basis: the run stops after one iteration, converged, with the trace
+    [f_0, f_0], and returns the baseline's A and E = A D bit for bit.
 
     For ``alpha < 1/2`` the run can stop at a different stationary point
     than iterating the plain MM step from the same start. On the desk
@@ -514,7 +604,7 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
         rng = np.random.default_rng(config.seed)
         a_mat = rng.standard_normal((M, D.signal_dim))
 
-    p = basis.start(a_mat, alpha)
+    p = _iterate(basis, None, alpha, a_mat)  # the designer forms C_0 if it steps
     steps = _lbfgs_steps if alpha >= 0.5 else _projected_steps
     trace, components = [p.f], [p.terms]
     converged = False

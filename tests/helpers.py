@@ -157,3 +157,30 @@ def reference_wcm_step(D: Dictionary, g, alpha, m, eta):
     w, v = sym_eig(whiten_dict @ target @ whiten_dict.T)
     top = np.sqrt(np.clip(w[:m], 0.0, None))
     return (v[:, :m] * top).T @ whiten
+
+
+def reference_block_rows(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """The columns of ``x`` as rows, one block at a time: a (blocks, s_max,
+    rows) array whose padding rows are zero. The reference for
+    ``model._block_rows``: it reads only ``block_slice``, never the padded
+    layout."""
+    s_max = max(structure.sizes)
+    rows = np.zeros((structure.num_blocks, s_max, x.shape[0]))
+    for j in range(structure.num_blocks):
+        sl = structure.block_slice(j)
+        rows[j, : sl.stop - sl.start] = x[:, sl].T
+    return rows
+
+
+def reference_whitening(mat: np.ndarray) -> np.ndarray:
+    """The frame diag(w)^{-1/2} U' of D D' = U diag(w) U' by ``sym_eig``, which
+    checks symmetry, symmetrizes and sorts by copies. The reference for
+    ``Dictionary.whitening``."""
+    w, u = sym_eig(mat @ mat.T)
+    return (u / np.sqrt(w)).T
+
+
+def reference_representation_error(X, D: Dictionary, theta_hat) -> float:
+    """||X - D theta_hat||_F / ||X||_F, out of place. The reference for
+    ``harness.representation_error``."""
+    return float(np.linalg.norm(X - D.matrix @ theta_hat)) / float(np.linalg.norm(X))

@@ -332,3 +332,22 @@ class TestCli:
         code = main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)])
         assert code == 2
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "2.5", "True"])
+    def test_bad_workers_exit_2_before_any_trial(self, workers, tmp_path, monkeypatch):
+        def no_trial(cfg, trial):
+            raise AssertionError("a trial ran before workers was rejected")
+
+        monkeypatch.setattr(blocksense.harness, "run_trial", no_trial)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"designers": ["ds"], "L": 2, "trials": 1}))
+        out_dir = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir),
+                "--workers", workers]
+        # 0 and -1 reach run_sweep, which rejects them; argparse rejects the rest
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert not out_dir.exists()

@@ -27,7 +27,7 @@ from blocksense import (
     write_sweep_outputs,
 )
 from blocksense.harness import config_from_dict, run_trial
-from helpers import random_dictionary, reference_signals
+from helpers import random_dictionary, reference_representation_error, reference_signals
 
 TINY = dict(
     dict_family="gaussian",
@@ -158,6 +158,15 @@ class TestMetrics:
         direct = np.linalg.norm(x - d.matrix @ hat) / np.linalg.norm(x)
         assert representation_error(x, d, hat) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("sizes", [(3, 3), (2, 3, 4, 3)])
+    def test_representation_error_keeps_the_out_of_place_bits(self, sizes):
+        rng = np.random.default_rng(10)
+        d = random_dictionary(rng, 6, sizes)
+        x, theta = generate_signals(d, 1, 40, rng)
+        for hat in (theta, theta + 1e-9 * rng.standard_normal(theta.shape),
+                    rng.standard_normal(theta.shape)):
+            assert representation_error(x, d, hat) == reference_representation_error(x, d, hat)
+
     def test_zero_signals_rejected(self):
         rng = np.random.default_rng(9)
         d = random_dictionary(rng, 6, (3, 3))
@@ -254,6 +263,15 @@ class TestRunSweep:
         assert sizes == [cfg.trials]
         run_sweep(ExperimentConfig(**{**TINY, "trials": 1}), workers=8)
         assert sizes == [cfg.trials]
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
+    def test_workers_must_be_a_positive_integer(self, workers, monkeypatch):
+        def no_trial(cfg, trial):
+            raise AssertionError("a trial ran before workers was rejected")
+
+        monkeypatch.setattr(blocksense.harness, "run_trial", no_trial)
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(ExperimentConfig(**TINY), workers=workers)
 
     def test_summary_groups_follow_designer_order(self):
         cfg = ExperimentConfig(

@@ -11,7 +11,13 @@ from blocksense import (
     gram,
     sym_eig,
 )
-from helpers import random_dictionary, unit_columns
+from blocksense.model import _block_rows
+from helpers import (
+    random_dictionary,
+    reference_block_rows,
+    reference_whitening,
+    unit_columns,
+)
 
 
 class TestBlockStructure:
@@ -77,6 +83,31 @@ class TestDictionary:
         np.testing.assert_allclose(w @ d.matrix @ d.matrix.T @ w.T, np.eye(6), rtol=0, atol=1e-10)
         with pytest.raises(ValueError):
             w[0, 0] = 1.0
+
+    @pytest.mark.parametrize("sizes", [(3,) * 40, (2, 3, 4, 3) * 10, (2, 3, 4) * 14])
+    def test_whitening_equals_the_symmetrized_eigensolve(self, sizes):
+        # D D' comes out of numpy exactly symmetric, so eigendecomposing it
+        # as it is gives the frame of the checked, symmetrized solve bit for bit
+        rng = np.random.default_rng(2)
+        for n in (12, 60):
+            d = random_dictionary(rng, n, sizes)
+            expected = reference_whitening(d.matrix)
+            np.testing.assert_array_equal(d.whitening, expected)
+            assert d.whitening.strides == expected.strides
+
+    def test_rejects_overflowing_gram(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            Dictionary(np.full((2, 4), 1e200), BlockStructure((2, 2)))
+
+
+class TestBlockRows:
+    @pytest.mark.parametrize("sizes", [(3,) * 8, (2, 3, 4, 3) * 2, (1, 5, 1)])
+    @pytest.mark.parametrize("m", [1, 4, 9])
+    def test_matches_blockwise_reference(self, sizes, m):
+        x = np.random.default_rng(3).standard_normal((m, sum(sizes)))
+        rows = _block_rows(x, BlockStructure(sizes))
+        np.testing.assert_array_equal(rows, reference_block_rows(x, BlockStructure(sizes)))
+        assert rows.flags.c_contiguous
 
 
 class TestSensingMatrix:

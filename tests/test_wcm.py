@@ -33,6 +33,7 @@ from helpers import (
     numerical_gradient,
     random_dictionary,
     random_orthonormal,
+    reference_block_rows,
     reference_wcm_measure,
     reference_wcm_step,
 )
@@ -234,6 +235,15 @@ class TestGramFreeStep:
             e_terms = _equivalent_terms(a_mat @ d.matrix, d.structure)
             np.testing.assert_allclose(e_terms, terms, rtol=1e-12)
 
+    @pytest.mark.parametrize("sizes", [(3,) * 40, (2, 3, 4, 3) * 10])
+    def test_basis_rows_are_the_padded_columns_of_w_d(self, sizes):
+        d = random_dictionary(np.random.default_rng(35), 60, sizes)
+        basis = blocksense.wcm._DesignBasis(d)
+        expected = reference_block_rows(d.whitening @ d.matrix, d.structure)
+        np.testing.assert_array_equal(basis.whiten_dict, expected)
+        np.testing.assert_array_equal(
+            basis.whiten_dict_flat, expected.reshape(-1, d.signal_dim))
+
     def test_no_k_by_k_array(self):
         # K >> N: one K x K float64 array outweighs everything the loop keeps
         rng = np.random.default_rng(27)
@@ -352,22 +362,107 @@ class TestRunWcm:
         assert "alpha=0.9" in record.getMessage()
         assert "7 iterations" in record.getMessage()
 
-    def test_half_alpha_keeps_baseline_at_desk_size(self):
-        # The closed-form baseline is stationary at alpha = 1/2: its gradient
-        # is rounding noise, so no step is taken and the design comes back
-        # bit for bit, with E = A D as the sweep computes it.
-        for family in ("gaussian", "dct_rows"):
+    def test_half_alpha_keeps_baseline_at_desk_size(self, monkeypatch):
+        # The closed-form baseline meets the lower bound at alpha = 1/2 within
+        # the rounding of f, so its one iteration is a certified null step:
+        # no gradient, no (W D)' basis, and the design comes back bit for
+        # bit, with E = A D as the sweep computes it.
+        calls = []
+        gradient = blocksense.wcm._gradient_c
+        basis_rows = blocksense.wcm._DesignBasis.whiten_dict.func
+
+        def spy_gradient(*args):
+            calls.append("gradient")
+            return gradient(*args)
+
+        def spy_rows(self):
+            calls.append("basis")
+            return basis_rows(self)
+
+        monkeypatch.setattr(blocksense.wcm, "_gradient_c", spy_gradient)
+        monkeypatch.setattr(blocksense.wcm._DesignBasis, "whiten_dict", property(spy_rows))
+        for family, sizes in itertools.product(("gaussian", "dct_rows"), (3, [2, 3, 4, 3] * 10)):
             cfg = ExperimentConfig(
-                dict_family=family, N=60, K=120, M=14, block_sizes=3, k=2,
+                dict_family=family, N=60, K=120, M=14, block_sizes=sizes, k=2,
                 L=1, trials=1, designers=("ds",), seed=7,
             )
             d = generate_dictionary(cfg, np.random.default_rng([7, 0]))
             report = run_wcm(d, 14, WcmConfig(alpha=0.5))
             a_ds = design_ds(d, 14).matrix
+            f0 = weighted_objective(gram_of(a_ds, d), 0.5)
             np.testing.assert_array_equal(report.sensing.matrix, a_ds)
             np.testing.assert_array_equal(report.equivalent.matrix, a_ds @ d.matrix)
             assert report.iterations == 1
             assert report.converged
+            assert report.fallbacks == 0
+            assert report.objective_trace[0] == report.objective_trace[1]
+            assert report.objective_trace[0] == pytest.approx(f0, rel=1e-13)
+            np.testing.assert_array_equal(report.component_trace[0], report.component_trace[1])
+        assert calls == []
+        # the same spies see the gradient path above 1/2
+        run_wcm(d, 14, WcmConfig(alpha=0.9, max_iters=1))
+        assert calls[:2] == ["basis", "gradient"]
+
+    def test_certified_run_allocates_no_basis(self):
+        # the (W D)' rows alone are K N floats; the certified alpha = 1/2 run
+        # keeps only E, its blocks and the report (0.7 MiB here)
+        cfg = ExperimentConfig(
+            dict_family="gaussian", N=300, K=600, M=40, block_sizes=3, k=2,
+            L=1, trials=1, designers=("ds",), seed=7,
+        )
+        d = generate_dictionary(cfg, np.random.default_rng([7, 0]))
+        tracemalloc.start()
+        try:
+            report = run_wcm(d, cfg.M, WcmConfig(alpha=0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 1
+        assert peak < cfg.K * cfg.N * 8
+
+    @pytest.mark.parametrize("init", ["ds", "random"])
+    def test_certificate_changes_no_report(self, init, monkeypatch):
+        # above 1/2 no start meets the bound, and at 1/2 the gradient path
+        # finds no step either: disabling the certificate changes no bit
+        d = random_dictionary(np.random.default_rng(34), 24, (2, 3, 4, 3) * 4)
+        configs = [WcmConfig(alpha=alpha, init=init, seed=5) for alpha in (0.5, 0.6, 0.9, 0.99)]
+        certified = [run_wcm(d, 8, config) for config in configs]
+        monkeypatch.setattr(blocksense.wcm, "_meets_bound", lambda p, alpha: False)
+        for config, expected in zip(configs, certified):
+            report = run_wcm(d, 8, config)
+            assert (report.iterations, report.fallbacks, report.converged) == (
+                expected.iterations, expected.fallbacks, expected.converged)
+            for field in ("objective_trace", "component_trace"):
+                np.testing.assert_array_equal(getattr(report, field), getattr(expected, field))
+            np.testing.assert_array_equal(report.sensing.matrix, expected.sensing.matrix)
+            np.testing.assert_array_equal(report.equivalent.matrix, expected.equivalent.matrix)
+        assert all(r.iterations > 1 for r in certified[1:])
+
+    def test_start_off_the_bound_takes_the_gradient_path(self, monkeypatch):
+        # ds scaled by 1 + 1e-6 lies about 5e-13 relative above the bound at
+        # alpha = 1/2: far inside rel_tol, yet outside f's rounding, and it
+        # still descends
+        d = c05_dictionary()
+        basis = blocksense.wcm._DesignBasis(d)
+        gradients = []
+        gradient = blocksense.wcm._gradient_c
+
+        def spy(*args):
+            gradients.append(1)
+            return gradient(*args)
+
+        monkeypatch.setattr(blocksense.wcm, "_gradient_c", spy)
+        p = basis.start((1.0 + 1e-6) * design_ds(d, 14).matrix, 0.5)
+        gap = p.f / objective_lower_bound(120, 14, 0.5) - 1.0
+        assert 0.0 < gap < WcmConfig(alpha=0.5).rel_tol * 1e-3
+        p_new, fell_back = next(blocksense.wcm._lbfgs_steps(basis, p, 0.5))
+        assert gradients == [1]
+        assert p_new.f < p.f and not fell_back
+        # the unscaled start is certified: no gradient, the same iterate back
+        gradients.clear()
+        p = basis.start(design_ds(d, 14).matrix, 0.5)
+        assert next(blocksense.wcm._lbfgs_steps(basis, p, 0.5)) == (p, False)
+        assert gradients == []
 
     def test_fallback_reproduces_exact_mm_steps(self, monkeypatch):
         # A step far too long for the objective raises f every time, so every
