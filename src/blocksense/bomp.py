@@ -22,9 +22,18 @@ not depend on the rest of its batch.
 A batch is decoded in consecutive chunks of signals, each as large as a
 fixed byte budget over the per-signal buffers allows (_CHUNK_BYTES), so the
 decoder's working memory is bounded by that budget and does not grow with
-the number of signals; the result is the same bit for bit. A rank-deficient
-support raises RankDeficientSupportError at the lowest-indexed signal of the
-batch that fails, whichever way it fails.
+the number of signals; the result is the same bit for bit.
+
+No draw of signals can end a decode on a support that is exactly or
+numerically singular. At each step a signal takes the best-scoring block among
+those that keep its support full rank: at most as many columns as
+measurements, and sigma_min(E_S) > ls_tol * sigma_max(E_S) or, at ls_tol = 0,
+no zero pivot. Checking every candidate would cost an SVD per block, so the
+lockstep pass picks by score alone and checks each signal's final support;
+the few signals that fail are decoded again, as their own batch, with the
+block chosen at their first failing step passed over, until every support
+passes. RankDeficientSupportError is raised only for a signal left with fewer
+than k blocks that have not been passed over.
 """
 
 from __future__ import annotations
@@ -62,8 +71,8 @@ _CHUNK_BYTES = 4 << 20
 
 
 class RankDeficientSupportError(np.linalg.LinAlgError):
-    """Raised when the columns of the selected blocks are numerically
-    dependent, naming the offending support."""
+    """Raised when no full-rank support of k blocks is left for a signal,
+    naming the support with the last block passed over."""
 
     def __init__(self, support, signal: int | None = None):
         self.support = tuple(int(j) for j in support)
@@ -75,23 +84,30 @@ class RankDeficientSupportError(np.linalg.LinAlgError):
 
 
 def _bomp_batch(E, structure, Y, k, ls_tol):
-    """Decode every column of Y against E, in consecutive chunks of signals.
+    """Decode every column of Y against E, passing over blocks that would
+    leave a signal's support rank deficient.
 
-    A chunk holds as many signals as fit _CHUNK_BYTES of the kernel's
-    per-signal buffers (basis, factor R, Q' y, block correlations), and at
-    least one, so the working memory does not grow with the number of
-    signals. E's padded layout is built once per call. Every chunk writes
-    its signals' supports and their coefficients on them into arrays for
-    the whole batch, which are scattered into theta once, after the last
-    chunk. A signal's result does not depend on its chunk (_decode_chunk).
+    E's padded layout is built once per call. The first pass decodes every
+    signal (_decode_signals). Each signal whose support fails the
+    conditioning check (_decode_chunk) is decoded again, with the block it
+    chose at its first failing step excluded from every step, in a pass of
+    its own that holds only such signals; passes repeat until every support
+    passes. A signal's earlier steps choose as before, since excluding a
+    block that was not chosen leaves each argmax alone, so this is
+    block-OMP that takes at each step the best-scoring block among those
+    that keep the support full rank: a block that fails after some prefix
+    fails after every longer one, as the width only grows and
+    sigma_min / sigma_max never rises. Signals that pass on the first pass
+    are decoded exactly as without the rule. Every pass writes its
+    signals' supports and their coefficients on them into arrays for the
+    whole batch, which are scattered into theta once, after the last pass.
 
     Returns (theta, supports): the K x L coefficient matrix and the k x L
     selected block indices in selection order. Raises
-    RankDeficientSupportError at the lowest-indexed signal of the whole
-    batch whose support fails: either the conditioning check, naming its
-    support up to the first step at which it fails, or, when it passes the
-    check with an exactly zero pivot in R (which only ls_tol = 0 lets
-    happen), the solve, naming its whole support.
+    RankDeficientSupportError only when a signal has passed over so many
+    blocks that fewer than k are left, so no full-rank support of k blocks
+    can be completed; it names the lowest-indexed such signal of the batch
+    and its support up to and including the last block passed over.
     """
     m_rows, n_cols = E.shape
     n_signals = Y.shape[1]
@@ -100,17 +116,27 @@ def _bomp_batch(E, structure, Y, k, ls_tol):
     rows = _block_rows(E, structure)  # each block's columns as rows
     # E with its columns in the padded order: E itself for uniform sizes
     e_pad = np.ascontiguousarray(rows.reshape(-1, m_rows).T)
-    # float64 bytes of one signal's basis, factor R, Q' y and correlations
-    per_signal = 8 * (width * m_rows + width * width + width + n_blocks * s_max)
-    chunk = max(1, _CHUNK_BYTES // per_signal)
     supports = np.empty((k, n_signals), dtype=np.int64)
     coef = np.empty((n_signals, width))  # on each signal's padded support
-    for first in range(0, n_signals, chunk):
-        part = slice(first, first + chunk)
-        _decode_chunk(
-            rows, e_pad, structure, Y[:, part], k, ls_tol, coef[part], supports[:, part], first
+    failed, steps = _decode_signals(rows, e_pad, structure, Y, k, ls_tol, coef, supports)
+    excluded = np.zeros((failed.size, n_blocks), dtype=bool)
+    stuck = []  # (signal, step) of each signal with fewer than k blocks left
+    while failed.size:
+        excluded[np.arange(failed.size), supports[steps, failed]] = True
+        left = n_blocks - np.count_nonzero(excluded, axis=1) >= k
+        stuck += zip(failed[~left], steps[~left])
+        failed, steps, excluded = failed[left], steps[left], excluded[left]
+        part_coef = np.empty((failed.size, width))
+        part_supports = np.empty((k, failed.size), dtype=np.int64)
+        again, steps = _decode_signals(
+            rows, e_pad, structure, Y[:, failed], k, ls_tol, part_coef, part_supports, excluded
         )
-    # allocated once the chunks' buffers are released; padding coefficients
+        coef[failed], supports[:, failed] = part_coef, part_supports
+        failed, excluded = failed[again], excluded[again]
+    if stuck:
+        sig, t = min(stuck)
+        raise RankDeficientSupportError(supports[: t + 1, sig], signal=int(sig))
+    # allocated once the passes' buffers are released; padding coefficients
     # land in the extra row K, which is dropped
     theta = np.zeros((n_cols + 1, n_signals))
     cols = structure.columns[supports.T].reshape(n_signals, width)
@@ -118,11 +144,45 @@ def _bomp_batch(E, structure, Y, k, ls_tol):
     return theta[:n_cols], supports
 
 
-def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, first):
+def _decode_signals(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded=None):
+    """Decode every column of Y with _decode_chunk, in consecutive chunks of
+    signals, and return the signals that fail its check with their first
+    failing steps.
+
+    A chunk holds as many signals as fit _CHUNK_BYTES of the kernel's
+    per-signal buffers (basis, factor R, Q' y, block correlations), and at
+    least one, so the working memory does not grow with the number of
+    signals. A signal's result does not depend on its chunk.
+    """
+    m_rows = e_pad.shape[0]
+    n_signals = Y.shape[1]
+    n_blocks, s_max = structure.padding.shape
+    width = k * s_max
+    # float64 bytes of one signal's basis, factor R, Q' y and correlations
+    per_signal = 8 * (width * m_rows + width * width + width + n_blocks * s_max)
+    chunk = max(1, _CHUNK_BYTES // per_signal)
+    failed, steps = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for first in range(0, n_signals, chunk):
+        part = slice(first, first + chunk)
+        bad, at = _decode_chunk(
+            rows, e_pad, structure, Y[:, part], k, ls_tol, coef[part], supports[:, part],
+            None if excluded is None else excluded[part],
+        )
+        failed.append(first + bad)
+        steps.append(at)
+    return np.concatenate(failed), np.concatenate(steps)
+
+
+def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded):
     """Decode every column of Y with all signals in lockstep, writing into
     coef (L x k s_max) each signal's coefficients on its support in the
-    padded layout, and into supports (k x L) its blocks; first is Y's
-    offset in the whole batch, which an error adds to the signal it names.
+    padded layout, and into supports (k x L) its blocks. A block marked in
+    the L x blocks mask ``excluded``, if given, is never chosen for that
+    signal.
+
+    Returns (failed, steps): the signals whose supports fail the check
+    below, and for each the first step at which its support fails. Their
+    coefficients are left zero.
 
     Each of the k steps scores the blocks against all L residuals with one
     product, orthogonalizes every signal's chosen block against that
@@ -147,9 +207,10 @@ def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, first):
     >= kappa_2(R); only the signals it cannot clear, those with an exactly
     zero pivot among them, take the singular values of R. The coefficients
     are theta_S = R^-1 Q' y, one batched product for all signals, so E_S is
-    never gathered. The lowest-indexed signal that fails the check or has
-    an exactly zero pivot raises RankDeficientSupportError, as
-    _bomp_batch describes.
+    never gathered. A support fails when it is wider than the measurements,
+    when sigma_min(R) <= ls_tol * sigma_max(R), or when R has an exactly
+    zero pivot (which only ls_tol = 0 lets pass the singular values); the
+    first failing step is found by _first_failing_step.
     """
     m_rows = e_pad.shape[0]
     n_signals = Y.shape[1]
@@ -169,6 +230,8 @@ def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, first):
         scores = corr[:, :, 0].copy()
         for j in range(1, s_max):
             scores += corr[:, :, j]
+        if excluded is not None:
+            scores[excluded] = -1.0
         scores[every, supports[:t]] = -1.0
         best = np.argmax(scores, axis=1)
         supports[t] = best
@@ -235,15 +298,15 @@ def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, first):
     # sigma_min / sigma_max never rises as columns are appended, so the final
     # supports flag exactly the signals that fail at some step, before the
     # solve. An exactly zero pivot that the check cleared, which only
-    # ls_tol = 0 allows, has no solution and fails the whole support.
-    bad = fails | ~np.all(r[:, diag, diag], axis=1)
-    if bad.any():
-        sig = int(np.argmax(bad))
-        t = k - 1
-        if fails[sig]:
-            t = _first_failing_step(r[sig], widths[:, sig], s_max, m_rows, ls_tol)
-        raise RankDeficientSupportError(supports[: t + 1, sig], signal=first + sig)
+    # ls_tol = 0 allows, has no solution and fails the support too.
+    failed = np.flatnonzero(fails | ~np.all(r[:, diag, diag], axis=1))
+    steps = np.array(
+        [_first_failing_step(r[sig], widths[:, sig], s_max, m_rows, ls_tol) for sig in failed],
+        dtype=np.int64,
+    )
+    r_inv[failed] = 0.0
     coef[...] = (r_inv @ qty[:, :, None])[:, :, 0]
+    return failed, steps
 
 
 def _triangular_inverse(r, s_max):
@@ -275,14 +338,16 @@ def _triangular_inverse(r, s_max):
 
 
 def _first_failing_step(r, widths, s_max, m_rows, ls_tol):
-    """First step whose support fails the conditioning check, given the
-    signal's padded triangular factor and its support width after each step:
-    each prefix support's factor is a leading block of it. The final step
-    fails by assumption."""
+    """First step whose support fails the check, given the signal's padded
+    triangular factor and its support width after each step: each prefix
+    support's factor is a leading block of it. The final step fails by
+    assumption."""
     for t, w in enumerate(widths[:-1]):
         lead = (t + 1) * s_max
+        if w > m_rows or not np.all(np.diagonal(r)[:lead]):
+            return t
         sv = np.linalg.svd(r[:lead, :lead], compute_uv=False)
-        if w > m_rows or sv[-1] <= ls_tol * sv[0]:
+        if sv[-1] <= ls_tol * sv[0]:
             return t
     return widths.size - 1
 
@@ -305,7 +370,14 @@ def _check_batch(E: EquivalentDictionary, Y: np.ndarray, cfg: BompConfig) -> np.
 
 
 def bomp_decode_batch(E: EquivalentDictionary, Y, cfg: BompConfig) -> np.ndarray:
-    """Decode every column of Y, returning the K x L coefficient matrix."""
+    """Decode every column of Y, returning the K x L coefficient matrix.
+
+    Each signal's support has exactly ``cfg.k_blocks`` blocks and is full
+    rank: at each step the decoder takes the best-scoring block among those
+    that keep it so, passing over the rest. RankDeficientSupportError is
+    raised only when fewer than ``cfg.k_blocks`` blocks are left that a
+    signal has not passed over, naming the lowest-indexed such signal.
+    """
     y = _check_batch(E, Y, cfg)
     theta, _ = _bomp_batch(E.matrix, E.structure, y, int(cfg.k_blocks), float(cfg.ls_tol))
     return theta
@@ -316,7 +388,10 @@ def bomp_decode(E: EquivalentDictionary, y, cfg: BompConfig) -> BlockSparseVecto
 
     The result has exactly ``cfg.k_blocks`` blocks in its support; the
     coefficients on that support are the least-squares fit of y, so the final
-    residual is orthogonal to all selected columns.
+    residual is orthogonal to all selected columns. A block that would leave
+    the support rank deficient is passed over for the next-best one, and
+    RankDeficientSupportError is raised only when fewer than
+    ``cfg.k_blocks`` blocks are left that have not been passed over.
     """
     vec = np.asarray(y, dtype=float)
     if vec.ndim != 1:

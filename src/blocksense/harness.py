@@ -78,6 +78,10 @@ class ExperimentConfig:
             raise ValueError(f"dict_family must be one of {DICT_FAMILIES}")
         for key in ("N", "K", "M", "k", "L", "trials", "seed"):
             object.__setattr__(self, key, _number(key, getattr(self, key), int))
+        # checked first, so no later message misreads a value out of range
+        for key, least in (("M", 1), ("k", 1), ("L", 1), ("trials", 1), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
         for key in ("alpha_grid", "designers"):
             if not isinstance(getattr(self, key), (list, tuple)):
                 raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
@@ -90,8 +94,6 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha_grid", alphas)
         if not (self.M < self.N <= self.K):
             raise ValueError(f"need M < N <= K, got M={self.M}, N={self.N}, K={self.K}")
-        if self.L < 1 or self.trials < 1:
-            raise ValueError("L and trials must be >= 1")
         designers = tuple(self.designers)
         for d in designers:
             if d not in DESIGNERS:
@@ -205,25 +207,25 @@ def generate_signals(
     coefficients drawn i.i.d. uniform on [-1, 1]. Returns (X, Theta) with
     X = D @ Theta.
 
-    Each signal draws its blocks, then one uniform vector over all their
-    columns in selection order. That consumes the generator exactly as one
-    draw per block would, so X, Theta and the generator state afterwards
-    do not depend on how the draws are split.
+    The whole batch takes two draws from ``rng``: ``rng.random((L, blocks))``,
+    whose row-wise stable argsort orders each signal's blocks, of which the
+    first k are active; then ``rng.uniform(-1, 1, (L, k, s_max))``, one
+    value per slot of each active block in the padded layout of
+    ``BlockStructure.columns``, in selection order. Values drawn for
+    padding slots are discarded.
     """
     k, L = int(k), int(L)
     structure = D.structure
     if k > structure.num_blocks:
         raise ValueError(f"k={k} exceeds the number of blocks {structure.num_blocks}")
-    sizes = np.array(structure.sizes)
-    blocks = np.empty((L, k), dtype=np.int64)
-    values = []
-    for sig in range(L):
-        blocks[sig] = rng.choice(structure.num_blocks, size=k, replace=False)
-        values.append(rng.uniform(-1.0, 1.0, size=int(sizes[blocks[sig]].sum())))
-    cols = structure.columns[blocks]
-    live = ~structure.padding[blocks]  # (L, k, s_max), in the order the values were drawn
-    theta = np.zeros((D.num_atoms, L))
-    theta[cols[live], np.nonzero(live)[0]] = np.concatenate(values) if values else 0.0
+    order = np.argsort(rng.random((L, structure.num_blocks)), axis=1, kind="stable")
+    cols = structure.columns[order[:, :k]]  # (L, k, s_max); padding slots hold K
+    del order
+    # padding values land in the extra row K, which is dropped
+    theta = np.zeros((D.num_atoms + 1, L))
+    theta[cols, np.arange(L)[:, None, None]] = rng.uniform(-1.0, 1.0, cols.shape)
+    del cols
+    theta = theta[: D.num_atoms]
     return D.matrix @ theta, theta
 
 

@@ -90,10 +90,17 @@ def packed_equivalent(rng, n_blocks=8, s=3, m=14, iters=2500, cap0=0.40, cap1=0.
 
 def reference_bomp(E, offsets, Y, k, ls_tol):
     """Block-OMP one signal at a time, re-solving the least squares on the
-    gathered sub-dictionary at every step. The reference for the lockstep
-    kernel: same returns and exception as ``bomp._bomp_batch``, but it takes
-    the block ``offsets`` in place of the structure, so it builds every block
-    from them and never reads the structure's padded layout."""
+    gathered sub-dictionary for every candidate block. The reference for the
+    lockstep kernel: same returns and exception as ``bomp._bomp_batch``, but
+    it takes the block ``offsets`` in place of the structure, so it builds
+    every block from them and never reads the structure's padded layout.
+
+    At each step it tries the blocks in descending score order, ties to the
+    lower index, and keeps the first whose support passes the SVD test: at
+    most as many columns as rows, and sigma_min > ls_tol * sigma_max. A
+    block that fails is passed over at every later step too, since it fails
+    after any longer prefix. Once fewer than k blocks are left that have not
+    been passed over, it raises, naming the support with that last block."""
     m_rows, n_cols = E.shape
     n_blocks = offsets.shape[0] - 1
     n_signals = Y.shape[1]
@@ -104,20 +111,26 @@ def reference_bomp(E, offsets, Y, k, ls_tol):
     for sig in range(n_signals):
         y = Y[:, sig].copy()
         r = y.copy()
-        used = np.zeros(n_blocks, dtype=bool)
+        skip = np.zeros(n_blocks, dtype=bool)  # chosen or passed over
+        passed_over = 0
         cols: list[int] = []
         for t in range(k):
             c = et @ r
             scores = np.add.reduceat(c * c, offsets[:-1])
-            scores[used] = -1.0
-            best = int(np.argmax(scores))
-            used[best] = True
-            supports[t, sig] = best
-            cols.extend(range(int(offsets[best]), int(offsets[best + 1])))
-            es = E[:, cols]
-            u, s, vt = np.linalg.svd(es, full_matrices=False)
-            if len(cols) > m_rows or s[-1] <= ls_tol * s[0]:
-                raise RankDeficientSupportError(supports[: t + 1, sig], signal=sig)
+            for j in np.argsort(-scores, kind="stable"):
+                if skip[j]:
+                    continue
+                skip[j] = True
+                trial = cols + list(range(int(offsets[j]), int(offsets[j + 1])))
+                es = E[:, trial]
+                u, s, vt = np.linalg.svd(es, full_matrices=False)
+                if len(trial) <= m_rows and s[-1] > ls_tol * s[0]:
+                    break
+                passed_over += 1
+                if n_blocks - passed_over < k:
+                    raise RankDeficientSupportError([*supports[:t, sig], j], signal=sig)
+            supports[t, sig] = j
+            cols = trial
             coef = vt.T @ ((u.T @ y) / s)
             r = y - es @ coef
         theta[cols, sig] = coef
@@ -125,16 +138,23 @@ def reference_bomp(E, offsets, Y, k, ls_tol):
 
 
 def reference_signals(D: Dictionary, k: int, L: int, rng):
-    """Signals drawn one uniform vector per active block, block by block.
-    The reference for ``harness.generate_signals``: same arguments, same
-    returns, and the same draws from ``rng``."""
+    """Signals drawn one at a time, in the order ``harness.generate_signals``
+    draws them in bulk: first every signal's row of block keys, whose stable
+    ascending order puts its active blocks first, then every signal's
+    values, s_max per active block, of which a block of s columns keeps the
+    first s. The reference for ``harness.generate_signals``: same arguments,
+    same returns, and the same draws from ``rng``."""
     structure = D.structure
+    n_blocks = structure.num_blocks
+    s_max = max(structure.sizes)
+    keys = [rng.random(n_blocks) for _ in range(L)]
     theta = np.zeros((D.num_atoms, L))
     for sig in range(L):
-        blocks = rng.choice(structure.num_blocks, size=k, replace=False)
-        for j in blocks:
-            sl = structure.block_slice(int(j))
-            theta[sl, sig] = rng.uniform(-1.0, 1.0, size=sl.stop - sl.start)
+        order = sorted(range(n_blocks), key=lambda j: (keys[sig][j], j))
+        for j in order[:k]:
+            values = rng.uniform(-1.0, 1.0, size=s_max)
+            sl = structure.block_slice(j)
+            theta[sl, sig] = values[: sl.stop - sl.start]
     return D.matrix @ theta, theta
 
 

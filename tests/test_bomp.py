@@ -115,15 +115,18 @@ class TestBompDecode:
         assert checked >= 8  # the instance pool must not be vacuous
 
     def test_rank_deficient_support_is_reported(self):
-        # block 0 holds the same column twice, so selecting it breaks the solve
+        # block 0 holds the same column twice, so it scores highest but cannot
+        # be refit: the decoder passes over it for the next-best block 2
         col = np.array([1.0, 0.0, 0.0])
         e = EquivalentDictionary(
             np.column_stack([col, col, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
             BlockStructure((2, 1, 1)),
         )
-        with pytest.raises(RankDeficientSupportError, match=r"\(0,\)") as exc_info:
-            bomp_decode(e, col, BompConfig(k_blocks=1))
-        assert exc_info.value.support == (0,)
+        y = col + [0.0, 0.0, 0.5]
+        result = bomp_decode(e, y, BompConfig(k_blocks=1))
+        assert result.support == (2,)
+        np.testing.assert_array_equal(result.values, [0.0, 0.0, 0.0, 0.5])
+        assert_passes_over(e.matrix, e.structure, y[:, None], 1, [(0, 0, 0)])
 
     def test_rejects_too_many_blocks(self):
         rng = np.random.default_rng(5)
@@ -208,14 +211,20 @@ class TestBatchDecode:
         np.testing.assert_array_equal(first, second)
 
     def test_batch_error_names_signal(self):
+        # only signal 1 reaches block 0, which holds a column twice: it alone
+        # passes over the block, and signal 0 keeps its bits
         col = np.array([1.0, 0.0, 0.0])
         e = EquivalentDictionary(
             np.column_stack([col, col, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
             BlockStructure((2, 1, 1)),
         )
-        y = np.column_stack([[0.0, 1.0, 0.0], col])
-        with pytest.raises(RankDeficientSupportError, match="signal 1"):
-            bomp_decode_batch(e, y, BompConfig(k_blocks=1))
+        y = np.column_stack([[0.0, 1.0, 0.0], col + [0.0, 0.3, 0.0]])
+        cfg = BompConfig(k_blocks=1)
+        batch = bomp_decode_batch(e, y, cfg)
+        np.testing.assert_array_equal(batch[:, 0], [0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(batch[:, 0], bomp_decode_batch(e, y[:, :1], cfg)[:, 0])
+        assert bomp_decode(e, y[:, 1], cfg).support == (1,)
+        assert_passes_over(e.matrix, e.structure, y, 1, [(1, 0, 0)])
 
 
 class TestBompConfig:
@@ -235,12 +244,14 @@ class TestBompConfig:
         assert type(config.ls_tol) is float and config.ls_tol == 1e-8
 
 
-def assert_agrees_with_reference(E, structure, Y, k, ls_tol=LS_TOL, kappa=1.0):
+def assert_agrees_with_reference(E, structure, Y, k, ls_tol=LS_TOL, kappa=1.0, ref_tol=None):
     """Same supports as the reference, and theta within THETA_RTOL times
     kappa, a bound on the condition number of the selected columns: the
-    forward error of a backward-stable solve grows with it."""
+    forward error of a backward-stable solve grows with it. The reference
+    runs at ``ref_tol``, by default ``ls_tol``."""
     theta, supports = _bomp_batch(E, structure, Y, k, ls_tol)
-    ref_theta, ref_supports = reference_bomp(E, structure.offsets, Y, k, ls_tol)
+    ref_tol = ls_tol if ref_tol is None else ref_tol
+    ref_theta, ref_supports = reference_bomp(E, structure.offsets, Y, k, ref_tol)
     np.testing.assert_array_equal(supports, ref_supports)
     assert theta.shape == ref_theta.shape
     bound = THETA_RTOL * kappa * np.abs(ref_theta).max(initial=0.0)
@@ -248,11 +259,48 @@ def assert_agrees_with_reference(E, structure, Y, k, ls_tol=LS_TOL, kappa=1.0):
     return theta, supports
 
 
-def assert_same_error(E, sizes, Y, k, ls_tol=LS_TOL):
-    """The lockstep kernel raises what the reference raises; returns it."""
+def block_scores(E, structure, r):
+    """Each block's squared correlation with the residual r."""
+    c = E.T @ r
+    return np.add.reduceat(c * c, structure.offsets[:-1])
+
+
+def assert_passes_over(E, structure, Y, k, passed, ls_tol=LS_TOL, ref_tol=None):
+    """Decode Y and check that every signal has k distinct blocks, a
+    residual orthogonal to its chosen columns, and the reference's supports
+    and coefficients (at ``ref_tol``, by default ``ls_tol``). For each
+    (signal, step, block) in ``passed``, the block scores highest at that
+    step after the signal's chosen blocks, yet is not in its support: the
+    decoder passed over it. Returns (theta, supports)."""
+    def columns(blocks):
+        return [c for j in blocks for c in range(structure.offsets[j], structure.offsets[j + 1])]
+
+    theta, supports = assert_agrees_with_reference(E, structure, Y, k, ls_tol, ref_tol=ref_tol)
+    resid = Y - E @ theta
+    for sig in range(Y.shape[1]):
+        assert len(set(supports[:, sig].tolist())) == k
+        e_s = E[:, columns(supports[:, sig])]
+        bound = 1e-12 * np.linalg.norm(e_s) * np.linalg.norm(Y[:, sig])
+        assert np.all(np.abs(e_s.T @ resid[:, sig]) <= bound)
+    for sig, t, block in passed:
+        y, prefix = Y[:, sig], supports[:t, sig]
+        r = y
+        if t:
+            e_s = E[:, columns(prefix)]
+            r = y - e_s @ np.linalg.lstsq(e_s, y, rcond=None)[0]
+        scores = block_scores(E, structure, r)
+        scores[prefix] = -1.0
+        assert np.argmax(scores) == block
+        assert block not in supports[:, sig]
+    return theta, supports
+
+
+def assert_same_error(E, sizes, Y, k, ls_tol=LS_TOL, ref_tol=None):
+    """The lockstep kernel raises what the reference raises at ``ref_tol``,
+    by default ``ls_tol``; returns it."""
     structure = BlockStructure(sizes)
     with pytest.raises(RankDeficientSupportError) as ref:
-        reference_bomp(E, structure.offsets, Y, k, ls_tol)
+        reference_bomp(E, structure.offsets, Y, k, ls_tol if ref_tol is None else ref_tol)
     with pytest.raises(RankDeficientSupportError) as got:
         _bomp_batch(E, structure, Y, k, ls_tol)
     assert (got.value.support, got.value.signal) == (ref.value.support, ref.value.signal)
@@ -337,33 +385,46 @@ class TestLockstepErrors:
         E[:, 7] = E[:, 6]  # block 2 holds a column twice
         good = E[:, 0:3] @ [1.0, -1.0, 0.5] + E[:, 9:12] @ [0.3, 0.2, -0.4]
         # block 2 dominates the signal failing at step 0, so the prefix
-        # re-check, not the final support, names where it failed
+        # re-check, not the final support, names the step to pass it over at
         bad = [
             E[:, 6:9] @ [2.0, 1.0, 1.0] + E[:, 12:15] @ [0.3, 0.2, 0.1],
             E[:, 12:15] @ [2.0, -1.5, 1.0] + E[:, 6:9] @ [0.3, 0.4, 0.2],
         ][step]
-        err = assert_same_error(E, (3,) * 5, np.column_stack([good, bad]), 2)
-        assert (err.support, err.signal) == (((2,), (4, 2))[step], 1)
+        structure = BlockStructure((3,) * 5)
+        Y = np.column_stack([good, bad])
+        theta, supports = assert_passes_over(E, structure, Y, 2, [(1, step, 2)])
+        assert tuple(supports[:, 0]) == (0, 3)
+        assert tuple(supports[:, 1]) == ((0, 1), (4, 3))[step]
+        alone, _ = _bomp_batch(E, structure, Y[:, :1], 2, LS_TOL)
+        np.testing.assert_array_equal(theta[:, 0], alone[:, 0])
 
     def test_lowest_failing_signal_wins_across_widths(self):
-        # both signals fail at their second block; signal 0's final support
-        # is 7 columns wide and signal 1's is 5, so signal 0 is solved later
+        # both signals fail at their second block, which holds a column
+        # twice; signal 0's failing support is 7 columns wide and signal 1's
+        # is 5. Both pass over it in one retry pass and keep the bits they
+        # get alone.
         rng = np.random.default_rng(6)
         E = unit_columns(rng.standard_normal((12, 15)))
         E[:, 1] = E[:, 0]
         E[:, 5] = E[:, 4]
         wide = E[:, 6:9] @ [2.0, -1.5, 1.0] + E[:, 0:4] @ [0.3, 0.2, 0.1, 0.3]
         narrow = E[:, 12:15] @ [2.0, -1.5, 1.0] + E[:, 4:6] @ [0.4, 0.3]
-        sizes = (4, 2, 3, 3, 3)
-        assert assert_same_error(E, sizes, wide[:, None], 2).support == (2, 0)
-        assert assert_same_error(E, sizes, narrow[:, None], 2).support == (4, 1)
-        err = assert_same_error(E, sizes, np.column_stack([wide, narrow]), 2)
-        assert (err.support, err.signal) == ((2, 0), 0)
+        structure = BlockStructure((4, 2, 3, 3, 3))
+        Y = np.column_stack([wide, narrow])
+        theta, supports = assert_passes_over(E, structure, Y, 2, [(0, 1, 0), (1, 1, 1)])
+        np.testing.assert_array_equal(supports, [[2, 4], [3, 3]])
+        for sig in range(2):
+            alone, _ = _bomp_batch(E, structure, Y[:, [sig]], 2, LS_TOL)
+            np.testing.assert_array_equal(theta[:, sig], alone[:, 0])
 
     def test_lowest_failing_signal_wins_across_kinds(self):
-        # at ls_tol = 0 signal 0 passes the check with an exactly zero pivot,
-        # and signal 1 fails it: its support is wider than the measurements.
-        # The lowest-indexed signal that fails either way is named.
+        # at ls_tol = 0 block 1, which scores highest for signal "singular",
+        # passes the singular values with an exactly zero pivot; the pivot
+        # still fails the support, so the signal passes over block 1 for
+        # block 0, as the reference does at a positive tolerance. Beside
+        # block 0's 4 columns no block fits the 5 measurements, so both
+        # signals pass over every other block and run out of blocks: the
+        # lowest-indexed one is named, with the last block it passed over.
         rng = np.random.default_rng(7)
         E = unit_columns(rng.standard_normal((5, 12)))
         # block 1 holds one column twice; its entries are +-1/2, so
@@ -371,14 +432,14 @@ class TestLockstepErrors:
         E[:, 4:6] = np.array([[0.5], [-0.5], [0.5], [0.5], [0.0]])
         singular = 3.0 * E[:, 4] + E[:, 8:10] @ [0.2, -0.1]
         wide = E[:, 0:4] @ [2.0, -1.5, 1.0, 1.0] + E[:, 10:12] @ [0.3, 0.2]
-        structure = BlockStructure((4, 2, 2, 2, 2))
+        sizes = (4, 2, 2, 2, 2)
+        assert np.argmax(block_scores(E, BlockStructure(sizes), singular)) == 1
         for Y, named in [
-            (np.column_stack([singular, wide]), ((1, 3), 0)),
-            (np.column_stack([wide, singular]), ((0, 2), 0)),
+            (np.column_stack([singular, wide]), ((0, 4), 0)),
+            (np.column_stack([wide, singular]), ((0, 1), 0)),
         ]:
-            with pytest.raises(RankDeficientSupportError) as err:
-                _bomp_batch(E, structure, Y, 2, 0.0)
-            assert (err.value.support, err.value.signal) == named
+            err = assert_same_error(E, sizes, Y, 2, 0.0, ref_tol=LS_TOL)
+            assert (err.support, err.signal) == named
 
     def test_more_columns_than_measurements(self):
         rng = np.random.default_rng(4)
@@ -398,9 +459,14 @@ class TestLockstepErrors:
         E[:, 4:] = rng.standard_normal((3, 4)) * [[0.1], [0.1], [1.0]]
         E = unit_columns(E)
         good = E[:, 0:2] @ [1.0, -1.0]
-        bad = np.array([0.0, 0.0, 1.0])  # only the 4-column block reaches it
-        err = assert_same_error(E, (2, 2, 4), np.column_stack([good, bad]), 1)
-        assert (err.support, err.signal) == ((2,), 1)
+        # only the 4-column block reaches it, so it is passed over for a
+        # block that explains nothing of the signal
+        bad = np.array([0.0, 0.0, 1.0])
+        theta, supports = assert_passes_over(
+            E, BlockStructure((2, 2, 4)), np.column_stack([good, bad]), 1, [(1, 0, 2)]
+        )
+        np.testing.assert_array_equal(supports, [[1, 0]])
+        assert np.all(theta[:, 1] == 0.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -422,8 +488,10 @@ class TestConditioningScreen:
         bad = E[:, 6:9] @ [1.0, -0.5, 0.7] + E[:, 0:3] @ [0.2, 0.1, -0.3]
         Y = np.column_stack([good, bad])
         if ls_tol and delta < ls_tol:
-            err = assert_same_error(E, (3,) * 5, Y, 2, ls_tol)
-            assert (err.support, err.signal) == ((2,), 1)
+            _, supports = assert_passes_over(
+                E, BlockStructure((3,) * 5), Y, 2, [(1, 0, 2)], ls_tol
+            )
+            assert tuple(supports[:, 1]) == (4, 1)
         else:
             # block 2 is about delta from singular
             _, supports = assert_agrees_with_reference(
@@ -436,8 +504,8 @@ class TestConditioningScreen:
         # cancels its repeat exactly: R has a zero pivot, its inverse is not
         # finite, and the singular values decide for that signal
         E, Y = repeated_column_batch()
-        err = assert_same_error(E, (3,) * 5, Y, 2)
-        assert (err.support, err.signal) == ((2,), 1)
+        _, supports = assert_passes_over(E, BlockStructure((3,) * 5), Y, 2, [(1, 0, 2)])
+        np.testing.assert_array_equal(supports, [[4, 1], [1, 4]])
 
     def test_zero_pivot_takes_the_singular_values_alone(self, monkeypatch):
         E, Y = repeated_column_batch()
@@ -450,15 +518,20 @@ class TestConditioningScreen:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        with pytest.raises(RankDeficientSupportError, match="signal 1"):
-            _bomp_batch(E, structure, Y, 2, LS_TOL)
-        # the screen's call holds signal 1's factor only; the prefix re-check follows
-        assert shapes == [(1, 6, 6), (3, 3)]
+        theta, supports = _bomp_batch(E, structure, Y, 2, LS_TOL)
+        # the screen's call holds signal 1's factor only; the zero pivot
+        # names the failing step without a prefix re-check, and the retry
+        # pass, whose support is well conditioned, takes none
+        assert shapes == [(1, 6, 6)]
         # with no tolerance the singular values clear the singular R, which
-        # has no solution: the decode still names the signal and its support
-        with pytest.raises(RankDeficientSupportError, match="signal 1") as err:
-            _bomp_batch(E, structure, Y, 2, 0.0)
-        assert (err.value.support, err.value.signal) == ((2, 0), 1)
+        # has no solution: the zero pivot still fails the support, and the
+        # signal passes over block 2 as it does at the default tolerance
+        shapes.clear()
+        zero_theta, zero_supports = _bomp_batch(E, structure, Y, 2, 0.0)
+        assert shapes == [(1, 6, 6)]
+        np.testing.assert_array_equal(zero_supports, supports)
+        np.testing.assert_array_equal(zero_theta, theta)
+        assert 2 not in supports[:, 1]
 
 
 def chunk_bytes(structure, k, m_rows, signals):
@@ -470,21 +543,27 @@ def chunk_bytes(structure, k, m_rows, signals):
 
 
 def recorded_chunks(monkeypatch):
-    """(first, signals) of every chunk _bomp_batch decodes from now on."""
-    chunks = []
+    """Two lists, filled from now on: the number of signals of every chunk
+    of _bomp_batch's first pass, and the measurements of every chunk of its
+    retry passes."""
+    chunks, retries = [], []
     decode = bomp._decode_chunk
 
-    def recording(rows, e_pad, structure, Y, *args):
-        chunks.append((args[-1], Y.shape[1]))
-        return decode(rows, e_pad, structure, Y, *args)
+    def recording(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded=None):
+        if excluded is None:
+            chunks.append(Y.shape[1])
+        else:
+            retries.append(Y.copy())
+        return decode(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded)
 
     monkeypatch.setattr(bomp, "_decode_chunk", recording)
-    return chunks
+    return chunks, retries
 
 
 class TestChunkedDecode:
     """A batch is decoded in chunks of signals that fit a byte budget; the
-    chunks change neither a bit of the result nor the error raised."""
+    chunks change neither a bit of the result nor which signals are decoded
+    again."""
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 7])
     @pytest.mark.parametrize("sizes", [(3,) * 12, (2, 3, 4) * 4], ids=["uniform", "mixed"])
@@ -493,9 +572,9 @@ class TestChunkedDecode:
         structure = BlockStructure(sizes)
         E = unit_columns(rng.standard_normal((16, structure.num_columns)))
         Y = rng.standard_normal((16, 37))
-        chunks = recorded_chunks(monkeypatch)
+        chunks, _ = recorded_chunks(monkeypatch)
         whole, whole_supports = _bomp_batch(E, structure, Y, 3, LS_TOL)
-        assert chunks == [(0, 37)]
+        assert chunks == [37]
         monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 3, 16, per_chunk))
         theta, supports = _bomp_batch(E, structure, Y, 3, LS_TOL)
         assert len(chunks) == 1 + -(-37 // per_chunk)
@@ -516,38 +595,40 @@ class TestChunkedDecode:
         for got, want in zip(_bomp_batch(E, structure, Y, 3, LS_TOL), whole):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("ls_tol, support", [(LS_TOL, (2,)), (0.0, (2, 0))])
+    @pytest.mark.parametrize("ls_tol, support", [(LS_TOL, (1, 4)), (0.0, (1, 4))])
     @pytest.mark.parametrize("per_chunk", [1, 2, 4])
     def test_error_in_a_later_chunk_names_the_batch_index(
         self, monkeypatch, per_chunk, ls_tol, support
     ):
+        # signals 5 and 7 fail at block 2, in later chunks; the retry pass
+        # holds exactly those two, found by their index in the whole batch
         E, pair = repeated_column_batch()
         structure = BlockStructure((3,) * 5)
-        Y = pair[:, [0, 0, 0, 0, 0, 1, 0, 1]]  # signal 5 is the first to fail
-        with pytest.raises(RankDeficientSupportError) as whole:
-            _bomp_batch(E, structure, Y, 2, ls_tol)
-        chunks = recorded_chunks(monkeypatch)
+        Y = pair[:, [0, 0, 0, 0, 0, 1, 0, 1]]
+        _, retries = recorded_chunks(monkeypatch)
+        whole = _bomp_batch(E, structure, Y, 2, ls_tol)
+        assert [y.shape[1] for y in retries] == [2]
+        np.testing.assert_array_equal(retries[0], Y[:, [5, 7]])
         monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 2, 16, per_chunk))
-        with pytest.raises(RankDeficientSupportError) as err:
-            _bomp_batch(E, structure, Y, 2, ls_tol)
-        assert (err.value.support, err.value.signal) == (support, 5)
-        assert str(err.value) == str(whole.value)
-        # the chunks after the failing one are never decoded
-        assert chunks[-1] == (5 - 5 % per_chunk, per_chunk)
+        retries.clear()
+        theta, supports = _bomp_batch(E, structure, Y, 2, ls_tol)
+        np.testing.assert_array_equal(np.hstack(retries), Y[:, [5, 7]])
+        assert tuple(supports[:, 5]) == tuple(supports[:, 7]) == support
+        np.testing.assert_array_equal(theta, whole[0])
+        np.testing.assert_array_equal(supports, whole[1])
 
     def test_no_chunk_exceeds_the_budget(self, monkeypatch):
         rng = np.random.default_rng(14)
         structure = BlockStructure((2, 3, 4) * 4)
         E = unit_columns(rng.standard_normal((16, structure.num_columns)))
         Y = rng.standard_normal((16, 50))
-        chunks = recorded_chunks(monkeypatch)
+        chunks, _ = recorded_chunks(monkeypatch)
         one = chunk_bytes(structure, 3, 16, 1)
         for budget, per_chunk in [(7 * one, 7), (8 * one - 1, 7), (one - 1, 1), (1, 1)]:
             monkeypatch.setattr(bomp, "_CHUNK_BYTES", budget)
             chunks.clear()
             _bomp_batch(E, structure, Y, 3, LS_TOL)
-            firsts = list(range(0, 50, per_chunk))
-            assert chunks == [(i, min(per_chunk, 50 - i)) for i in firsts]
+            assert chunks == [min(per_chunk, 50 - i) for i in range(0, 50, per_chunk)]
 
     def test_working_memory_does_not_grow_with_signals(self, monkeypatch):
         # numpy reports its array allocations to tracemalloc; a chunk's peak
@@ -562,8 +643,9 @@ class TestChunkedDecode:
         def measured(*args):
             live = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            decode(*args)
+            failed = decode(*args)
             peaks.append(tracemalloc.get_traced_memory()[1] - live)
+            return failed
 
         monkeypatch.setattr(bomp, "_decode_chunk", measured)
         largest = []

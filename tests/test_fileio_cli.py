@@ -321,6 +321,27 @@ class TestCli:
             assert message in capsys.readouterr().err
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("k", 0, "k must be >= 1, got 0"),
+        ("k", -1, "k must be >= 1, got -1"),
+        ("M", 0, "M must be >= 1, got 0"),
+        ("M", -4, "M must be >= 1, got -4"),
+        ("seed", -3, "seed must be >= 0, got -3"),
+    ])
+    def test_out_of_range_sweep_config_exits_2_before_any_design(
+        self, key, value, message, tmp_path, monkeypatch, capsys
+    ):
+        def no_design(*args):
+            raise AssertionError("a design started before the config was rejected")
+
+        monkeypatch.setattr(blocksense.harness, "_design", no_design)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"designers": ["ds"], "L": 2, "trials": 1, key: value}))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_alpha_out_of_range_exits_2_before_any_trial(self, tmp_path, monkeypatch):
         def no_trial(cfg, trial):
             raise AssertionError("a trial ran before the config was rejected")
