@@ -19,10 +19,10 @@ singular values only by the signals whose conditioning a cheaper bound
 cannot clear. Both decisions are made per signal, so a signal's result does
 not depend on the rest of its batch.
 
-A batch is decoded in consecutive chunks of signals, each as large as a
-fixed byte budget over the per-signal buffers allows (_CHUNK_BYTES), so the
-decoder's working memory is bounded by that budget and does not grow with
-the number of signals; the result is the same bit for bit.
+A batch is decoded in one loop over consecutive chunks of signals, each
+as large as a fixed byte budget over the per-signal buffers allows
+(_CHUNK_BYTES), so the working memory does not grow with the number of
+signals; the result is the same bit for bit.
 
 No draw of signals can end a decode on a support that is exactly or
 numerically singular. At each step a signal takes the best-scoring block among
@@ -30,10 +30,10 @@ those that keep its support full rank: at most as many columns as
 measurements, and sigma_min(E_S) > ls_tol * sigma_max(E_S) or, at ls_tol = 0,
 no zero pivot. Checking every candidate would cost an SVD per block, so the
 lockstep pass picks by score alone and checks each signal's final support;
-the few signals that fail are decoded again, as their own batch, with the
-block chosen at their first failing step passed over, until every support
-passes. RankDeficientSupportError is raised only for a signal left with fewer
-than k blocks that have not been passed over.
+a chunk's few signals that fail are decoded again with the block chosen at
+their first failing step passed over. A batch whose k narrowest blocks
+hold more columns than measurements has no full-rank support, and is
+refused before any decoding.
 """
 
 from __future__ import annotations
@@ -87,27 +87,27 @@ def _bomp_batch(E, structure, Y, k, ls_tol):
     """Decode every column of Y against E, passing over blocks that would
     leave a signal's support rank deficient.
 
-    E's padded layout is built once per call. The first pass decodes every
-    signal (_decode_signals). Each signal whose support fails the
-    conditioning check (_decode_chunk) is decoded again, with the block it
-    chose at its first failing step excluded from every step, in a pass of
-    its own that holds only such signals; passes repeat until every support
-    passes. A signal's earlier steps choose as before, since excluding a
-    block that was not chosen leaves each argmax alone, so this is
-    block-OMP that takes at each step the best-scoring block among those
-    that keep the support full rank: a block that fails after some prefix
-    fails after every longer one, as the width only grows and
-    sigma_min / sigma_max never rises. Signals that pass on the first pass
-    are decoded exactly as without the rule. Every pass writes its
-    signals' supports and their coefficients on them into arrays for the
-    whole batch, which are scattered into theta once, after the last pass.
+    One loop runs over chunks of signals, each as many as fit _CHUNK_BYTES
+    of the kernel's per-signal buffers (basis, factor R, Q' y, block
+    correlations), and at least one. A chunk's first pass (_decode_chunk)
+    writes into the arrays for the whole batch. Each signal whose support
+    fails is then decoded again, with the block it chose at its first
+    failing step excluded from every step, in passes that hold only the
+    chunk's failing signals, until it passes or has fewer than k blocks
+    left. Excluding a block that was not chosen leaves each earlier argmax
+    alone, and a block that fails after some prefix fails after every
+    longer one (the width only grows and sigma_min / sigma_max never
+    rises), so this is block-OMP that takes at each step the best-scoring
+    block that keeps the support full rank. A signal's result depends on
+    neither its chunk nor its batch.
 
     Returns (theta, supports): the K x L coefficient matrix and the k x L
-    selected block indices in selection order. Raises
-    RankDeficientSupportError only when a signal has passed over so many
-    blocks that fewer than k are left, so no full-rank support of k blocks
-    can be completed; it names the lowest-indexed such signal of the batch
-    and its support up to and including the last block passed over.
+    selected block indices in selection order. A chunk's failing signals
+    run out of blocks together, since each pass passes over one more block
+    for each of them; once fewer than k are left, RankDeficientSupportError
+    names the lowest-indexed of them, the batch's lowest since chunks run in
+    order, and its support up to and including the last block passed over.
+    No later chunk is decoded.
     """
     m_rows, n_cols = E.shape
     n_signals = Y.shape[1]
@@ -118,59 +118,38 @@ def _bomp_batch(E, structure, Y, k, ls_tol):
     e_pad = np.ascontiguousarray(rows.reshape(-1, m_rows).T)
     supports = np.empty((k, n_signals), dtype=np.int64)
     coef = np.empty((n_signals, width))  # on each signal's padded support
-    failed, steps = _decode_signals(rows, e_pad, structure, Y, k, ls_tol, coef, supports)
-    excluded = np.zeros((failed.size, n_blocks), dtype=bool)
-    stuck = []  # (signal, step) of each signal with fewer than k blocks left
-    while failed.size:
-        excluded[np.arange(failed.size), supports[steps, failed]] = True
-        left = n_blocks - np.count_nonzero(excluded, axis=1) >= k
-        stuck += zip(failed[~left], steps[~left])
-        failed, steps, excluded = failed[left], steps[left], excluded[left]
-        part_coef = np.empty((failed.size, width))
-        part_supports = np.empty((k, failed.size), dtype=np.int64)
-        again, steps = _decode_signals(
-            rows, e_pad, structure, Y[:, failed], k, ls_tol, part_coef, part_supports, excluded
-        )
-        coef[failed], supports[:, failed] = part_coef, part_supports
-        failed, excluded = failed[again], excluded[again]
-    if stuck:
-        sig, t = min(stuck)
-        raise RankDeficientSupportError(supports[: t + 1, sig], signal=int(sig))
-    # allocated once the passes' buffers are released; padding coefficients
+    # float64 bytes of one signal's basis, factor R, Q' y and correlations
+    per_signal = 8 * (width * m_rows + width * width + width + n_blocks * s_max)
+    chunk = max(1, _CHUNK_BYTES // per_signal)
+    for first in range(0, n_signals, chunk):
+        todo = np.arange(first, min(first + chunk, n_signals))  # batch indices
+        part = slice(first, first + chunk)
+        part_coef, part_supports, excluded = coef[part], supports[:, part], None
+        while True:
+            failed, steps = _decode_chunk(
+                rows, e_pad, structure, Y[:, todo], k, ls_tol, part_coef, part_supports, excluded
+            )
+            if excluded is None:
+                excluded = np.zeros((todo.size, n_blocks), dtype=bool)
+            else:
+                coef[todo], supports[:, todo] = part_coef, part_supports
+            if not failed.size:
+                break
+            excluded = excluded[failed]
+            excluded[np.arange(failed.size), part_supports[steps, failed]] = True
+            # every signal still failing has passed over one block per pass
+            if n_blocks - np.count_nonzero(excluded[0]) < k:
+                sig, t = failed[0], steps[0]
+                raise RankDeficientSupportError(part_supports[: t + 1, sig], signal=int(todo[sig]))
+            todo = todo[failed]
+            part_coef = np.empty((todo.size, width))
+            part_supports = np.empty((k, todo.size), dtype=np.int64)
+    # allocated once the chunks' buffers are released; padding coefficients
     # land in the extra row K, which is dropped
     theta = np.zeros((n_cols + 1, n_signals))
     cols = structure.columns[supports.T].reshape(n_signals, width)
     theta[cols, np.arange(n_signals)[:, None]] = coef
     return theta[:n_cols], supports
-
-
-def _decode_signals(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded=None):
-    """Decode every column of Y with _decode_chunk, in consecutive chunks of
-    signals, and return the signals that fail its check with their first
-    failing steps.
-
-    A chunk holds as many signals as fit _CHUNK_BYTES of the kernel's
-    per-signal buffers (basis, factor R, Q' y, block correlations), and at
-    least one, so the working memory does not grow with the number of
-    signals. A signal's result does not depend on its chunk.
-    """
-    m_rows = e_pad.shape[0]
-    n_signals = Y.shape[1]
-    n_blocks, s_max = structure.padding.shape
-    width = k * s_max
-    # float64 bytes of one signal's basis, factor R, Q' y and correlations
-    per_signal = 8 * (width * m_rows + width * width + width + n_blocks * s_max)
-    chunk = max(1, _CHUNK_BYTES // per_signal)
-    failed, steps = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for first in range(0, n_signals, chunk):
-        part = slice(first, first + chunk)
-        bad, at = _decode_chunk(
-            rows, e_pad, structure, Y[:, part], k, ls_tol, coef[part], supports[:, part],
-            None if excluded is None else excluded[part],
-        )
-        failed.append(first + bad)
-        steps.append(at)
-    return np.concatenate(failed), np.concatenate(steps)
 
 
 def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded):
@@ -366,6 +345,13 @@ def _check_batch(E: EquivalentDictionary, Y: np.ndarray, cfg: BompConfig) -> np.
             f"k_blocks={cfg.k_blocks} exceeds the number of blocks "
             f"{E.structure.num_blocks}"
         )
+    # k blocks that outnumber the measurements cannot be independent
+    narrowest = sum(sorted(E.structure.sizes)[: cfg.k_blocks])
+    if narrowest > E.num_measurements:
+        raise ValueError(
+            f"the k_blocks={cfg.k_blocks} narrowest blocks hold {narrowest} columns, "
+            f"more than M={E.num_measurements}; every support would be rank deficient"
+        )
     return y
 
 
@@ -376,7 +362,9 @@ def bomp_decode_batch(E: EquivalentDictionary, Y, cfg: BompConfig) -> np.ndarray
     rank: at each step the decoder takes the best-scoring block among those
     that keep it so, passing over the rest. RankDeficientSupportError is
     raised only when fewer than ``cfg.k_blocks`` blocks are left that a
-    signal has not passed over, naming the lowest-indexed such signal.
+    signal has not passed over, naming the lowest-indexed such signal; a
+    ValueError, before any decoding, when the ``cfg.k_blocks`` narrowest
+    blocks hold more columns than there are measurements.
     """
     y = _check_batch(E, Y, cfg)
     theta, _ = _bomp_batch(E.matrix, E.structure, y, int(cfg.k_blocks), float(cfg.ls_tol))
@@ -389,9 +377,8 @@ def bomp_decode(E: EquivalentDictionary, y, cfg: BompConfig) -> BlockSparseVecto
     The result has exactly ``cfg.k_blocks`` blocks in its support; the
     coefficients on that support are the least-squares fit of y, so the final
     residual is orthogonal to all selected columns. A block that would leave
-    the support rank deficient is passed over for the next-best one, and
-    RankDeficientSupportError is raised only when fewer than
-    ``cfg.k_blocks`` blocks are left that have not been passed over.
+    the support rank deficient is passed over for the next-best one; the
+    errors are those of :func:`bomp_decode_batch`.
     """
     vec = np.asarray(y, dtype=float)
     if vec.ndim != 1:

@@ -32,7 +32,7 @@ from .fileio import (
 )
 from .harness import PRESETS, config_from_dict, run_histogram, run_sweep, write_sweep_outputs
 from .model import BlockStructure, Dictionary, EquivalentDictionary
-from .wcm import WcmConfig, run_wcm
+from .wcm import INIT_MODES, WcmConfig, run_wcm
 
 
 def _load_dictionary(path) -> Dictionary:
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     wcm_parser.add_argument("--dict", required=True, help="dictionary JSON file")
     wcm_parser.add_argument("-M", type=int, required=True, help="number of measurements")
     wcm_parser.add_argument("--alpha", type=float, required=True, help="weight in (0, 1)")
-    wcm_parser.add_argument("--init", choices=("ds", "random"), default="ds")
+    wcm_parser.add_argument("--init", choices=INIT_MODES, default="ds")
     wcm_parser.add_argument("--seed", type=int, default=None, help="seed for random init")
     wcm_parser.add_argument("--max-iters", type=int, default=1000)
     wcm_parser.add_argument("--tol", type=float, default=1e-8)

@@ -187,14 +187,18 @@ def _gradient(g: np.ndarray, structure: BlockStructure, alpha: float) -> np.ndar
     return out
 
 
+def _gram_mismatch(mat) -> float:
+    """||X'X - I||_F^2 of a matrix X, from its K x K Gram matrix."""
+    g = _gram_matrix(mat)
+    return float(np.sum((g - np.eye(g.shape[0])) ** 2))
+
+
 def decomposition_check(E: EquivalentDictionary) -> tuple[float, float]:
     """Self-test pair: ||E'E - I||_F^2 from the K x K Gram matrix, and the sum
     of the three penalty totals from E by the sweep's kernel,
     :func:`_equivalent_terms`. The two agree up to rounding for every E."""
-    g = _gram_matrix(E.matrix)
-    lhs = float(np.sum((g - np.eye(g.shape[0])) ** 2))
     terms = _equivalent_terms(E.matrix, E.structure)
-    return lhs, terms.norm + terms.inter + terms.sub
+    return _gram_mismatch(E.matrix), terms.norm + terms.inter + terms.sub
 
 
 def sparse_recovery_bound(mu: float) -> float:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Dictionary, SensingMatrix, _gram_matrix
+from .coherence import _gram_mismatch
+from .model import Dictionary, SensingMatrix
 
 
 def design_ds(D: Dictionary, M: int) -> SensingMatrix:
@@ -35,5 +36,4 @@ def ds_objective(A: SensingMatrix, D: Dictionary) -> float:
         raise ValueError(
             f"sensing matrix has {a_mat.shape[1]} columns, dictionary expects {D.signal_dim}"
         )
-    g = _gram_matrix(a_mat @ D.matrix)
-    return float(np.sum((g - np.eye(g.shape[0])) ** 2))
+    return _gram_mismatch(a_mat @ D.matrix)

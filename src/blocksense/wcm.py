@@ -21,13 +21,9 @@ block. Neither designer forms a K x K matrix.
 
 * alpha >= 1/2: L-BFGS on C (A = C W, below), with no eigensolve.
   From 1/2 up the objective has a certified lower bound
-  (``coherence.objective_lower_bound``). On 45 desk designs (K = 120,
-  M = 14, alpha in {0.6, 0.9, 0.99}) this designer ended within 2e-7 of
-  it, in under half the projected loop's iterations.
+  (``coherence.objective_lower_bound``).
 * alpha < 1/2: accelerated projected gradient steps on G, safeguarded by
-  majorization-minimization (MM). Here L-BFGS ends worse: on 36 desk
-  designs (six dictionaries, alpha in {0.01, 0.05, 0.2, 0.3, 0.4, 0.45})
-  it ended with a higher f in 23, by up to 0.13%.
+  majorization-minimization (MM), where L-BFGS ends worse.
 
 Both designers iterate over the same C (M x N), with A = C W, so that
 E = A D = C (W D). Because W D has orthonormal rows, E E' = C C' and
@@ -586,11 +582,9 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     basis: the run stops after one iteration, converged, with the trace
     [f_0, f_0], and returns the baseline's A and E = A D bit for bit.
 
-    For ``alpha < 1/2`` the run can stop at a different stationary point
-    than iterating the plain MM step from the same start. On the desk
-    dictionaries (K = 120, M = 14, ds start, alpha in {0.05, 0.2, 0.4}) its
-    final f was higher in 5 of 9 runs, by up to 0.11%, and lower in the
-    other 4. No benchmark sweep grid has ``alpha < 1/2``.
+    For ``alpha < 1/2`` the run can stop at a different stationary point,
+    with a higher or a lower f, than iterating the plain MM step from the
+    same start. No benchmark sweep grid has ``alpha < 1/2``.
     """
     M = int(M)
     if not 1 <= M < D.signal_dim:

@@ -140,6 +140,16 @@ class TestBompDecode:
         with pytest.raises(ValueError):
             bomp_decode(e, np.zeros(5), BompConfig(k_blocks=1))
 
+    @pytest.mark.parametrize(
+        "decode, y, match",
+        [(bomp_decode, np.zeros((6, 1)), "1-D"), (bomp_decode_batch, np.zeros(6), "2-D")],
+        ids=["single-2d", "batch-1d"],
+    )
+    def test_rejects_measurements_of_the_wrong_rank(self, decode, y, match):
+        e = orthonormal_block_equiv(np.random.default_rng(6))
+        with pytest.raises(ValueError, match=match):
+            decode(e, y, BompConfig(k_blocks=1))
+
 
 class TestBatchDecode:
     def test_batch_agrees_with_single(self):
@@ -225,6 +235,38 @@ class TestBatchDecode:
         np.testing.assert_array_equal(batch[:, 0], bomp_decode_batch(e, y[:, :1], cfg)[:, 0])
         assert bomp_decode(e, y[:, 1], cfg).support == (1,)
         assert_passes_over(e.matrix, e.structure, y, 1, [(1, 0, 0)])
+
+
+    @pytest.mark.parametrize(
+        "sizes, m, k, width",
+        [((3,) * 200, 20, 7, 21), ((4, 2, 3, 2, 4, 3) * 2, 7, 4, 8)],
+        ids=["uniform", "mixed"],
+    )
+    def test_rejects_blocks_wider_than_measurements(self, monkeypatch, sizes, m, k, width):
+        # the k narrowest blocks outnumber the measurements, so no support of
+        # k blocks is full rank: the batch is refused before any decoding
+        rng = np.random.default_rng(16)
+        structure = BlockStructure(sizes)
+        e = EquivalentDictionary(
+            unit_columns(rng.standard_normal((m, structure.num_columns))), structure
+        )
+        Y = rng.standard_normal((m, 5))
+        calls = []
+        decode = bomp._decode_chunk
+
+        def counted(*args):
+            calls.append(args[3].shape[1])
+            return decode(*args)
+
+        monkeypatch.setattr(bomp, "_decode_chunk", counted)
+        message = f"k_blocks={k} narrowest blocks hold {width} columns, more than M={m}"
+        with pytest.raises(ValueError, match=message):
+            bomp_decode_batch(e, Y, BompConfig(k_blocks=k))
+        with pytest.raises(ValueError, match=message):
+            bomp_decode(e, Y[:, 0], BompConfig(k_blocks=k))
+        assert calls == []
+        # one block fewer fits beside the measurements
+        np.testing.assert_array_equal(bomp._check_batch(e, Y, BompConfig(k_blocks=k - 1)), Y)
 
 
 class TestBompConfig:
@@ -616,6 +658,33 @@ class TestChunkedDecode:
         assert tuple(supports[:, 5]) == tuple(supports[:, 7]) == support
         np.testing.assert_array_equal(theta, whole[0])
         np.testing.assert_array_equal(supports, whole[1])
+
+    @pytest.mark.parametrize("per_chunk", [1, 2])
+    def test_stuck_signal_stops_the_later_chunks(self, monkeypatch, per_chunk):
+        # a signal led by the 4-column block finds no 2-column block that
+        # fits beside it in 5 measurements, so it passes over each one and
+        # runs out of blocks. Signals 2 and 4 do so, in different chunks: the
+        # error is the one-chunk error, and no later chunk is decoded
+        rng = np.random.default_rng(7)
+        sizes = (4, 2, 2, 2, 2)
+        structure = BlockStructure(sizes)
+        E = unit_columns(rng.standard_normal((5, 12)))
+        good = E[:, 4:6] @ [1.0, -0.5] + E[:, 8:10] @ [0.4, 0.3]
+        wide = E[:, 0:4] @ [2.0, -1.5, 1.0, 1.0] + E[:, 10:12] @ [0.3, 0.2]
+        Y = np.column_stack([good, good, wide, good, wide, good, good])
+        whole = assert_same_error(E, sizes, Y, 2)
+        assert whole.signal == 2
+        chunks, retries = recorded_chunks(monkeypatch)
+        monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 2, 5, per_chunk))
+        with pytest.raises(RankDeficientSupportError) as got:
+            _bomp_batch(E, structure, Y, 2, LS_TOL)
+        assert (got.value.support, got.value.signal) == (whole.support, whole.signal)
+        # the chunk holding signal 2 is the last one decoded, and only signal
+        # 2 is decoded again
+        assert chunks == [per_chunk] * -(-3 // per_chunk)
+        assert len(retries) == len(sizes) - 2
+        for y in retries:
+            np.testing.assert_array_equal(y, Y[:, [2]])
 
     def test_no_chunk_exceeds_the_budget(self, monkeypatch):
         rng = np.random.default_rng(14)

@@ -63,6 +63,11 @@ class TestMutualCoherence:
         with pytest.raises(ValueError, match="zero column"):
             mutual_coherence(e)
 
+    @pytest.mark.parametrize("e", [np.ones((3, 1)), np.ones(3)], ids=["one-column", "1-d"])
+    def test_needs_two_columns(self, e):
+        with pytest.raises(ValueError, match="at least two columns"):
+            mutual_coherence(e)
+
 
 class TestInterBlockCoherence:
     def test_block_diagonal_is_zero(self):
@@ -267,6 +272,10 @@ class TestBounds:
     def test_block_bound_rejects_nonpositive_mu(self):
         with pytest.raises(ValueError):
             block_recovery_bound(0.0, 0.1, 3)
+
+    def test_block_bound_rejects_empty_blocks(self):
+        with pytest.raises(ValueError, match="block size must be >= 1"):
+            block_recovery_bound(0.25, 0.1, 0)
 
     def test_objective_lower_bound_holds_for_every_e(self):
         # gaussian E at random scales, and scaled E with orthonormal rows,

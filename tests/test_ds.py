@@ -4,6 +4,7 @@ import pytest
 from blocksense import (
     BlockStructure,
     Dictionary,
+    SensingMatrix,
     design_ds,
     ds_objective,
     sym_eig,
@@ -79,6 +80,13 @@ class TestObjective:
         e = a @ d.matrix
         oracle = np.sum((e.T @ e - np.eye(8)) ** 2)
         assert ds_objective(a, d) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("wrap", [np.asarray, SensingMatrix], ids=["array", "sensing"])
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_rejects_wrong_signal_dimension(self, wrap, n):
+        d = random_dictionary(np.random.default_rng(4), 6, (3, 3, 3))
+        with pytest.raises(ValueError, match=f"{n} columns, dictionary expects 6"):
+            ds_objective(wrap(np.ones((4, n))), d)
 
     def test_rank_split_identity_for_any_sensing(self):
         # ||E'E - I_K||^2 = ||EE' - I_M||^2 + (K - M) holds for every A

@@ -497,6 +497,31 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: ExperimentConfig(**{**TINY, "dict_family": "bogus"}), "dict_family"),
+            (lambda: ExperimentConfig(**{**TINY, "designers": ()}), "at least one designer"),
+            (
+                lambda: ExperimentConfig(**{**TINY, "designers": ("wcm",), "alpha_grid": ()}),
+                "non-empty alpha_grid",
+            ),
+            (lambda: ExperimentConfig(**{**TINY, "block_sizes": (3,) * 7}), "sum to 21"),
+            (lambda: config_from_dict({}, preset="bogus"), "unknown preset"),
+            (
+                lambda: classification_rate(np.zeros((4, 2)), np.zeros((4, 3))),
+                "shape mismatch",
+            ),
+        ],
+        ids=[
+            "dict_family", "no-designers", "empty-alpha_grid", "block-sizes-sum",
+            "unknown-preset", "classification-shapes",
+        ],
+    )
+    def test_rejects_invalid_inputs(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             ExperimentConfig(**{**TINY, "M": 12})  # M == N

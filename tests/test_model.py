@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blocksense import (
+    BlockGram,
     BlockSparseVector,
     BlockStructure,
     Dictionary,
@@ -258,3 +259,43 @@ class TestBlockSparseVector:
             BlockSparseVector(np.zeros(4), BlockStructure((2, 2)), support=(2,))
         with pytest.raises(ValueError, match="duplicate"):
             BlockSparseVector(np.zeros(4), BlockStructure((2, 2)), support=(0, 0))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "make, error, match",
+        [
+            (lambda: EquivalentDictionary(np.ones(4), BlockStructure((2, 2))), ValueError, "2-D"),
+            (
+                lambda: EquivalentDictionary([[1.0, np.inf]], BlockStructure((2,))),
+                ValueError,
+                "non-finite",
+            ),
+            (
+                lambda: EquivalentDictionary(np.ones((2, 3)), BlockStructure((2, 2))),
+                ValueError,
+                "3 columns",
+            ),
+            (lambda: BlockStructure((2, 3)).block_slice(2), IndexError, "out of range"),
+            (lambda: BlockGram(np.eye(3), BlockStructure((2, 2))), ValueError, "4 x 4"),
+            (
+                lambda: BlockGram(np.triu(np.ones((4, 4))), BlockStructure((2, 2))),
+                ValueError,
+                "not symmetric",
+            ),
+            (lambda: BlockGram(-np.eye(4), BlockStructure((2, 2))), ValueError, "not PSD"),
+            (
+                lambda: BlockSparseVector(np.zeros(3), BlockStructure((2, 2)), (0,)),
+                ValueError,
+                "length-4",
+            ),
+            (lambda: sym_eig(np.ones((2, 3))), ValueError, "square"),
+        ],
+        ids=[
+            "matrix-1d", "matrix-nonfinite", "matrix-columns", "block-index", "gram-shape",
+            "gram-asymmetric", "gram-not-psd", "vector-length", "sym-eig-nonsquare",
+        ],
+    )
+    def test_rejects(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()

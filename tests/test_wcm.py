@@ -701,6 +701,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             WcmConfig(alpha=0.5, init="zeros")
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda d: WcmConfig(alpha=0.9, rel_tol=0.0), "rel_tol must be positive"),
+            (lambda d: WcmConfig(alpha=0.9, rel_tol=float("nan")), "rel_tol must be positive"),
+            (
+                lambda d: surrogate_value(
+                    BlockGram(np.eye(6), BlockStructure((3, 3))),
+                    BlockGram(np.eye(6), BlockStructure((2, 4))),
+                    0.9,
+                ),
+                "one block structure",
+            ),
+            (
+                lambda d: wcm_step(SensingMatrix(np.eye(2, 5)), d, 0.9),
+                "dimension 5, dictionary has 6",
+            ),
+        ],
+        ids=["rel_tol-zero", "rel_tol-nan", "surrogate-structures", "step-dimension"],
+    )
+    def test_rejects_invalid_inputs(self, call, match):
+        d = random_dictionary(np.random.default_rng(20), 6, (3, 3))
+        with pytest.raises(ValueError, match=match):
+            call(d)
+
     def test_bad_m(self):
         d = random_dictionary(np.random.default_rng(20), 6, (3, 3))
         with pytest.raises(ValueError):
