@@ -10,7 +10,9 @@ after what they penalize:
 
 Functions of a Gram matrix G express every penalty, deviation, gradient and
 block coherence over one uncached boolean K x K mask per kind. Callers holding
-only E = A D read the totals from its padded diagonal blocks (:func:`_block_terms`).
+only E = A D read the totals from its padded diagonal blocks
+(:func:`_block_terms`), at the slots that the structure's ``diagonal`` and
+``off_diagonal`` index fields name.
 """
 
 from __future__ import annotations
@@ -76,21 +78,42 @@ def _gram_terms(g: np.ndarray, structure: BlockStructure) -> _Terms:
     )
 
 
-def _block_terms(eet: np.ndarray, blocks: np.ndarray, structure: BlockStructure) -> _Terms:
+def _gram_parts(e: np.ndarray, structure: BlockStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E E', the columns of ``e`` as padded rows (``model._block_rows``) and
+    the diagonal blocks E_b' E_b of G = E'E in the padded layout."""
+    rows = _block_rows(e, structure)
+    # numpy forms each block of rows @ rows' by syrk; against a contiguous
+    # copy of the transposed rows it takes gemm, which rounds differently
+    # for some shapes and would move every design above 1/2
+    return e @ e.T, rows, rows @ rows.transpose(0, 2, 1)
+
+
+def _block_terms(eet: np.ndarray, blocks: np.ndarray,
+                 structure: BlockStructure) -> tuple[_Terms, float]:
     """Penalty totals of G = E'E from E E' and the diagonal blocks E_b' E_b in
-    the layout of ``structure``; inter is ||E E'||_F^2 = ||G||_F^2 less the blocks'."""
-    eye = np.eye(blocks.shape[1], dtype=bool)
-    return _Terms(
-        float(np.sum(eet**2) - np.sum(blocks**2)),
-        float(np.sum(blocks[:, ~eye] ** 2)),
-        float(np.sum((blocks[:, eye][~structure.padding] - 1.0) ** 2)),
+    the layout of ``structure``, and the blocks' sum of squares S_b; inter is
+    ||E E'||_F^2 = ||G||_F^2 less S_b. The blocks are read at the structure's
+    ``diagonal`` and ``off_diagonal`` slots. Each sum sees the array, shape
+    and memory order of the boolean-mask gathers ``blocks[:, ~eye]`` and
+    ``blocks[:, eye][~padding]``, so f keeps its bits: the integer gather
+    ``[:, off_diagonal]`` lays its result out as the mask does."""
+    squares = blocks**2
+    s_b = squares.sum()
+    diagonal = blocks.take(structure.diagonal)
+    diagonal -= 1.0
+    diagonal *= diagonal
+    terms = _Terms(
+        float((eet**2).sum() - s_b),
+        float(squares.reshape(len(squares), -1)[:, structure.off_diagonal].sum()),
+        float(diagonal.sum()),
     )
+    return terms, float(s_b)
 
 
 def _equivalent_terms(e: np.ndarray, structure: BlockStructure) -> _Terms:
     """All three penalty totals of G = E'E, from ``e`` without forming G."""
-    rows = _block_rows(e, structure)
-    return _block_terms(e @ e.T, rows @ rows.transpose(0, 2, 1), structure)
+    eet, _, blocks = _gram_parts(e, structure)
+    return _block_terms(eet, blocks, structure)[0]
 
 
 def mutual_coherence(E) -> float:

@@ -39,6 +39,11 @@ class BlockStructure:
     a per-column block label, and the padded layout every block-wise kernel
     reads: ``columns`` (blocks, s_max), each block's column indices padded
     with K, one past the last column, and ``padding``, the mask of those slots.
+    Two index fields locate entries of the padded diagonal blocks, a
+    (blocks, s_max, s_max) array: ``diagonal``, the flat positions of the
+    live diagonal slots in column order (K of them), and ``off_diagonal``,
+    the flat positions of the off-diagonal slots inside one s_max x s_max
+    block, in row-major order.
     """
 
     sizes: tuple[int, ...]
@@ -46,6 +51,8 @@ class BlockStructure:
     labels: np.ndarray = field(init=False, repr=False, compare=False)
     columns: np.ndarray = field(init=False, repr=False, compare=False)
     padding: np.ndarray = field(init=False, repr=False, compare=False)
+    diagonal: np.ndarray = field(init=False, repr=False, compare=False)
+    off_diagonal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
@@ -55,12 +62,17 @@ class BlockStructure:
             raise ValueError(f"block sizes must be >= 1, got {sizes}")
         offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
         labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        slots = np.arange(max(sizes))
+        s_max = max(sizes)
+        slots = np.arange(s_max)
         padding = slots >= np.array(sizes)[:, None]
         columns = np.where(padding, offsets[-1], offsets[:-1, None] + slots)
+        starts = s_max * s_max * np.arange(len(sizes), dtype=np.int64)
+        diagonal = (starts[:, None] + (s_max + 1) * slots)[~padding]
+        off_diagonal = np.flatnonzero(~np.eye(s_max, dtype=bool))
         object.__setattr__(self, "sizes", sizes)
         for name, arr in (("offsets", offsets), ("labels", labels),
-                          ("columns", columns), ("padding", padding)):
+                          ("columns", columns), ("padding", padding),
+                          ("diagonal", diagonal), ("off_diagonal", off_diagonal)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -121,6 +121,7 @@ import numpy as np
 from .coherence import (
     CoherenceReport,
     _block_terms,
+    _gram_parts,
     _Terms,
     _check_alpha,
     _gradient,
@@ -151,8 +152,10 @@ _HISTORY = 10
 _ARMIJO = 1e-4
 _BACKTRACKS = 40
 
-# The unit roundoff u = 2^-53 of float64, in the certificate of _meets_bound.
+# The unit roundoff u = 2^-53 of float64, in the certificate of _meets_bound,
+# and the machine epsilon 2u, in L-BFGS's curvature test.
 _UNIT_ROUNDOFF = 2.0**-53
+_EPS = np.finfo(float).eps
 
 _log = logging.getLogger(__name__)
 
@@ -287,8 +290,9 @@ def surrogate_gradient(gram: BlockGram, gram_prev: BlockGram, alpha: float) -> n
 class _Iterate(NamedTuple):
     """One iterate of either designer: C (M x N), the sensing matrix A = C W,
     E = A D, E E', the columns of E as padded rows (blocks, s_max, M), the
-    diagonal blocks E_b' E_b, and f's totals and value. A start iterate may
-    hold C = None until a designer first needs it (``_DesignBasis.lift``)."""
+    diagonal blocks E_b' E_b, f's totals and value, and the blocks' sum of
+    squares S_b that f's evaluation summed. A start iterate may hold
+    C = None until a designer first needs it (``_DesignBasis.lift``)."""
 
     c: np.ndarray
     a: np.ndarray
@@ -298,6 +302,7 @@ class _Iterate(NamedTuple):
     blocks: np.ndarray
     terms: _Terms
     f: float
+    blocks_sq: float
 
 
 class _DesignBasis:
@@ -311,22 +316,27 @@ class _DesignBasis:
         self.dictionary = D.matrix
         self.structure = D.structure
         self.whiten = D.whitening
-        self.eye = np.eye(D.structure.padding.shape[1], dtype=bool)
+        self._q_weights = {}
 
     @cached_property
     def whiten_dict(self) -> np.ndarray:
         """(W D)' as padded rows (blocks, s_max, N)."""
         return _block_rows(self.whiten @ self.dictionary, self.structure)
 
-    @property
+    @cached_property
     def whiten_dict_flat(self) -> np.ndarray:
         """``whiten_dict`` with blocks and slots in one axis, a view."""
         return self.whiten_dict.reshape(-1, self.whiten.shape[0])
 
     def q_weights(self, alpha: float) -> np.ndarray:
         """Entrywise weights that turn the padded diagonal blocks of G into
-        those of Q: alpha - 1/2 on the diagonal, 2 alpha - 1 off it."""
-        return np.where(self.eye, alpha - 0.5, 2.0 * alpha - 1.0)
+        those of Q: alpha - 1/2 on the diagonal, 2 alpha - 1 off it. Built
+        once per alpha."""
+        weights = self._q_weights.get(alpha)
+        if weights is None:
+            eye = np.eye(self.structure.padding.shape[1], dtype=bool)
+            weights = self._q_weights[alpha] = np.where(eye, alpha - 0.5, 2.0 * alpha - 1.0)
+        return weights
 
     def start(self, a: np.ndarray, alpha: float) -> _Iterate:
         """The iterate of sensing matrix ``a``, with its C_0 (``lift``). It
@@ -379,11 +389,9 @@ def _iterate(basis: _DesignBasis, c: np.ndarray | None, alpha: float,
     if a is None:
         a = c @ basis.whiten
     e = a @ basis.dictionary
-    rows = _block_rows(e, basis.structure)
-    blocks = rows @ rows.transpose(0, 2, 1)
-    eet = e @ e.T
-    terms = _block_terms(eet, blocks, basis.structure)
-    return _Iterate(c, a, e, eet, rows, blocks, terms, terms.objective(alpha))
+    eet, rows, blocks = _gram_parts(e, basis.structure)
+    terms, blocks_sq = _block_terms(eet, blocks, basis.structure)
+    return _Iterate(c, a, e, eet, rows, blocks, terms, terms.objective(alpha), blocks_sq)
 
 
 def _gradient_c(basis: _DesignBasis, p: _Iterate, alpha: float) -> np.ndarray:
@@ -427,7 +435,7 @@ def _armijo(basis: _DesignBasis, p: _Iterate, g: np.ndarray, d: np.ndarray,
     for _ in range(_BACKTRACKS):
         if p.f + t * slope == p.f:
             return None
-        trial = _iterate(basis, p.c + t * d, alpha)
+        trial = _iterate(basis, p.c + (d if t == 1.0 else t * d), alpha)
         if trial.f <= p.f + _ARMIJO * t * slope:
             return trial
         t *= 0.5
@@ -474,7 +482,7 @@ def _meets_bound(p: _Iterate, alpha: float) -> bool:
     terms = p.terms
     # F, with ||E E'||^2 + S_b = inter + 2 S_b
     magnitude = (0.5 * terms.norm + alpha * terms.sub
-                 + (1.0 - alpha) * (terms.inter + 2.0 * float(np.sum(p.blocks**2))))
+                 + (1.0 - alpha) * (terms.inter + 2.0 * p.blocks_sq))
     n = p.eet.size + p.blocks.size + 16
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     return abs(p.f - bound) <= gamma * magnitude
@@ -509,7 +517,7 @@ def _lbfgs_steps(basis: _DesignBasis, p: _Iterate, alpha: float):
         g_new = _gradient_c(basis, p_new, alpha)
         s, y = p_new.c - p.c, g_new - g
         sy = float(np.vdot(s, y))
-        if sy > np.finfo(float).eps * float(np.vdot(y, y)):
+        if sy > _EPS * float(np.vdot(y, y)):
             pairs.append((s, y, 1.0 / sy))
         p, g = p_new, g_new
 

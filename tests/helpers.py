@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from blocksense import BlockStructure, Dictionary, EquivalentDictionary, RankDeficientSupportError
-from blocksense.coherence import _gradient, _gram_terms
+from blocksense.coherence import _gradient, _gram_terms, _Terms
 from blocksense.model import _gram_matrix, sym_eig
 
 
@@ -164,6 +164,19 @@ def reference_wcm_measure(a_mat, D: Dictionary, alpha):
     g = _gram_matrix(a_mat @ D.matrix)
     terms = _gram_terms(g, D.structure)
     return g, terms, terms.objective(alpha)
+
+
+def reference_block_terms(eet: np.ndarray, blocks: np.ndarray, structure: BlockStructure) -> _Terms:
+    """Penalty totals of G = E'E from E E' and the diagonal blocks E_b' E_b in
+    the layout of ``structure``, gathered by boolean masks built on every
+    call; inter is ||E E'||_F^2 = ||G||_F^2 less the blocks'. The reference
+    for ``coherence._block_terms``, whose totals must equal these bit for bit."""
+    eye = np.eye(blocks.shape[1], dtype=bool)
+    return _Terms(
+        float(np.sum(eet**2) - np.sum(blocks**2)),
+        float(np.sum(blocks[:, ~eye] ** 2)),
+        float(np.sum((blocks[:, eye][~structure.padding] - 1.0) ** 2)),
+    )
 
 
 def reference_wcm_step(D: Dictionary, g, alpha, m, eta):

@@ -23,8 +23,8 @@ from blocksense import (
     total_sub_block_coherence,
     weighted_objective,
 )
-from blocksense.coherence import _equivalent_terms
-from helpers import numerical_gradient, random_dictionary, unit_columns
+from blocksense.coherence import _block_terms, _equivalent_terms, _gram_parts
+from helpers import numerical_gradient, random_dictionary, reference_block_terms, unit_columns
 
 
 def random_gram(rng, sizes, m=None):
@@ -238,6 +238,25 @@ class TestDecompositionCheck:
         oracle = np.sum((e_mat.T @ e_mat - np.eye(9)) ** 2)
         assert lhs == pytest.approx(oracle, rel=1e-12)
         assert rhs == pytest.approx(oracle, rel=1e-9)
+
+
+class TestBlockTerms:
+    @pytest.mark.parametrize("sizes", [(3,) * 40, (2, 3, 4, 3) * 10, (6,), (1,) * 12])
+    def test_equals_the_mask_reference(self, sizes):
+        # 4 x 60 draws; f's rounding steers the designers, so every total
+        # must keep the bits of the boolean-mask gathers
+        structure = BlockStructure(sizes)
+        rng = np.random.default_rng(len(sizes))
+        for _ in range(60):
+            m = int(rng.integers(1, 21))
+            scale = rng.uniform(0.5, 1.5, structure.num_columns)
+            e = unit_columns(rng.standard_normal((m, structure.num_columns))) * scale
+            eet, rows, blocks = _gram_parts(e, structure)
+            terms, s_b = _block_terms(eet, blocks, structure)
+            assert terms == reference_block_terms(eet, blocks, structure)
+            assert s_b == float(np.sum(blocks**2))
+            np.testing.assert_array_equal(eet, e @ e.T)
+            np.testing.assert_array_equal(blocks, rows @ rows.transpose(0, 2, 1))
 
 
 class TestBounds:

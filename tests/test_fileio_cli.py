@@ -1,6 +1,8 @@
 import json
 import logging
 import re
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +93,21 @@ def dict_file(tmp_path):
 
 
 class TestCli:
+    def test_module_run_exits_with_the_status_of_main(self, tmp_path, monkeypatch, capsys):
+        # a missing dictionary file makes main return 2; run as a module,
+        # that status becomes the exit code. Running the module again while
+        # it sits in sys.modules would warn, so it is taken out for the run.
+        monkeypatch.delitem(sys.modules, "blocksense.cli")
+        monkeypatch.setattr(sys, "argv", [
+            "blocksense", "design", "ds", "--dict", str(tmp_path / "missing.json"),
+            "-M", "4", "--out", str(tmp_path / "a.csv"),
+        ])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("blocksense.cli", run_name="__main__")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "a.csv").exists()
+
     def test_design_ds(self, tmp_path, dict_file):
         path, d = dict_file
         out = tmp_path / "a.csv"

@@ -39,6 +39,21 @@ class TestBlockStructure:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("sizes", [(3,) * 4, (2, 3, 4, 3) * 2, (5,), (1,) * 3, (2, 3, 1)])
+    def test_diagonal_indexes_select_the_mask_slots(self, sizes):
+        s = BlockStructure(sizes)
+        s_max = max(sizes)
+        # flat positions in a (blocks, s_max, s_max) array of padded blocks
+        slots = np.arange(s.num_blocks * s_max * s_max).reshape(s.num_blocks, s_max, s_max)
+        eye = np.eye(s_max, dtype=bool)
+        assert s.diagonal.tolist() == slots[:, eye][~s.padding].tolist()
+        assert s.off_diagonal.tolist() == slots[0][~eye].tolist()
+        assert len(s.diagonal) == s.num_columns
+        for arr in (s.diagonal, s.off_diagonal):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
     def test_uniform_size(self):
         assert BlockStructure((3, 3, 3)).uniform_size == 3
         assert BlockStructure((3, 2)).uniform_size is None

@@ -34,6 +34,7 @@ from helpers import (
     random_dictionary,
     random_orthonormal,
     reference_block_rows,
+    reference_block_terms,
     reference_wcm_measure,
     reference_wcm_step,
 )
@@ -437,6 +438,49 @@ class TestRunWcm:
             np.testing.assert_array_equal(report.sensing.matrix, expected.sensing.matrix)
             np.testing.assert_array_equal(report.equivalent.matrix, expected.equivalent.matrix)
         assert all(r.iterations > 1 for r in certified[1:])
+
+    @pytest.mark.parametrize("sizes", [(3,) * 40, (2, 3, 4, 3) * 10])
+    def test_mask_reference_changes_no_report(self, sizes, monkeypatch):
+        # f read at the structure's precomputed slots steers every Armijo test
+        # as the boolean-mask gathers did: swapping the reference in changes no bit
+        d = random_dictionary(np.random.default_rng(35), 60, sizes)
+        configs = [WcmConfig(alpha=alpha) for alpha in (0.3, 0.6, 0.9, 0.99)]
+        expected = [run_wcm(d, 14, config) for config in configs]
+        monkeypatch.setattr(
+            blocksense.wcm, "_block_terms",
+            lambda eet, blocks, structure: (reference_block_terms(eet, blocks, structure),
+                                            float(np.sum(blocks**2))))
+        for config, want in zip(configs, expected):
+            report = run_wcm(d, 14, config)
+            assert (report.iterations, report.fallbacks, report.converged) == (
+                want.iterations, want.fallbacks, want.converged)
+            for field in ("objective_trace", "component_trace"):
+                np.testing.assert_array_equal(getattr(report, field), getattr(want, field))
+            np.testing.assert_array_equal(report.sensing.matrix, want.sensing.matrix)
+        assert all(r.iterations > 1 for r in expected)
+
+    def test_bound_slack_counts_the_block_squares(self):
+        # the slack is gamma_n * F with F = 1/2 norm + alpha sub + (1 - alpha)
+        # (inter + 2 S_b); S_b is the sum f's evaluation stored on the iterate
+        d = c05_dictionary()
+        p = blocksense.wcm._DesignBasis(d).start(design_ds(d, 14).matrix, 0.5)
+        assert p.blocks_sq == float(np.sum(p.blocks**2))
+        t = p.terms
+        magnitude = 0.5 * t.norm + 0.5 * t.sub + 0.5 * (t.inter + 2.0 * p.blocks_sq)
+        n = p.eet.size + p.blocks.size + 16
+        slack = n * 2.0**-53 / (1.0 - n * 2.0**-53) * magnitude
+        bound = objective_lower_bound(120, 14, 0.5)
+        for f, certified in ((bound + 0.99 * slack, True), (bound + 1.01 * slack, False)):
+            assert blocksense.wcm._meets_bound(p._replace(f=f), 0.5) is certified
+
+    def test_certified_start_ends_after_one_yield(self):
+        d = c05_dictionary()
+        basis = blocksense.wcm._DesignBasis(d)
+        p = basis.start(design_ds(d, 14).matrix, 0.5)
+        steps = blocksense.wcm._lbfgs_steps(basis, p, 0.5)
+        assert next(steps) == (p, False)
+        with pytest.raises(StopIteration):
+            next(steps)
 
     def test_start_off_the_bound_takes_the_gradient_path(self, monkeypatch):
         # ds scaled by 1 + 1e-6 lies about 5e-13 relative above the bound at
