@@ -114,8 +114,9 @@ def _bomp_batch(E, structure, Y, k, ls_tol):
     n_blocks, s_max = structure.padding.shape
     width = k * s_max
     rows = _block_rows(E, structure)  # each block's columns as rows
-    # E with its columns in the padded order: E itself for uniform sizes
-    e_pad = np.ascontiguousarray(rows.reshape(-1, m_rows).T)
+    # E's padded columns slot-major: column j * blocks + b is slot j of block b
+    e_pad = np.empty((m_rows, s_max * n_blocks))
+    e_pad.reshape(m_rows, s_max, n_blocks)[...] = rows.transpose(2, 1, 0)
     supports = np.empty((k, n_signals), dtype=np.int64)
     coef = np.empty((n_signals, width))  # on each signal's padded support
     # float64 bytes of one signal's basis, factor R, Q' y and correlations
@@ -163,10 +164,12 @@ def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded
     below, and for each the first step at which its support fails. Their
     coefficients are left zero.
 
-    Each of the k steps scores the blocks against all L residuals with one
-    product, orthogonalizes every signal's chosen block against that
-    signal's running orthonormal basis and deflates the residuals. The basis
-    Q and the triangular factor R with E_S = Q R are carried along. Blocks
+    ``rows`` holds each block's columns as rows and ``e_pad`` E's padded
+    columns slot-major, as _bomp_batch builds them. Each of the k steps
+    scores the blocks against all L residuals with one product,
+    orthogonalizes every signal's chosen block against that signal's
+    running orthonormal basis and deflates the residuals. The basis Q and
+    the triangular factor R with E_S = Q R are carried along. Blocks
     are read in the padded layout of ``structure`` (``BlockStructure.columns``):
     zero columns, which stay zero, fill each block to the widest, s_max.
 
@@ -198,17 +201,14 @@ def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded
     width = k * s_max
     every = np.arange(n_signals)
     resid = Y.T.copy()
-    corr = np.empty((n_signals, n_blocks, s_max))  # E' r for every residual r
+    corr = np.empty((n_signals, s_max, n_blocks))  # E' r for every residual r
     q = np.zeros((n_signals, width, m_rows))  # rows: each signal's basis Q
     r = np.zeros((n_signals, width, width))
     qty = np.zeros((n_signals, width))  # Q' y
     for t in range(k):
-        np.matmul(resid, e_pad, out=corr.reshape(n_signals, n_blocks * s_max))
-        np.square(corr, out=corr)
-        # summed in column order, as np.add.reduceat would; padding adds +0.0
-        scores = corr[:, :, 0].copy()
-        for j in range(1, s_max):
-            scores += corr[:, :, j]
+        np.matmul(resid, e_pad, out=corr.reshape(n_signals, s_max * n_blocks))
+        # summed in slot order, as np.add.reduceat would; padding adds +0.0
+        scores = np.einsum("ljb,ljb->lb", corr, corr)
         if excluded is not None:
             scores[excluded] = -1.0
         scores[every, supports[:t]] = -1.0
@@ -249,7 +249,7 @@ def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded
             norm = np.sqrt(norm2)
             rb[:, j, j] = norm
             # a zero column (padding, exact dependence) stays zero
-            np.divide(col, norm[:, None], out=col, where=norm[:, None] > 0.0)
+            col /= np.where(norm > 0.0, norm, 1.0)[:, None]
         q[:, lo:hi] = block
         qy = (block @ resid[:, :, None])[:, :, 0]
         resid -= (qy[:, None, :] @ block)[:, 0]

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from blocksense import BlockStructure, Dictionary, EquivalentDictionary, RankDeficientSupportError
+from blocksense.bomp import _first_failing_step, _triangular_inverse
 from blocksense.coherence import _gradient, _gram_terms, _Terms
 from blocksense.model import _gram_matrix, sym_eig
 
@@ -217,3 +218,108 @@ def reference_representation_error(X, D: Dictionary, theta_hat) -> float:
     """||X - D theta_hat||_F / ||X||_F, out of place. The reference for
     ``harness.representation_error``."""
     return float(np.linalg.norm(X - D.matrix @ theta_hat)) / float(np.linalg.norm(X))
+
+
+def reference_decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded):
+    """The lockstep kernel over a block-major ``e_pad``, E's padded columns
+    in block order: it squares the correlations in place, sums each block's
+    slots onto a strided copy of its first, and normalizes each column by a
+    masked divide. Same arguments and returns as ``bomp._decode_chunk``,
+    except the layout of ``e_pad``. The reference for ``bomp._decode_chunk``,
+    whose coefficients, supports and failing steps must equal these bit for
+    bit."""
+    m_rows = e_pad.shape[0]
+    n_signals = Y.shape[1]
+    pad = structure.padding
+    n_blocks, s_max = pad.shape
+    width = k * s_max
+    every = np.arange(n_signals)
+    resid = Y.T.copy()
+    corr = np.empty((n_signals, n_blocks, s_max))  # E' r for every residual r
+    q = np.zeros((n_signals, width, m_rows))  # rows: each signal's basis Q
+    r = np.zeros((n_signals, width, width))
+    qty = np.zeros((n_signals, width))  # Q' y
+    for t in range(k):
+        np.matmul(resid, e_pad, out=corr.reshape(n_signals, n_blocks * s_max))
+        np.square(corr, out=corr)
+        # summed in column order, as np.add.reduceat would; padding adds +0.0
+        scores = corr[:, :, 0].copy()
+        for j in range(1, s_max):
+            scores += corr[:, :, j]
+        if excluded is not None:
+            scores[excluded] = -1.0
+        scores[every, supports[:t]] = -1.0
+        best = np.argmax(scores, axis=1)
+        supports[t] = best
+        lo, hi = t * s_max, (t + 1) * s_max
+        block = rows[best]
+        if t:
+            before = np.einsum("lim,lim->li", block, block)
+            proj = q[:, :lo] @ block.transpose(0, 2, 1)
+            block -= proj.transpose(0, 2, 1) @ q[:, :lo]
+            r[:, :lo, lo:hi] += proj
+            kept = np.einsum("lim,lim->li", block, block)
+            redo = np.flatnonzero((kept < 0.5 * before).any(axis=1))
+            if redo.size:
+                sub, basis = block[redo], q[redo, :lo]
+                proj = basis @ sub.transpose(0, 2, 1)
+                sub -= proj.transpose(0, 2, 1) @ basis
+                block[redo] = sub
+                r[redo, :lo, lo:hi] += proj
+        rb = r[:, lo:hi, lo:hi]
+        for j in range(s_max):
+            col = block[:, j]
+            norm2 = np.einsum("lm,lm->l", col, col)
+            if j:
+                proj = np.einsum("lim,lm->li", block[:, :j], col)
+                col -= np.einsum("li,lim->lm", proj, block[:, :j])
+                rb[:, :j, j] += proj
+                before, norm2 = norm2, np.einsum("lm,lm->l", col, col)
+                redo = np.flatnonzero(norm2 < 0.5 * before)
+                if redo.size:
+                    sub, basis = col[redo], block[redo, :j]
+                    proj = np.einsum("lim,lm->li", basis, sub)
+                    sub -= np.einsum("li,lim->lm", proj, basis)
+                    col[redo] = sub
+                    rb[redo, :j, j] += proj
+                    norm2[redo] = np.einsum("lm,lm->l", sub, sub)
+            norm = np.sqrt(norm2)
+            rb[:, j, j] = norm
+            # a zero column (padding, exact dependence) stays zero
+            np.divide(col, norm[:, None], out=col, where=norm[:, None] > 0.0)
+        q[:, lo:hi] = block
+        qy = (block @ resid[:, :, None])[:, :, 0]
+        resid -= (qy[:, None, :] @ block)[:, 0]
+        qty[:, lo:hi] = qy
+    del q, corr  # released before the inverse allocates; it needs only R and Q' y
+
+    # Padding rows and columns of R are exactly zero. On their diagonal goes
+    # |R[0, 0]|, the norm of a real column, which lies between the extreme
+    # singular values of every leading block of R: the conditioning ratio
+    # stays exact and every padding coefficient solves to 0.
+    diag = np.arange(width)
+    r[:, diag, diag] += pad[supports.T].reshape(n_signals, width) * np.abs(r[:, :1, 0])
+    widths = np.cumsum(np.array(structure.sizes)[supports], axis=0)  # after each step
+    fails = widths[-1] > m_rows
+    # kappa_2 <= kappa_F, and at kappa_F * ls_tol < 1e-2 the rounding of the
+    # inverse and of the singular values is far from moving the decision. An
+    # exactly zero pivot makes kappa_F non-finite, so that signal is unsure.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r_inv = _triangular_inverse(r, s_max)
+        kappa = np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(r_inv, axis=(1, 2))
+        unsure = ~(kappa * ls_tol < 1e-2)
+    if unsure.any():
+        sv = np.linalg.svd(r[unsure], compute_uv=False)
+        fails[unsure] |= sv[:, -1] <= ls_tol * sv[:, 0]
+    # sigma_min / sigma_max never rises as columns are appended, so the final
+    # supports flag exactly the signals that fail at some step, before the
+    # solve. An exactly zero pivot that the check cleared, which only
+    # ls_tol = 0 allows, has no solution and fails the support too.
+    failed = np.flatnonzero(fails | ~np.all(r[:, diag, diag], axis=1))
+    steps = np.array(
+        [_first_failing_step(r[sig], widths[:, sig], s_max, m_rows, ls_tol) for sig in failed],
+        dtype=np.int64,
+    )
+    r_inv[failed] = 0.0
+    coef[...] = (r_inv @ qty[:, :, None])[:, :, 0]
+    return failed, steps

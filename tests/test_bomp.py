@@ -26,6 +26,7 @@ from helpers import (
     packed_equivalent,
     random_orthonormal,
     reference_bomp,
+    reference_decode_chunk,
     unit_columns,
 )
 
@@ -574,6 +575,62 @@ class TestConditioningScreen:
         np.testing.assert_array_equal(zero_supports, supports)
         np.testing.assert_array_equal(zero_theta, theta)
         assert 2 not in supports[:, 1]
+
+
+def block_major_kernel(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded=None):
+    """``reference_decode_chunk`` in place of ``bomp._decode_chunk``: it is
+    handed E's padded columns block-major, as the blocks' rows flattened."""
+    e_block_major = np.ascontiguousarray(rows.reshape(-1, rows.shape[2]).T)
+    return reference_decode_chunk(
+        rows, e_block_major, structure, Y, k, ls_tol, coef, supports, excluded
+    )
+
+
+def assert_same_as_block_major(monkeypatch, E, structure, Y, k, ls_tol):
+    theta, supports = _bomp_batch(E, structure, Y, k, ls_tol)
+    with monkeypatch.context() as patch:
+        patch.setattr(bomp, "_decode_chunk", block_major_kernel)
+        ref_theta, ref_supports = _bomp_batch(E, structure, Y, k, ls_tol)
+    np.testing.assert_array_equal(supports, ref_supports)
+    np.testing.assert_array_equal(theta, ref_theta)
+    return supports
+
+
+class TestKernelAgreesWithBlockMajorReference:
+    """Slot-major block scoring and the unmasked column division change no
+    bit of theta or of a support, on first passes and on pass-over retries."""
+
+    @pytest.mark.parametrize("ls_tol", [LS_TOL, 0.0])
+    @pytest.mark.parametrize("sizes", [(3,) * 12, (2, 3, 4) * 4, (1, 4, 2, 4, 3) * 2],
+                             ids=["uniform", "mixed", "mixed-wide"])
+    def test_random_draws(self, monkeypatch, sizes, ls_tol):
+        rng = np.random.default_rng(list(sizes))
+        structure = BlockStructure(sizes)
+        for _ in range(5):
+            E = unit_columns(rng.standard_normal((16, structure.num_columns)))
+            Y = rng.standard_normal((16, 40))
+            assert_same_as_block_major(monkeypatch, E, structure, Y, 3, ls_tol)
+
+    def test_mirrored_blocks_follow_the_slot_order(self, monkeypatch):
+        # block 1 holds block 0's columns in reverse order, so the two tie in
+        # exact arithmetic and their computed scores differ only by the order
+        # of the sums: the first choice between them shows that order
+        rng = np.random.default_rng(17)
+        E = unit_columns(rng.standard_normal((16, 18)))
+        E[:, 3:6] = E[:, 2::-1]
+        Y = E[:, :3] @ rng.uniform(-1.0, 1.0, (3, 200)) + 0.01 * rng.standard_normal((16, 200))
+        supports = assert_same_as_block_major(
+            monkeypatch, E, BlockStructure((3,) * 6), Y, 2, LS_TOL
+        )
+        assert {0, 1} <= set(supports[0].tolist())  # each wins some ties
+
+    @pytest.mark.parametrize("ls_tol", [LS_TOL, 0.0])
+    def test_exactly_dependent_block(self, monkeypatch, ls_tol):
+        E, Y = repeated_column_batch()
+        supports = assert_same_as_block_major(
+            monkeypatch, E, BlockStructure((3,) * 5), Y, 2, ls_tol
+        )
+        assert 2 not in supports[:, 1]  # passed over
 
 
 def chunk_bytes(structure, k, m_rows, signals):

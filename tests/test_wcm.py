@@ -678,6 +678,59 @@ class TestLbfgsDesigner:
         assert blocksense.wcm._armijo(basis, p, g, -1e-3 * g, 0.9) is not None
         assert len(tried) == 1
 
+    @pytest.mark.parametrize("n_pairs", [1, 2, blocksense.wcm._HISTORY])
+    def test_two_loop_is_the_dense_bfgs_product(self, n_pairs):
+        # H from H_0 = (s'y / y'y) I of the newest pair, updated by every
+        # pair, oldest first: H <- (I - rho s y') H (I - rho y s') + rho s s'
+        rng = np.random.default_rng(n_pairs)
+        shape, n = (3, 4), 12
+        b = rng.standard_normal((n, n))
+        hessian = b @ b.T + n * np.eye(n)  # positive definite, so s'y > 0
+        pairs = []
+        for _ in range(n_pairs):
+            s = rng.standard_normal(shape)
+            y = (hessian @ s.ravel()).reshape(shape)
+            pairs.append((s, y, 1.0 / np.vdot(s, y)))
+        _, y, rho = pairs[-1]
+        h = np.eye(n) / (rho * np.vdot(y, y))
+        for s, y, rho in pairs:
+            left = np.eye(n) - rho * np.outer(s, y)
+            h = left @ h @ left.T + rho * np.outer(s, s)
+        g = rng.standard_normal(shape)
+        want = h @ g.ravel()
+        got = blocksense.wcm._two_loop(g, pairs)
+        assert got.shape == shape
+        assert np.linalg.norm(got.ravel() - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_keeps_at_most_history_pairs(self, monkeypatch):
+        lengths = []
+        two_loop = blocksense.wcm._two_loop
+
+        def recording(g, pairs):
+            lengths.append(len(pairs))
+            return two_loop(g, pairs)
+
+        monkeypatch.setattr(blocksense.wcm, "_two_loop", recording)
+        report = run_wcm(c05_dictionary(), 14, WcmConfig(alpha=0.99))
+        assert report.iterations > blocksense.wcm._HISTORY
+        assert max(lengths) == blocksense.wcm._HISTORY
+
+    # the module's memory, 10 pairs, and the smaller 5 measured against it
+    # in CHANGES.md
+    @pytest.mark.parametrize("history", [5, 10])
+    def test_desk_designs_converge_at_either_memory(self, history, monkeypatch):
+        monkeypatch.setattr(blocksense.wcm, "_HISTORY", history)
+        for sizes, seed in itertools.product((3, [2, 3, 4, 3] * 10), (3, 5)):
+            cfg = ExperimentConfig(
+                dict_family="gaussian", N=60, K=120, M=14, block_sizes=sizes, k=2,
+                L=1, trials=1, designers=("wcm",), seed=seed,
+            )
+            d = generate_dictionary(cfg, np.random.default_rng([seed, 0]))
+            for alpha in (0.6, 0.9, 0.99):
+                report = run_wcm(d, cfg.M, WcmConfig(alpha=alpha))
+                assert report.converged
+                assert 0.0 <= report.gap <= 1e-5
+
     def test_desk_designs_reach_the_lower_bound(self):
         designs = [("gaussian", 3), ("dct_rows", 3), ("gaussian", [2, 3, 4, 3] * 10)]
         for (family, sizes), seed in itertools.product(designs, (7, 11, 61, 108, 613)):
