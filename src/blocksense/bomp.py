@@ -64,9 +64,7 @@ class BompConfig:
         object.__setattr__(self, "ls_tol", ls_tol)
 
 
-# Byte budget for the per-signal buffers of one decoded chunk of signals. At
-# K = 1200, L = 500, 4 MiB decoded faster than 1 MiB or 16 MiB, and 16 MiB
-# raised the process peak.
+# Byte budget for the per-signal buffers of one decoded chunk of signals.
 _CHUNK_BYTES = 4 << 20
 
 

@@ -9,6 +9,9 @@ byte-identical CSV output, with or without the process pool.
 A trial decodes and scores each distinct sensing matrix once: cells whose
 designs are equal bit for bit, such as ``ds`` and ``wcm`` at alpha = 1/2,
 share one decode, and only their objective is weighed at each cell's alpha.
+A wcm design is scored from the E = A D and the penalty totals its
+``run_wcm`` report holds; the baselines form both, after every wcm cell, so
+that a baseline which a wcm design repeats is not scored again.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .coherence import _Terms, _check_alpha, _equivalent_terms
 from .ds import design_ds
 from .fileio import _number, save_table_csv
 from .model import BlockStructure, Dictionary, EquivalentDictionary
-from .wcm import WcmConfig, run_wcm
+from .wcm import WcmConfig, WcmReport, run_wcm
 
 _log = logging.getLogger(__name__)
 
@@ -198,6 +201,20 @@ def generate_dictionary(cfg: ExperimentConfig, rng: np.random.Generator) -> Dict
     return Dictionary(mat, cfg.structure())
 
 
+def _first_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest keys of each row, ascending, equal
+    keys by lowest index: the first k columns of the row-wise stable
+    argsort. Takes k ``argmin`` passes, each writing +inf over the key it
+    chose, so ``keys`` is overwritten; k must not exceed its columns."""
+    order = np.empty((len(keys), k), dtype=np.intp)
+    rows = np.arange(len(keys))
+    for i in range(k):
+        # argmin returns the lowest index among equal keys
+        order[:, i] = chosen = keys.argmin(axis=1)
+        keys[rows, chosen] = np.inf
+    return order
+
+
 def generate_signals(
     D: Dictionary, k: int, L: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -205,23 +222,27 @@ def generate_signals(
 
     Active blocks are chosen uniformly without replacement and their
     coefficients drawn i.i.d. uniform on [-1, 1]. Returns (X, Theta) with
-    X = D @ Theta.
+    X = D @ Theta. k must be an integer from 1 to the number of blocks and
+    L an integer >= 1; any other value raises a ValueError before ``rng``
+    is drawn from.
 
     The whole batch takes two draws from ``rng``: ``rng.random((L, blocks))``,
-    whose row-wise stable argsort orders each signal's blocks, of which the
-    first k are active; then ``rng.uniform(-1, 1, (L, k, s_max))``, one
-    value per slot of each active block in the padded layout of
-    ``BlockStructure.columns``, in selection order. Values drawn for
-    padding slots are discarded.
+    whose k smallest keys per row, in their row-wise stable ascending order,
+    are the signal's active blocks (``_first_k``); then
+    ``rng.uniform(-1, 1, (L, k, s_max))``, one value per slot of each
+    active block in the padded layout of ``BlockStructure.columns``, in
+    selection order. Values drawn for padding slots are discarded.
     """
-    k, L = int(k), int(L)
     structure = D.structure
+    k, L = _number("k", k, int), _number("L", L, int)
+    for key, value in (("k", k), ("L", L)):
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
     if k > structure.num_blocks:
         raise ValueError(f"k={k} exceeds the number of blocks {structure.num_blocks}")
-    order = np.argsort(rng.random((L, structure.num_blocks)), axis=1, kind="stable")
-    cols = structure.columns[order[:, :k]]  # (L, k, s_max); padding slots hold K
-    del order
-    # padding values land in the extra row K, which is dropped
+    cols = structure.columns[_first_k(rng.random((L, structure.num_blocks)), k)]
+    # cols is (L, k, s_max); padding slots hold K, and their values land in
+    # the extra row K, which is dropped
     theta = np.zeros((D.num_atoms + 1, L))
     theta[cols, np.arange(L)[:, None, None]] = rng.uniform(-1.0, 1.0, cols.shape)
     del cols
@@ -256,16 +277,19 @@ def representation_error(X: np.ndarray, D, theta_hat: np.ndarray) -> float:
     return float(np.linalg.norm(residual)) / denom
 
 
-def _score(cfg, a_mat, D, X, theta) -> tuple[float, float, _Terms]:
+def _score(cfg, D, X, theta, a_mat, E=None, terms=None) -> tuple[float, float, _Terms]:
     """Decode the trial's signals through sensing matrix ``a_mat`` and return
     the representation error, the classification rate and the penalty
-    totals of E = A D, from which every alpha's objective follows."""
-    E = EquivalentDictionary(a_mat @ D.matrix, D.structure)
+    totals of E = A D, from which every alpha's objective follows. E and
+    its totals are formed here unless given."""
+    if E is None:
+        E = EquivalentDictionary(a_mat @ D.matrix, D.structure)
+        terms = _equivalent_terms(E.matrix, D.structure)
     theta_hat = bomp_decode_batch(E, a_mat @ X, BompConfig(k_blocks=cfg.k))
     return (
         representation_error(X, D, theta_hat),
         classification_rate(theta_hat, theta),
-        _equivalent_terms(E.matrix, D.structure),
+        terms,
     )
 
 
@@ -279,31 +303,61 @@ def _grid(cfg: ExperimentConfig) -> list[tuple[str, float | None]]:
     ]
 
 
-def _design(cfg: ExperimentConfig, trial: int, D: Dictionary, designer: str, alpha) -> np.ndarray:
-    """Sensing matrix A of one (designer, alpha) cell of a trial."""
+def _design(cfg: ExperimentConfig, trial: int, D: Dictionary, designer: str,
+            alpha) -> tuple[np.ndarray, WcmReport | None]:
+    """Sensing matrix A of one (designer, alpha) cell of a trial, with the
+    ``run_wcm`` report of a wcm cell (None for the baselines)."""
     if designer == "random":
         # stream keyed off the trial stream so designer order cannot matter
-        return np.random.default_rng([cfg.seed, trial, 7919]).standard_normal((cfg.M, cfg.N))
+        return np.random.default_rng([cfg.seed, trial, 7919]).standard_normal((cfg.M, cfg.N)), None
     if designer == "ds":
-        return design_ds(D, cfg.M).matrix
-    return run_wcm(D, cfg.M, WcmConfig(alpha=alpha)).sensing.matrix
+        return design_ds(D, cfg.M).matrix, None
+    report = run_wcm(D, cfg.M, WcmConfig(alpha=alpha))
+    return report.sensing.matrix, report
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     """Run one trial: draw data, design with every configured method, then
     decode and score each distinct sensing matrix once. Deterministic in
-    (cfg.seed, trial). Logs the trial's cell count and wall time at INFO."""
+    (cfg.seed, trial). Logs the trial's cell count and wall time at INFO.
+
+    A wcm design is scored as soon as it is designed, from its report's E,
+    which is A D bit for bit, and the report's last ``component_trace`` row,
+    the totals ``coherence._equivalent_terms`` gives; the report is then
+    dropped. A baseline design is scored once every cell is designed, unless
+    a wcm design was equal to it, so the ds cell and the wcm cell at alpha =
+    1/2 share one decode whichever comes first. Designs are matched on the
+    SHA-256 of A's bytes, and a baseline's A is the only matrix kept until
+    it is scored.
+    """
+    # imported here, like the pool in run_sweep, so that CLI commands that
+    # run no trial do not pay for importing it
+    import hashlib
+
     start = time.perf_counter()
     rng = np.random.default_rng([cfg.seed, trial])
     D = generate_dictionary(cfg, rng)
     X, theta = generate_signals(D, cfg.k, cfg.L, rng)
+    cells = _grid(cfg)
+    keys = []  # SHA-256 of each cell's A: cells with equal designs share one score
+    scores = {}  # key -> (e, r, totals)
+    baselines = {}  # key -> A of a baseline design not yet scored
+    for designer, alpha in cells:
+        a_mat, report = _design(cfg, trial, D, designer, alpha)
+        key = hashlib.sha256(a_mat.tobytes()).digest()
+        keys.append(key)
+        if report is None:
+            if key not in scores:
+                baselines[key] = a_mat
+        elif key not in scores:
+            baselines.pop(key, None)
+            terms = _Terms(*map(float, report.component_trace[-1]))
+            scores[key] = _score(cfg, D, X, theta, a_mat, report.equivalent, terms)
+        del a_mat, report  # not held through the next design
+    for key, a_mat in baselines.items():
+        scores[key] = _score(cfg, D, X, theta, a_mat)
     rows = []
-    scores = {}  # keyed on the bytes of A: each distinct design is scored once
-    for designer, alpha in _grid(cfg):
-        a_mat = _design(cfg, trial, D, designer, alpha)
-        key = a_mat.tobytes()
-        if key not in scores:
-            scores[key] = _score(cfg, a_mat, D, X, theta)
+    for (designer, alpha), key in zip(cells, keys):
         e, r, terms = scores[key]
         rows.append(TrialResult(
             trial=trial,
@@ -351,8 +405,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     if workers == 1:
         per_trial = [run_trial(cfg, t) for t in range(cfg.trials)]
     else:
-        # imported here: the pool's modules take ~20 ms to import, which every
-        # serial run and every CLI command would otherwise pay
+        # imported here, so that serial runs and CLI commands do not pay for
+        # importing the pool's modules
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -6,9 +6,25 @@ import itertools
 
 import numpy as np
 
-from blocksense import BlockStructure, Dictionary, EquivalentDictionary, RankDeficientSupportError
+from blocksense import (
+    BlockStructure,
+    BompConfig,
+    Dictionary,
+    EquivalentDictionary,
+    RankDeficientSupportError,
+    TrialResult,
+    WcmConfig,
+    bomp_decode_batch,
+    classification_rate,
+    design_ds,
+    generate_dictionary,
+    generate_signals,
+    representation_error,
+    run_wcm,
+)
 from blocksense.bomp import _first_failing_step, _triangular_inverse
-from blocksense.coherence import _gradient, _gram_terms, _Terms
+from blocksense.coherence import _equivalent_terms, _gradient, _gram_terms, _Terms
+from blocksense.harness import _grid
 from blocksense.model import _gram_matrix, sym_eig
 
 
@@ -323,3 +339,57 @@ def reference_decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports,
     r_inv[failed] = 0.0
     coef[...] = (r_inv @ qty[:, :, None])[:, :, 0]
     return failed, steps
+
+
+def reference_score(cfg, a_mat, D, X, theta):
+    """Decode through ``a_mat`` and score E = A D, formed here with its
+    penalty totals. The design-and-score-per-cell ``harness._score``,
+    copied verbatim."""
+    E = EquivalentDictionary(a_mat @ D.matrix, D.structure)
+    theta_hat = bomp_decode_batch(E, a_mat @ X, BompConfig(k_blocks=cfg.k))
+    return (
+        representation_error(X, D, theta_hat),
+        classification_rate(theta_hat, theta),
+        _equivalent_terms(E.matrix, D.structure),
+    )
+
+
+def reference_design(cfg, trial: int, D: Dictionary, designer: str, alpha) -> np.ndarray:
+    """Sensing matrix A of one cell, with no report: ``harness._design``
+    before it returned the ``run_wcm`` report, copied verbatim."""
+    if designer == "random":
+        # stream keyed off the trial stream so designer order cannot matter
+        return np.random.default_rng([cfg.seed, trial, 7919]).standard_normal((cfg.M, cfg.N))
+    if designer == "ds":
+        return design_ds(D, cfg.M).matrix
+    return run_wcm(D, cfg.M, WcmConfig(alpha=alpha)).sensing.matrix
+
+
+def reference_run_trial(cfg, trial: int) -> list:
+    """One trial that designs and scores cell by cell, and forms E = A D and
+    its totals for every distinct design, including those whose ``run_wcm``
+    report already held them: the design-and-score-per-cell ``run_trial``
+    copied verbatim, less its timing and INFO log line. The reference for
+    ``harness.run_trial``, whose rows must equal these bit for bit."""
+    rng = np.random.default_rng([cfg.seed, trial])
+    D = generate_dictionary(cfg, rng)
+    X, theta = generate_signals(D, cfg.k, cfg.L, rng)
+    rows = []
+    scores = {}  # keyed on the bytes of A: each distinct design is scored once
+    for designer, alpha in _grid(cfg):
+        a_mat = reference_design(cfg, trial, D, designer, alpha)
+        key = a_mat.tobytes()
+        if key not in scores:
+            scores[key] = reference_score(cfg, a_mat, D, X, theta)
+        e, r, terms = scores[key]
+        rows.append(TrialResult(
+            trial=trial,
+            designer=designer,
+            alpha=alpha,
+            e=e,
+            r=r,
+            ratio_nu_mu=terms.sub / terms.inter if terms.inter > 0.0 else float("inf"),
+            # baselines without an alpha of their own are scored at the neutral 0.5
+            objective=terms.objective(0.5 if alpha is None else alpha),
+        ))
+    return rows

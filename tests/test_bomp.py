@@ -415,7 +415,7 @@ class TestLockstepAgreesWithReference:
         D = generate_dictionary(cfg, rng)
         X, _ = generate_signals(D, cfg.k, cfg.L, rng)
         for designer, alpha in _grid(cfg):
-            a_mat = _design(cfg, 0, D, designer, alpha)
+            a_mat, _ = _design(cfg, 0, D, designer, alpha)
             assert_agrees_with_reference(a_mat @ D.matrix, D.structure, a_mat @ X, cfg.k)
 
 

@@ -27,11 +27,13 @@ from blocksense import (
     run_wcm,
     write_sweep_outputs,
 )
-from blocksense.harness import config_from_dict, run_trial
+from blocksense.coherence import _equivalent_terms
+from blocksense.harness import _first_k, config_from_dict, run_trial
 from helpers import (
     random_dictionary,
     reference_bomp,
     reference_representation_error,
+    reference_run_trial,
     reference_signals,
 )
 
@@ -115,7 +117,32 @@ class TestGenerateSignals:
         with pytest.raises(ValueError):
             generate_signals(d, 3, 2, rng)
 
-    @pytest.mark.parametrize("sizes, k", [((3,) * 40, 2), ((2, 3, 4) * 14, 3)])
+    @pytest.mark.parametrize("k, L", [(-1, 4), (0, 4), (2.7, 4), (9, 4), (True, 4), ("2", 4),
+                                      (2, 0), (2, -3), (2, 2.5), (2, None)])
+    def test_rejects_bad_k_and_L_before_drawing(self, k, L):
+        # 8 blocks of 3: k = -1 once kept 7 blocks, 2.7 became 2 and 0 drew
+        # all-zero signals
+        d = random_dictionary(np.random.default_rng(5), 12, (3,) * 8)
+        rng = np.random.default_rng(12)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^k" if L == 4 else "^L"):
+            generate_signals(d, k, L, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("levels", [2, 3, 16])
+    def test_first_k_is_the_stable_argsort_under_ties(self, levels):
+        # keys on a coarse grid tie within most rows, and argmin must break
+        # every tie by the lowest index, as the stable sort does
+        blocks = 8
+        keys = np.floor(np.random.default_rng(13).random((300, blocks)) * levels) / levels
+        assert np.mean(np.any(np.diff(np.sort(keys, axis=1)) == 0.0, axis=1)) > 0.5
+        expected = np.argsort(keys, axis=1, kind="stable")
+        for k in (1, 2, blocks):
+            np.testing.assert_array_equal(_first_k(keys.copy(), k), expected[:, :k])
+
+    @pytest.mark.parametrize("sizes, k", [
+        ((3,) * 40, 2), ((2, 3, 4) * 14, 3), ((3,) * 400, 8), ((2, 3, 4, 5) * 5, 20),
+    ])
     def test_keeps_the_random_stream(self, sizes, k):
         d = random_dictionary(np.random.default_rng(6), 60, sizes)
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
@@ -370,6 +397,52 @@ class TestScoringFromE:
             d = generate_dictionary(cfg, np.random.default_rng([cfg.seed, row.trial]))
             report = run_wcm(d, cfg.M, WcmConfig(alpha=row.alpha))
             assert row.objective == report.objective_trace[-1]
+
+    def test_forms_e_only_for_designs_without_a_report(self, monkeypatch):
+        # ds and wcm at 1/2 share the report's E, and the other wcm cells
+        # have their own: only the random design's totals are computed here
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _equivalent_terms(*args, **kwargs)
+
+        monkeypatch.setattr(blocksense.harness, "_equivalent_terms", counting)
+        for designers in (("random", "ds", "wcm"), ("wcm", "ds", "random")):
+            cfg = ExperimentConfig(**{**TINY, "designers": designers, "alpha_grid": (0.5, 0.9, 0.99)})
+            calls.clear()
+            assert len(run_trial(cfg, 0)) == 5
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("sizes, alphas", [
+        (3, (0.5, 0.9, 0.99)), ([2, 3, 4, 3] * 10, (0.5, 0.9, 0.99)), (3, (0.3, 0.5, 0.9)),
+    ])
+    def test_rows_equal_the_reference_trial(self, sizes, alphas):
+        # the reference designs and scores cell by cell and forms every E
+        cfg = ExperimentConfig(
+            dict_family="gaussian", N=60, K=120, M=14, block_sizes=sizes, k=2, L=50,
+            trials=3, alpha_grid=alphas, seed=34, designers=("random", "ds", "wcm"),
+        )
+        for trial in range(cfg.trials):
+            assert run_trial(cfg, trial) == reference_run_trial(cfg, trial)
+
+    def test_trial_peak_does_not_exceed_the_reference(self):
+        # the reference holds one E at a time; a trial that kept each wcm
+        # design's E until every cell was designed would peak above it
+        cfg = ExperimentConfig(
+            dict_family="gaussian", N=100, K=600, M=30, block_sizes=3, k=4, L=200,
+            trials=1, alpha_grid=(0.5, 0.9, 0.99), seed=32,
+        )
+        peaks = {}
+        for fn in (run_trial, reference_run_trial):
+            fn(cfg, 0)
+            tracemalloc.start()
+            try:
+                fn(cfg, 0)
+                peaks[fn] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[run_trial] <= peaks[reference_run_trial]
 
     @pytest.mark.parametrize("sizes", [3, [2, 3, 4, 3] * 50])
     def test_trial_allocates_no_k_by_k_array(self, sizes):
