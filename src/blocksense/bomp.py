@@ -26,14 +26,13 @@ signals; the result is the same bit for bit.
 
 No draw of signals can end a decode on a support that is exactly or
 numerically singular. At each step a signal takes the best-scoring block among
-those that keep its support full rank: at most as many columns as
-measurements, and sigma_min(E_S) > ls_tol * sigma_max(E_S) or, at ls_tol = 0,
-no zero pivot. Checking every candidate would cost an SVD per block, so the
-lockstep pass picks by score alone and checks each signal's final support;
-a chunk's few signals that fail are decoded again with the block chosen at
-their first failing step passed over. A batch whose k narrowest blocks
-hold more columns than measurements has no full-rank support, and is
-refused before any decoding.
+those that keep its support full rank (_fails): at most as many columns as
+measurements, and sigma_min(E_S) > _RANK_TOL * sigma_max(E_S). Checking
+every candidate would cost an SVD per block, so the lockstep pass picks by
+score alone and checks each signal's final support; a chunk's few signals
+that fail are decoded again with the block chosen at their first failing
+step passed over. A batch whose k narrowest blocks hold more columns than
+measurements has no full-rank support, and is refused before any decoding.
 """
 
 from __future__ import annotations
@@ -43,29 +42,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import _number
-from .model import BlockSparseVector, EquivalentDictionary, _block_rows
+from .model import BlockSparseVector, EquivalentDictionary, _block_rows, _scatter_blocks
 
 
 @dataclass(frozen=True)
 class BompConfig:
-    """Decoder settings: number of blocks to select and the relative
-    singular-value threshold below which a stacked sub-dictionary is
-    rejected as rank deficient."""
+    """Decoder settings: the number of blocks to select."""
 
     k_blocks: int
-    ls_tol: float = 1e-10
 
     def __post_init__(self):
         if _number("k_blocks", self.k_blocks, int) < 1:
             raise ValueError(f"k_blocks must be >= 1, got {self.k_blocks}")
-        ls_tol = _number("ls_tol", self.ls_tol, float)
-        if not ls_tol >= 0.0:
-            raise ValueError(f"ls_tol must be non-negative, got {self.ls_tol}")
-        object.__setattr__(self, "ls_tol", ls_tol)
 
 
 # Byte budget for the per-signal buffers of one decoded chunk of signals.
 _CHUNK_BYTES = 4 << 20
+# Relative singular-value threshold below which a support is rank deficient.
+_RANK_TOL = 1e-10
 
 
 class RankDeficientSupportError(np.linalg.LinAlgError):
@@ -81,7 +75,7 @@ class RankDeficientSupportError(np.linalg.LinAlgError):
         )
 
 
-def _bomp_batch(E, structure, Y, k, ls_tol):
+def _bomp_batch(E, structure, Y, k):
     """Decode every column of Y against E, passing over blocks that would
     leave a signal's support rank deficient.
 
@@ -107,7 +101,7 @@ def _bomp_batch(E, structure, Y, k, ls_tol):
     order, and its support up to and including the last block passed over.
     No later chunk is decoded.
     """
-    m_rows, n_cols = E.shape
+    m_rows = E.shape[0]
     n_signals = Y.shape[1]
     n_blocks, s_max = structure.padding.shape
     width = k * s_max
@@ -126,7 +120,7 @@ def _bomp_batch(E, structure, Y, k, ls_tol):
         part_coef, part_supports, excluded = coef[part], supports[:, part], None
         while True:
             failed, steps = _decode_chunk(
-                rows, e_pad, structure, Y[:, todo], k, ls_tol, part_coef, part_supports, excluded
+                rows, e_pad, structure, Y[:, todo], k, part_coef, part_supports, excluded
             )
             if excluded is None:
                 excluded = np.zeros((todo.size, n_blocks), dtype=bool)
@@ -143,15 +137,12 @@ def _bomp_batch(E, structure, Y, k, ls_tol):
             todo = todo[failed]
             part_coef = np.empty((todo.size, width))
             part_supports = np.empty((k, todo.size), dtype=np.int64)
-    # allocated once the chunks' buffers are released; padding coefficients
-    # land in the extra row K, which is dropped
-    theta = np.zeros((n_cols + 1, n_signals))
-    cols = structure.columns[supports.T].reshape(n_signals, width)
-    theta[cols, np.arange(n_signals)[:, None]] = coef
-    return theta[:n_cols], supports
+    # allocated once the chunks' buffers are released
+    theta = _scatter_blocks(structure, supports.T, coef.reshape(n_signals, k, s_max))
+    return theta, supports
 
 
-def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded):
+def _decode_chunk(rows, e_pad, structure, Y, k, coef, supports, excluded):
     """Decode every column of Y with all signals in lockstep, writing into
     coef (L x k s_max) each signal's coefficients on its support in the
     padded layout, and into supports (k x L) its blocks. A block marked in
@@ -182,15 +173,12 @@ def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded
     arithmetic of each signal do not depend on the rest of its batch.
 
     R^-1 comes from back substitution over the s_max x s_max diagonal
-    blocks (_triangular_inverse), with no LU. The conditioning check clears
-    a signal when kappa_F(R) * ls_tol < 1e-2, with kappa_F(R) = |R|_F |R^-1|_F
-    >= kappa_2(R); only the signals it cannot clear, those with an exactly
-    zero pivot among them, take the singular values of R. The coefficients
-    are theta_S = R^-1 Q' y, one batched product for all signals, so E_S is
-    never gathered. A support fails when it is wider than the measurements,
-    when sigma_min(R) <= ls_tol * sigma_max(R), or when R has an exactly
-    zero pivot (which only ls_tol = 0 lets pass the singular values); the
-    first failing step is found by _first_failing_step.
+    blocks (_triangular_inverse), with no LU. The final supports are checked
+    by _fails; for the signals that fail, so is each leading block of R and
+    R^-1, the factor and inverse of a prefix support (R is triangular), and
+    the first prefix that fails names the step. The coefficients are
+    theta_S = R^-1 Q' y, one batched product for all signals, so E_S is
+    never gathered.
     """
     m_rows = e_pad.shape[0]
     n_signals = Y.shape[1]
@@ -261,29 +249,39 @@ def _decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded
     diag = np.arange(width)
     r[:, diag, diag] += pad[supports.T].reshape(n_signals, width) * np.abs(r[:, :1, 0])
     widths = np.cumsum(np.array(structure.sizes)[supports], axis=0)  # after each step
-    fails = widths[-1] > m_rows
-    # kappa_2 <= kappa_F, and at kappa_F * ls_tol < 1e-2 the rounding of the
-    # inverse and of the singular values is far from moving the decision. An
-    # exactly zero pivot makes kappa_F non-finite, so that signal is unsure.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r_inv = _triangular_inverse(r, s_max)
-        kappa = np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(r_inv, axis=(1, 2))
-        unsure = ~(kappa * ls_tol < 1e-2)
-    if unsure.any():
-        sv = np.linalg.svd(r[unsure], compute_uv=False)
-        fails[unsure] |= sv[:, -1] <= ls_tol * sv[:, 0]
     # sigma_min / sigma_max never rises as columns are appended, so the final
-    # supports flag exactly the signals that fail at some step, before the
-    # solve. An exactly zero pivot that the check cleared, which only
-    # ls_tol = 0 allows, has no solution and fails the support too.
-    failed = np.flatnonzero(fails | ~np.all(r[:, diag, diag], axis=1))
-    steps = np.array(
-        [_first_failing_step(r[sig], widths[:, sig], s_max, m_rows, ls_tol) for sig in failed],
-        dtype=np.int64,
-    )
+    # supports flag exactly the signals that fail at some step
+    failed = np.flatnonzero(_fails(r, r_inv, widths[-1], m_rows))
+    prefix_fails = np.ones((k, failed.size), dtype=bool)  # the final step fails
+    for t in range(k - 1):
+        lead = (t + 1) * s_max
+        prefix_fails[t] = _fails(
+            r[failed, :lead, :lead], r_inv[failed, :lead, :lead], widths[t, failed], m_rows
+        )
     r_inv[failed] = 0.0
     coef[...] = (r_inv @ qty[:, :, None])[:, :, 0]
-    return failed, steps
+    return failed, np.argmax(prefix_fails, axis=0)
+
+
+def _fails(r, r_inv, widths, m_rows):
+    """Which supports of a stack are not full rank, given each one's
+    triangular factor R, its inverse and its width: those wider than the
+    measurements, and those with sigma_min(R) <= _RANK_TOL * sigma_max(R).
+    kappa_F(R) = |R|_F |R^-1|_F >= kappa_2(R) clears a support first when
+    kappa_F * _RANK_TOL < 1e-2, where the rounding of the inverse and of the
+    singular values is far from moving the decision; only the rest take the
+    singular values. An exactly zero pivot makes kappa_F non-finite, and its
+    support fails on the singular values."""
+    fails = widths > m_rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(r_inv, axis=(1, 2))
+        unsure = ~(fails | (kappa * _RANK_TOL < 1e-2))
+    if unsure.any():
+        sv = np.linalg.svd(r[unsure], compute_uv=False)
+        fails[unsure] = sv[:, -1] <= _RANK_TOL * sv[:, 0]
+    return fails
 
 
 def _triangular_inverse(r, s_max):
@@ -314,21 +312,6 @@ def _triangular_inverse(r, s_max):
     return r_inv
 
 
-def _first_failing_step(r, widths, s_max, m_rows, ls_tol):
-    """First step whose support fails the check, given the signal's padded
-    triangular factor and its support width after each step: each prefix
-    support's factor is a leading block of it. The final step fails by
-    assumption."""
-    for t, w in enumerate(widths[:-1]):
-        lead = (t + 1) * s_max
-        if w > m_rows or not np.all(np.diagonal(r)[:lead]):
-            return t
-        sv = np.linalg.svd(r[:lead, :lead], compute_uv=False)
-        if sv[-1] <= ls_tol * sv[0]:
-            return t
-    return widths.size - 1
-
-
 def _check_batch(E: EquivalentDictionary, Y: np.ndarray, cfg: BompConfig) -> np.ndarray:
     y = np.asarray(Y, dtype=float)
     if y.ndim != 2:
@@ -338,6 +321,9 @@ def _check_batch(E: EquivalentDictionary, Y: np.ndarray, cfg: BompConfig) -> np.
             f"measurements have {y.shape[0]} rows, equivalent dictionary has "
             f"{E.num_measurements}"
         )
+    finite = np.isfinite(y).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"signal {np.argmin(finite)} has a non-finite measurement")
     if cfg.k_blocks > E.structure.num_blocks:
         raise ValueError(
             f"k_blocks={cfg.k_blocks} exceeds the number of blocks "
@@ -361,11 +347,12 @@ def bomp_decode_batch(E: EquivalentDictionary, Y, cfg: BompConfig) -> np.ndarray
     that keep it so, passing over the rest. RankDeficientSupportError is
     raised only when fewer than ``cfg.k_blocks`` blocks are left that a
     signal has not passed over, naming the lowest-indexed such signal; a
-    ValueError, before any decoding, when the ``cfg.k_blocks`` narrowest
-    blocks hold more columns than there are measurements.
+    ValueError, before any decoding, when a measurement is not finite
+    (naming the lowest-indexed such signal) or when the ``cfg.k_blocks``
+    narrowest blocks hold more columns than there are measurements.
     """
     y = _check_batch(E, Y, cfg)
-    theta, _ = _bomp_batch(E.matrix, E.structure, y, int(cfg.k_blocks), float(cfg.ls_tol))
+    theta, _ = _bomp_batch(E.matrix, E.structure, y, int(cfg.k_blocks))
     return theta
 
 
@@ -382,7 +369,7 @@ def bomp_decode(E: EquivalentDictionary, y, cfg: BompConfig) -> BlockSparseVecto
     if vec.ndim != 1:
         raise ValueError(f"expected a 1-D measurement vector, got shape {vec.shape}")
     y = _check_batch(E, vec[:, None], cfg)
-    theta, supports = _bomp_batch(E.matrix, E.structure, y, int(cfg.k_blocks), float(cfg.ls_tol))
+    theta, supports = _bomp_batch(E.matrix, E.structure, y, int(cfg.k_blocks))
     return BlockSparseVector(
         values=theta[:, 0],
         structure=E.structure,

@@ -119,12 +119,18 @@ def _equivalent_terms(e: np.ndarray, structure: BlockStructure) -> _Terms:
 def mutual_coherence(E) -> float:
     """Largest normalized inner product between two distinct columns of E."""
     mat = E.matrix if isinstance(E, EquivalentDictionary) else np.asarray(E, dtype=float)
-    if mat.ndim != 2 or mat.shape[1] < 2:
+    if mat.ndim != 2:
         raise ValueError("mutual coherence needs a matrix with at least two columns")
-    norms = np.linalg.norm(mat, axis=0)
+    return _mutual_coherence(_gram_matrix(mat), np.linalg.norm(mat, axis=0))
+
+
+def _mutual_coherence(g: np.ndarray, norms: np.ndarray) -> float:
+    """Mutual coherence of E from its Gram matrix G = E'E and its column norms."""
+    if norms.size < 2:
+        raise ValueError("mutual coherence needs a matrix with at least two columns")
     if np.any(norms == 0.0):
         raise ValueError("matrix has a zero column; coherence is undefined")
-    c = np.abs(_gram_matrix(mat)) / np.outer(norms, norms)
+    c = np.abs(g) / np.outer(norms, norms)
     np.fill_diagonal(c, 0.0)
     return float(c.max())
 
@@ -311,7 +317,7 @@ def coherence_report(E: EquivalentDictionary, alpha: float | None = None) -> Coh
         mu_block = None
     terms = _equivalent_terms(E.matrix, E.structure)
     return CoherenceReport(
-        mu=mutual_coherence(E),
+        mu=_mutual_coherence(g.matrix, np.linalg.norm(E.matrix, axis=0)),
         mu_block=mu_block,
         nu_sub=sub_block_coherence(g),
         total_inter=terms.inter,

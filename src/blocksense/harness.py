@@ -30,7 +30,7 @@ from .bomp import BompConfig, bomp_decode_batch
 from .coherence import _Terms, _check_alpha, _equivalent_terms
 from .ds import design_ds
 from .fileio import _number, save_table_csv
-from .model import BlockStructure, Dictionary, EquivalentDictionary
+from .model import BlockStructure, Dictionary, EquivalentDictionary, _scatter_blocks
 from .wcm import WcmConfig, WcmReport, run_wcm
 
 _log = logging.getLogger(__name__)
@@ -240,13 +240,9 @@ def generate_signals(
             raise ValueError(f"{key} must be >= 1, got {value}")
     if k > structure.num_blocks:
         raise ValueError(f"k={k} exceeds the number of blocks {structure.num_blocks}")
-    cols = structure.columns[_first_k(rng.random((L, structure.num_blocks)), k)]
-    # cols is (L, k, s_max); padding slots hold K, and their values land in
-    # the extra row K, which is dropped
-    theta = np.zeros((D.num_atoms + 1, L))
-    theta[cols, np.arange(L)[:, None, None]] = rng.uniform(-1.0, 1.0, cols.shape)
-    del cols
-    theta = theta[: D.num_atoms]
+    blocks = _first_k(rng.random((L, structure.num_blocks)), k)
+    values = rng.uniform(-1.0, 1.0, (L, k, structure.padding.shape[1]))
+    theta = _scatter_blocks(structure, blocks, values)
     return D.matrix @ theta, theta
 
 

@@ -300,6 +300,18 @@ def _block_rows(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
     return rows
 
 
+def _scatter_blocks(structure: BlockStructure, blocks, values) -> np.ndarray:
+    """The K x L matrix whose column l holds ``values[l]`` on the blocks
+    ``blocks[l]`` and zeros elsewhere: ``blocks`` is (L, k) block indices
+    and ``values`` (L, k, s_max) in the padded layout of ``structure``,
+    whose values at padding slots are discarded."""
+    n_signals = blocks.shape[0]
+    # padding slots hold K, so their values land in the extra row K, which is dropped
+    out = np.zeros((structure.num_columns + 1, n_signals))
+    out[structure.columns[blocks], np.arange(n_signals)[:, None, None]] = values
+    return out[:-1]
+
+
 def gram(E: EquivalentDictionary) -> BlockGram:
     """Gram matrix of the equivalent dictionary columns, with its block layout."""
     return BlockGram(_gram_matrix(E.matrix), E.structure)

@@ -22,7 +22,7 @@ from blocksense import (
     representation_error,
     run_wcm,
 )
-from blocksense.bomp import _first_failing_step, _triangular_inverse
+from blocksense.bomp import _triangular_inverse
 from blocksense.coherence import _equivalent_terms, _gradient, _gram_terms, _Terms
 from blocksense.harness import _grid
 from blocksense.model import _gram_matrix, sym_eig
@@ -236,14 +236,33 @@ def reference_representation_error(X, D: Dictionary, theta_hat) -> float:
     return float(np.linalg.norm(X - D.matrix @ theta_hat)) / float(np.linalg.norm(X))
 
 
-def reference_decode_chunk(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded):
+def _first_failing_step(r, widths, s_max, m_rows, ls_tol):
+    """First step whose support fails the check, given the signal's padded
+    triangular factor and its support width after each step: each prefix
+    support's factor is a leading block of it. The final step fails by
+    assumption."""
+    for t, w in enumerate(widths[:-1]):
+        lead = (t + 1) * s_max
+        if w > m_rows or not np.all(np.diagonal(r)[:lead]):
+            return t
+        sv = np.linalg.svd(r[:lead, :lead], compute_uv=False)
+        if sv[-1] <= ls_tol * sv[0]:
+            return t
+    return widths.size - 1
+
+
+def reference_decode_chunk(rows, e_pad, structure, Y, k, coef, supports, excluded, ls_tol):
     """The lockstep kernel over a block-major ``e_pad``, E's padded columns
     in block order: it squares the correlations in place, sums each block's
     slots onto a strided copy of its first, and normalizes each column by a
-    masked divide. Same arguments and returns as ``bomp._decode_chunk``,
-    except the layout of ``e_pad``. The reference for ``bomp._decode_chunk``,
-    whose coefficients, supports and failing steps must equal these bit for
-    bit."""
+    masked divide. It checks supports at the relative singular-value
+    threshold ``ls_tol``, failing an exactly zero pivot as well, and finds
+    each failing signal's first failing step one signal and one prefix at a
+    time (``_first_failing_step``). Same arguments and returns as
+    ``bomp._decode_chunk``, except the layout of ``e_pad`` and the added
+    ``ls_tol``. The reference for ``bomp._decode_chunk``, whose
+    coefficients, supports, failing signals and failing steps must equal
+    these bit for bit at ``ls_tol = bomp._RANK_TOL``."""
     m_rows = e_pad.shape[0]
     n_signals = Y.shape[1]
     pad = structure.padding

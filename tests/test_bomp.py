@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from helpers import (
 # advance: |theta - theta_ref| <= THETA_RTOL * max|theta_ref|, a few hundred
 # ulps of double precision.
 THETA_RTOL = 1e-12
-LS_TOL = BompConfig(k_blocks=1).ls_tol
+LS_TOL = bomp._RANK_TOL
 
 
 def orthonormal_block_equiv(rng, n_blocks=3, s=2):
@@ -150,6 +151,22 @@ class TestBompDecode:
         e = orthonormal_block_equiv(np.random.default_rng(6))
         with pytest.raises(ValueError, match=match):
             decode(e, y, BompConfig(k_blocks=1))
+
+    def test_rejects_non_finite_measurements(self, monkeypatch):
+        # refused before any decoding, naming the lowest-indexed bad signal
+        e = orthonormal_block_equiv(np.random.default_rng(6))
+        y = np.ones((6, 4))
+        y[2, 1], y[0, 3] = np.nan, -np.inf
+        calls = []
+        monkeypatch.setattr(bomp, "_bomp_batch", lambda *args: calls.append(args))
+        cfg = BompConfig(k_blocks=1)
+        with pytest.raises(ValueError, match="signal 1 has a non-finite measurement"):
+            bomp_decode_batch(e, y, cfg)
+        with pytest.raises(ValueError, match="signal 2 has a non-finite measurement"):
+            bomp_decode_batch(e, y[:, [0, 2, 3]], cfg)
+        with pytest.raises(ValueError, match="signal 0 has a non-finite measurement"):
+            bomp_decode(e, y[:, 1], cfg)
+        assert calls == []
 
 
 class TestBatchDecode:
@@ -274,26 +291,21 @@ class TestBompConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BompConfig(k_blocks=0)
-        with pytest.raises(ValueError):
-            BompConfig(k_blocks=1, ls_tol=-1.0)
         for bad in (2.5, True, "2"):
             with pytest.raises(ValueError, match="k_blocks"):
                 BompConfig(k_blocks=bad)
         assert BompConfig(k_blocks=np.int64(2)).k_blocks == 2
-        for bad in ("1e-10", True, None):
-            with pytest.raises(ValueError, match="ls_tol"):
-                BompConfig(k_blocks=1, ls_tol=bad)
-        config = BompConfig(k_blocks=1, ls_tol=np.float64(1e-8))
-        assert type(config.ls_tol) is float and config.ls_tol == 1e-8
+        # the rank threshold is fixed, not a setting
+        with pytest.raises(TypeError, match="ls_tol"):
+            BompConfig(k_blocks=1, ls_tol=1e-8)
 
 
-def assert_agrees_with_reference(E, structure, Y, k, ls_tol=LS_TOL, kappa=1.0, ref_tol=None):
+def assert_agrees_with_reference(E, structure, Y, k, kappa=1.0, ref_tol=LS_TOL):
     """Same supports as the reference, and theta within THETA_RTOL times
     kappa, a bound on the condition number of the selected columns: the
     forward error of a backward-stable solve grows with it. The reference
-    runs at ``ref_tol``, by default ``ls_tol``."""
-    theta, supports = _bomp_batch(E, structure, Y, k, ls_tol)
-    ref_tol = ls_tol if ref_tol is None else ref_tol
+    runs at ``ref_tol``."""
+    theta, supports = _bomp_batch(E, structure, Y, k)
     ref_theta, ref_supports = reference_bomp(E, structure.offsets, Y, k, ref_tol)
     np.testing.assert_array_equal(supports, ref_supports)
     assert theta.shape == ref_theta.shape
@@ -308,17 +320,17 @@ def block_scores(E, structure, r):
     return np.add.reduceat(c * c, structure.offsets[:-1])
 
 
-def assert_passes_over(E, structure, Y, k, passed, ls_tol=LS_TOL, ref_tol=None):
+def assert_passes_over(E, structure, Y, k, passed, ref_tol=LS_TOL):
     """Decode Y and check that every signal has k distinct blocks, a
     residual orthogonal to its chosen columns, and the reference's supports
-    and coefficients (at ``ref_tol``, by default ``ls_tol``). For each
-    (signal, step, block) in ``passed``, the block scores highest at that
-    step after the signal's chosen blocks, yet is not in its support: the
-    decoder passed over it. Returns (theta, supports)."""
+    and coefficients (at ``ref_tol``). For each (signal, step, block) in
+    ``passed``, the block scores highest at that step after the signal's
+    chosen blocks, yet is not in its support: the decoder passed over it.
+    Returns (theta, supports)."""
     def columns(blocks):
         return [c for j in blocks for c in range(structure.offsets[j], structure.offsets[j + 1])]
 
-    theta, supports = assert_agrees_with_reference(E, structure, Y, k, ls_tol, ref_tol=ref_tol)
+    theta, supports = assert_agrees_with_reference(E, structure, Y, k, ref_tol=ref_tol)
     resid = Y - E @ theta
     for sig in range(Y.shape[1]):
         assert len(set(supports[:, sig].tolist())) == k
@@ -338,14 +350,13 @@ def assert_passes_over(E, structure, Y, k, passed, ls_tol=LS_TOL, ref_tol=None):
     return theta, supports
 
 
-def assert_same_error(E, sizes, Y, k, ls_tol=LS_TOL, ref_tol=None):
-    """The lockstep kernel raises what the reference raises at ``ref_tol``,
-    by default ``ls_tol``; returns it."""
+def assert_same_error(E, sizes, Y, k):
+    """The lockstep kernel raises what the reference raises; returns it."""
     structure = BlockStructure(sizes)
     with pytest.raises(RankDeficientSupportError) as ref:
-        reference_bomp(E, structure.offsets, Y, k, ls_tol if ref_tol is None else ref_tol)
+        reference_bomp(E, structure.offsets, Y, k, LS_TOL)
     with pytest.raises(RankDeficientSupportError) as got:
-        _bomp_batch(E, structure, Y, k, ls_tol)
+        _bomp_batch(E, structure, Y, k)
     assert (got.value.support, got.value.signal) == (ref.value.support, ref.value.signal)
     assert str(got.value) == str(ref.value)
     return ref.value
@@ -438,7 +449,7 @@ class TestLockstepErrors:
         theta, supports = assert_passes_over(E, structure, Y, 2, [(1, step, 2)])
         assert tuple(supports[:, 0]) == (0, 3)
         assert tuple(supports[:, 1]) == ((0, 1), (4, 3))[step]
-        alone, _ = _bomp_batch(E, structure, Y[:, :1], 2, LS_TOL)
+        alone, _ = _bomp_batch(E, structure, Y[:, :1], 2)
         np.testing.assert_array_equal(theta[:, 0], alone[:, 0])
 
     def test_lowest_failing_signal_wins_across_widths(self):
@@ -457,14 +468,12 @@ class TestLockstepErrors:
         theta, supports = assert_passes_over(E, structure, Y, 2, [(0, 1, 0), (1, 1, 1)])
         np.testing.assert_array_equal(supports, [[2, 4], [3, 3]])
         for sig in range(2):
-            alone, _ = _bomp_batch(E, structure, Y[:, [sig]], 2, LS_TOL)
+            alone, _ = _bomp_batch(E, structure, Y[:, [sig]], 2)
             np.testing.assert_array_equal(theta[:, sig], alone[:, 0])
 
     def test_lowest_failing_signal_wins_across_kinds(self):
-        # at ls_tol = 0 block 1, which scores highest for signal "singular",
-        # passes the singular values with an exactly zero pivot; the pivot
-        # still fails the support, so the signal passes over block 1 for
-        # block 0, as the reference does at a positive tolerance. Beside
+        # block 1, which scores highest for signal "singular", has an exactly
+        # zero pivot, so the signal passes over it for block 0. Beside
         # block 0's 4 columns no block fits the 5 measurements, so both
         # signals pass over every other block and run out of blocks: the
         # lowest-indexed one is named, with the last block it passed over.
@@ -481,7 +490,7 @@ class TestLockstepErrors:
             (np.column_stack([singular, wide]), ((0, 4), 0)),
             (np.column_stack([wide, singular]), ((0, 1), 0)),
         ]:
-            err = assert_same_error(E, sizes, Y, 2, 0.0, ref_tol=LS_TOL)
+            err = assert_same_error(E, sizes, Y, 2)
             assert (err.support, err.signal) == named
 
     def test_more_columns_than_measurements(self):
@@ -490,9 +499,6 @@ class TestLockstepErrors:
         # the third block brings 6 columns for 5 measurements; a fourth follows
         Y = rng.standard_normal((5, 3))
         err = assert_same_error(E, (2,) * 6, Y, 4)
-        assert (len(err.support), err.signal) == (3, 0)
-        # with no singular-value tolerance only the width count catches it
-        err = assert_same_error(E, (2,) * 6, Y, 4, ls_tol=0.0)
         assert (len(err.support), err.signal) == (3, 0)
 
     def test_block_wider_than_measurements(self):
@@ -517,9 +523,9 @@ class TestConditioningScreen:
     """The inverse-based screen and the singular values it falls back to
     decide exactly as the reference's singular values do."""
 
-    @pytest.mark.parametrize("ls_tol", [LS_TOL, 0.0])
+    @pytest.mark.parametrize("ref_tol", [LS_TOL])
     @pytest.mark.parametrize("delta", [1e-4, 1e-7, 1e-9, 1e-12])
-    def test_near_dependent_block(self, delta, ls_tol):
+    def test_near_dependent_block(self, delta, ref_tol):
         # block 2's last column is a combination of its other two plus delta
         # times noise; signal 1 is made from blocks 2 and 0, signal 0 from
         # blocks 4 and 1
@@ -530,22 +536,22 @@ class TestConditioningScreen:
         good = E[:, 12:15] @ [1.0, 0.5, 0.3] + E[:, 3:6] @ [0.2, 0.1, 0.3]
         bad = E[:, 6:9] @ [1.0, -0.5, 0.7] + E[:, 0:3] @ [0.2, 0.1, -0.3]
         Y = np.column_stack([good, bad])
-        if ls_tol and delta < ls_tol:
+        if delta < ref_tol:
             _, supports = assert_passes_over(
-                E, BlockStructure((3,) * 5), Y, 2, [(1, 0, 2)], ls_tol
+                E, BlockStructure((3,) * 5), Y, 2, [(1, 0, 2)], ref_tol
             )
             assert tuple(supports[:, 1]) == (4, 1)
         else:
             # block 2 is about delta from singular
             _, supports = assert_agrees_with_reference(
-                E, BlockStructure((3,) * 5), Y, 2, ls_tol, kappa=1.0 / delta
+                E, BlockStructure((3,) * 5), Y, 2, kappa=1.0 / delta, ref_tol=ref_tol
             )
             assert supports[0, 1] == 2
 
     def test_exactly_repeated_column(self):
         # a column of entries +-1/2 has norm exactly 1, so Gram-Schmidt
         # cancels its repeat exactly: R has a zero pivot, its inverse is not
-        # finite, and the singular values decide for that signal
+        # finite, and the singular values fail that signal's support
         E, Y = repeated_column_batch()
         _, supports = assert_passes_over(E, BlockStructure((3,) * 5), Y, 2, [(1, 0, 2)])
         np.testing.assert_array_equal(supports, [[4, 1], [1, 4]])
@@ -561,36 +567,34 @@ class TestConditioningScreen:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        theta, supports = _bomp_batch(E, structure, Y, 2, LS_TOL)
-        # the screen's call holds signal 1's factor only; the zero pivot
-        # names the failing step without a prefix re-check, and the retry
-        # pass, whose support is well conditioned, takes none
-        assert shapes == [(1, 6, 6)]
-        # with no tolerance the singular values clear the singular R, which
-        # has no solution: the zero pivot still fails the support, and the
-        # signal passes over block 2 as it does at the default tolerance
-        shapes.clear()
-        zero_theta, zero_supports = _bomp_batch(E, structure, Y, 2, 0.0)
-        assert shapes == [(1, 6, 6)]
-        np.testing.assert_array_equal(zero_supports, supports)
-        np.testing.assert_array_equal(zero_theta, theta)
+        _, supports = _bomp_batch(E, structure, Y, 2)
+        # the screen clears signal 0, so the check of the final supports
+        # takes the singular values of signal 1's factor only, and the
+        # prefix check those of its first block, whose inverse is not
+        # finite either; the retry pass, whose support is well conditioned,
+        # takes none
+        assert shapes == [(1, 6, 6), (1, 3, 3)]
         assert 2 not in supports[:, 1]
 
 
-def block_major_kernel(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded=None):
-    """``reference_decode_chunk`` in place of ``bomp._decode_chunk``: it is
-    handed E's padded columns block-major, as the blocks' rows flattened."""
+def block_major_kernel(rows, e_pad, structure, Y, k, coef, supports, excluded=None,
+                       ls_tol=LS_TOL):
+    """``reference_decode_chunk`` at ``ls_tol`` in place of
+    ``bomp._decode_chunk``: it is handed E's padded columns block-major, as
+    the blocks' rows flattened."""
     e_block_major = np.ascontiguousarray(rows.reshape(-1, rows.shape[2]).T)
     return reference_decode_chunk(
-        rows, e_block_major, structure, Y, k, ls_tol, coef, supports, excluded
+        rows, e_block_major, structure, Y, k, coef, supports, excluded, ls_tol
     )
 
 
-def assert_same_as_block_major(monkeypatch, E, structure, Y, k, ls_tol):
-    theta, supports = _bomp_batch(E, structure, Y, k, ls_tol)
+def assert_same_as_block_major(monkeypatch, E, structure, Y, k, ref_tol=LS_TOL):
+    """_bomp_batch gives the bits it gives with the block-major reference
+    kernel, run at ``ref_tol``, in place of its own."""
+    theta, supports = _bomp_batch(E, structure, Y, k)
     with monkeypatch.context() as patch:
-        patch.setattr(bomp, "_decode_chunk", block_major_kernel)
-        ref_theta, ref_supports = _bomp_batch(E, structure, Y, k, ls_tol)
+        patch.setattr(bomp, "_decode_chunk", partial(block_major_kernel, ls_tol=ref_tol))
+        ref_theta, ref_supports = _bomp_batch(E, structure, Y, k)
     np.testing.assert_array_equal(supports, ref_supports)
     np.testing.assert_array_equal(theta, ref_theta)
     return supports
@@ -600,16 +604,16 @@ class TestKernelAgreesWithBlockMajorReference:
     """Slot-major block scoring and the unmasked column division change no
     bit of theta or of a support, on first passes and on pass-over retries."""
 
-    @pytest.mark.parametrize("ls_tol", [LS_TOL, 0.0])
+    @pytest.mark.parametrize("ref_tol", [LS_TOL])
     @pytest.mark.parametrize("sizes", [(3,) * 12, (2, 3, 4) * 4, (1, 4, 2, 4, 3) * 2],
                              ids=["uniform", "mixed", "mixed-wide"])
-    def test_random_draws(self, monkeypatch, sizes, ls_tol):
+    def test_random_draws(self, monkeypatch, sizes, ref_tol):
         rng = np.random.default_rng(list(sizes))
         structure = BlockStructure(sizes)
         for _ in range(5):
             E = unit_columns(rng.standard_normal((16, structure.num_columns)))
             Y = rng.standard_normal((16, 40))
-            assert_same_as_block_major(monkeypatch, E, structure, Y, 3, ls_tol)
+            assert_same_as_block_major(monkeypatch, E, structure, Y, 3, ref_tol)
 
     def test_mirrored_blocks_follow_the_slot_order(self, monkeypatch):
         # block 1 holds block 0's columns in reverse order, so the two tie in
@@ -619,18 +623,98 @@ class TestKernelAgreesWithBlockMajorReference:
         E = unit_columns(rng.standard_normal((16, 18)))
         E[:, 3:6] = E[:, 2::-1]
         Y = E[:, :3] @ rng.uniform(-1.0, 1.0, (3, 200)) + 0.01 * rng.standard_normal((16, 200))
-        supports = assert_same_as_block_major(
-            monkeypatch, E, BlockStructure((3,) * 6), Y, 2, LS_TOL
-        )
+        supports = assert_same_as_block_major(monkeypatch, E, BlockStructure((3,) * 6), Y, 2)
         assert {0, 1} <= set(supports[0].tolist())  # each wins some ties
 
-    @pytest.mark.parametrize("ls_tol", [LS_TOL, 0.0])
-    def test_exactly_dependent_block(self, monkeypatch, ls_tol):
+    @pytest.mark.parametrize("ref_tol", [LS_TOL])
+    def test_exactly_dependent_block(self, monkeypatch, ref_tol):
         E, Y = repeated_column_batch()
         supports = assert_same_as_block_major(
-            monkeypatch, E, BlockStructure((3,) * 5), Y, 2, ls_tol
+            monkeypatch, E, BlockStructure((3,) * 5), Y, 2, ref_tol
         )
         assert 2 not in supports[:, 1]  # passed over
+
+
+def dependent_batch(kind, sizes):
+    """E and 60 signals, each a random combination of 3 blocks, on which
+    supports fail at each step of a 3-block decode. ``near-dependent``:
+    for every third block b, the last column of b lies about a random
+    distance in [1e-13, 1e-8] from the span of its others, and the first
+    column of block b + 2 about another such distance from that of block
+    b + 1; ``exactly-dependent``: the same at distance 0, with block 0's
+    first two columns the same column of entries +-1/2, which Gram-Schmidt
+    cancels to an exactly zero pivot; ``wide``: 7 measurements, which two
+    4-column blocks outnumber."""
+    rng = np.random.default_rng([0, len(kind), *sizes])
+    structure = BlockStructure(sizes)
+    lo = structure.offsets
+    m_rows = 7 if kind == "wide" else 16
+    E = unit_columns(rng.standard_normal((m_rows, structure.num_columns)))
+    if kind != "wide":
+        deltas = np.zeros(8) if kind == "exactly-dependent" else 10.0 ** rng.uniform(-13, -8, 8)
+        for i, b in enumerate(range(0, structure.num_blocks, 3)):
+            first, last = lo[b], lo[b + 1] - 1
+            E[:, last] = E[:, first:last] @ rng.standard_normal(last - first)
+            E[:, last] += deltas[i] * rng.standard_normal(m_rows)
+            E[:, lo[b + 2]] = E[:, lo[b + 1]] + deltas[4 + i] * rng.standard_normal(m_rows)
+        if kind == "exactly-dependent":
+            E[:, 0:2] = 0.0
+            E[[0, 4, 8, 12], 0:2] = [[0.5], [-0.5], [0.5], [0.5]]
+    blocks = np.argsort(rng.random((60, structure.num_blocks)), axis=1)[:, :3]
+    Y = np.zeros((m_rows, 60))
+    for sig, chosen in enumerate(blocks):
+        for b in chosen:
+            Y[:, sig] += E[:, lo[b] : lo[b + 1]] @ rng.uniform(-1.0, 1.0, lo[b + 1] - lo[b])
+    return E, structure, Y
+
+
+@pytest.mark.filterwarnings("error")
+class TestPrefixSearch:
+    """The batched check of each failing signal's prefix supports names the
+    failing signals and first failing steps that the per-signal, per-prefix
+    singular values of the block-major reference (``_first_failing_step``)
+    name, on first passes and on pass-over retries."""
+
+    @pytest.mark.parametrize(
+        "kind, sizes",
+        [
+            ("near-dependent", (3,) * 12),
+            ("near-dependent", (2, 3, 4) * 4),
+            ("exactly-dependent", (3,) * 12),
+            ("exactly-dependent", (2, 3, 4) * 4),
+            # uniform blocks all outnumber the measurements at the same step
+            ("wide", (2, 3, 4) * 4),
+        ],
+        ids=["near-uniform", "near-mixed", "exact-uniform", "exact-mixed", "wide-mixed"],
+    )
+    def test_agrees_with_first_failing_step(self, monkeypatch, kind, sizes):
+        E, structure, Y = dependent_batch(kind, sizes)
+        steps = []
+        decode = bomp._decode_chunk
+
+        def compared(rows, e_pad, structure, Y, k, coef, supports, excluded=None):
+            ref_coef, ref_supports = coef.copy(), supports.copy()
+            ref_failed, ref_steps = block_major_kernel(
+                rows, e_pad, structure, Y, k, ref_coef, ref_supports, excluded
+            )
+            failed, got_steps = decode(rows, e_pad, structure, Y, k, coef, supports, excluded)
+            np.testing.assert_array_equal(failed, ref_failed)
+            np.testing.assert_array_equal(got_steps, ref_steps)
+            np.testing.assert_array_equal(supports, ref_supports)
+            np.testing.assert_array_equal(coef, ref_coef)
+            steps.extend(got_steps.tolist())
+            return failed, got_steps
+
+        monkeypatch.setattr(bomp, "_decode_chunk", compared)
+        if kind == "wide":
+            # a signal that takes two 4-column blocks first finds no third
+            # that fits beside them, and runs out of blocks
+            with pytest.raises(RankDeficientSupportError):
+                _bomp_batch(E, structure, Y, 3)
+        else:
+            _bomp_batch(E, structure, Y, 3)
+        # signals fail at a prefix step as well as at the final one
+        assert min(steps) < 2 == max(steps)
 
 
 def chunk_bytes(structure, k, m_rows, signals):
@@ -648,12 +732,12 @@ def recorded_chunks(monkeypatch):
     chunks, retries = [], []
     decode = bomp._decode_chunk
 
-    def recording(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded=None):
+    def recording(rows, e_pad, structure, Y, k, coef, supports, excluded=None):
         if excluded is None:
             chunks.append(Y.shape[1])
         else:
             retries.append(Y.copy())
-        return decode(rows, e_pad, structure, Y, k, ls_tol, coef, supports, excluded)
+        return decode(rows, e_pad, structure, Y, k, coef, supports, excluded)
 
     monkeypatch.setattr(bomp, "_decode_chunk", recording)
     return chunks, retries
@@ -672,10 +756,10 @@ class TestChunkedDecode:
         E = unit_columns(rng.standard_normal((16, structure.num_columns)))
         Y = rng.standard_normal((16, 37))
         chunks, _ = recorded_chunks(monkeypatch)
-        whole, whole_supports = _bomp_batch(E, structure, Y, 3, LS_TOL)
+        whole, whole_supports = _bomp_batch(E, structure, Y, 3)
         assert chunks == [37]
         monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 3, 16, per_chunk))
-        theta, supports = _bomp_batch(E, structure, Y, 3, LS_TOL)
+        theta, supports = _bomp_batch(E, structure, Y, 3)
         assert len(chunks) == 1 + -(-37 // per_chunk)
         np.testing.assert_array_equal(theta, whole)
         np.testing.assert_array_equal(supports, whole_supports)
@@ -689,15 +773,15 @@ class TestChunkedDecode:
         )
         structure = BlockStructure((3,) * 6)
         Y = E[:, 0:9] @ rng.uniform(-1.0, 1.0, (9, 24)) + 0.1 * rng.standard_normal((16, 24))
-        whole = _bomp_batch(E, structure, Y, 3, LS_TOL)
+        whole = _bomp_batch(E, structure, Y, 3)
         monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 3, 16, 5))
-        for got, want in zip(_bomp_batch(E, structure, Y, 3, LS_TOL), whole):
+        for got, want in zip(_bomp_batch(E, structure, Y, 3), whole):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("ls_tol, support", [(LS_TOL, (1, 4)), (0.0, (1, 4))])
+    @pytest.mark.parametrize("ref_tol, support", [(LS_TOL, (1, 4))])
     @pytest.mark.parametrize("per_chunk", [1, 2, 4])
     def test_error_in_a_later_chunk_names_the_batch_index(
-        self, monkeypatch, per_chunk, ls_tol, support
+        self, monkeypatch, per_chunk, ref_tol, support
     ):
         # signals 5 and 7 fail at block 2, in later chunks; the retry pass
         # holds exactly those two, found by their index in the whole batch
@@ -705,14 +789,16 @@ class TestChunkedDecode:
         structure = BlockStructure((3,) * 5)
         Y = pair[:, [0, 0, 0, 0, 0, 1, 0, 1]]
         _, retries = recorded_chunks(monkeypatch)
-        whole = _bomp_batch(E, structure, Y, 2, ls_tol)
+        whole = _bomp_batch(E, structure, Y, 2)
         assert [y.shape[1] for y in retries] == [2]
         np.testing.assert_array_equal(retries[0], Y[:, [5, 7]])
         monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 2, 16, per_chunk))
         retries.clear()
-        theta, supports = _bomp_batch(E, structure, Y, 2, ls_tol)
+        theta, supports = _bomp_batch(E, structure, Y, 2)
         np.testing.assert_array_equal(np.hstack(retries), Y[:, [5, 7]])
         assert tuple(supports[:, 5]) == tuple(supports[:, 7]) == support
+        ref_supports = reference_bomp(E, structure.offsets, Y, 2, ref_tol)[1]
+        np.testing.assert_array_equal(supports, ref_supports)
         np.testing.assert_array_equal(theta, whole[0])
         np.testing.assert_array_equal(supports, whole[1])
 
@@ -734,7 +820,7 @@ class TestChunkedDecode:
         chunks, retries = recorded_chunks(monkeypatch)
         monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 2, 5, per_chunk))
         with pytest.raises(RankDeficientSupportError) as got:
-            _bomp_batch(E, structure, Y, 2, LS_TOL)
+            _bomp_batch(E, structure, Y, 2)
         assert (got.value.support, got.value.signal) == (whole.support, whole.signal)
         # the chunk holding signal 2 is the last one decoded, and only signal
         # 2 is decoded again
@@ -753,7 +839,7 @@ class TestChunkedDecode:
         for budget, per_chunk in [(7 * one, 7), (8 * one - 1, 7), (one - 1, 1), (1, 1)]:
             monkeypatch.setattr(bomp, "_CHUNK_BYTES", budget)
             chunks.clear()
-            _bomp_batch(E, structure, Y, 3, LS_TOL)
+            _bomp_batch(E, structure, Y, 3)
             assert chunks == [min(per_chunk, 50 - i) for i in range(0, 50, per_chunk)]
 
     def test_working_memory_does_not_grow_with_signals(self, monkeypatch):
@@ -780,7 +866,7 @@ class TestChunkedDecode:
             peaks.clear()
             tracemalloc.start()
             try:
-                _bomp_batch(E, structure, Y, 3, LS_TOL)
+                _bomp_batch(E, structure, Y, 3)
             finally:
                 tracemalloc.stop()
             largest.append(max(peaks))

@@ -23,6 +23,7 @@ from blocksense import (
     total_sub_block_coherence,
     weighted_objective,
 )
+from blocksense import coherence
 from blocksense.coherence import _block_terms, _equivalent_terms, _gram_parts
 from helpers import numerical_gradient, random_dictionary, reference_block_terms, unit_columns
 
@@ -424,6 +425,23 @@ class TestCoherenceReport:
         report = coherence_report(e)
         assert report.mu_block is None
         assert report.objective_alpha is None
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (3, 4, 2)], ids=["uniform", "mixed"])
+    def test_forms_the_gram_matrix_once(self, monkeypatch, sizes):
+        # mu is read from the report's one E'E, with the bits of mutual_coherence
+        rng = np.random.default_rng(25)
+        e = EquivalentDictionary(rng.standard_normal((4, 9)), BlockStructure(sizes))
+        calls = []
+        gram_matrix = coherence._gram_matrix
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return gram_matrix(mat)
+
+        monkeypatch.setattr(coherence, "_gram_matrix", counted)
+        report = coherence_report(e)
+        assert calls == [(4, 9)]
+        assert report.mu == mutual_coherence(e)
 
     def test_unit_block_sizes_have_zero_total_sub(self):
         rng = np.random.default_rng(24)

@@ -193,6 +193,21 @@ class TestCli:
             expected = bomp_decode_batch(e, y.reshape(6, -1), BompConfig(k_blocks=2))
             np.testing.assert_array_equal(load_matrix_csv(out), expected)
 
+    def test_decode_bomp_refuses_non_finite_measurements(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        equiv_path = tmp_path / "equiv.json"
+        save_block_matrix_json(equiv_path, rng.standard_normal((6, 12)), (3, 3, 3, 3))
+        y = rng.standard_normal((6, 3))
+        y[4, 1] = np.nan
+        meas_path = tmp_path / "y.csv"
+        save_matrix_csv(meas_path, y)
+        out = tmp_path / "theta.csv"
+        argv = ["decode", "bomp", "--equiv", str(equiv_path), "--measurements", str(meas_path),
+                "-k", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "signal 1 has a non-finite measurement" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_writes_outputs(self, tmp_path):
         cfg = {
             "dict_family": "gaussian",

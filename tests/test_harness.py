@@ -359,9 +359,9 @@ class TestSweepsRunToTheEnd:
         decode, decode_chunk = bomp._bomp_batch, bomp._decode_chunk
         retried = []
 
-        def checked(E, structure, Y, k, ls_tol):
-            theta, supports = decode(E, structure, Y, k, ls_tol)
-            ref_theta, ref_supports = reference_bomp(E, structure.offsets, Y, k, ls_tol)
+        def checked(E, structure, Y, k):
+            theta, supports = decode(E, structure, Y, k)
+            ref_theta, ref_supports = reference_bomp(E, structure.offsets, Y, k, bomp._RANK_TOL)
             np.testing.assert_array_equal(supports, ref_supports)
             np.testing.assert_allclose(theta, ref_theta, rtol=0.0, atol=1e-9)
             assert all(len(set(col)) == k for col in supports.T.tolist())
