@@ -255,11 +255,12 @@ def _decode_chunk(rows, e_pad, structure, Y, k, coef, supports, excluded):
     # supports flag exactly the signals that fail at some step
     failed = np.flatnonzero(_fails(r, r_inv, widths[-1], m_rows))
     prefix_fails = np.ones((k, failed.size), dtype=bool)  # the final step fails
-    for t in range(k - 1):
-        lead = (t + 1) * s_max
-        prefix_fails[t] = _fails(
-            r[failed, :lead, :lead], r_inv[failed, :lead, :lead], widths[t, failed], m_rows
-        )
+    if failed.size:
+        for t in range(k - 1):
+            lead = (t + 1) * s_max
+            prefix_fails[t] = _fails(
+                r[failed, :lead, :lead], r_inv[failed, :lead, :lead], widths[t, failed], m_rows
+            )
     r_inv[failed] = 0.0
     coef[...] = (r_inv @ qty[:, :, None])[:, :, 0]
     return failed, np.argmax(prefix_fails, axis=0)

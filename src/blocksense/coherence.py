@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fileio import _number
 from .model import BlockGram, BlockStructure, EquivalentDictionary, _block_rows, _gram_matrix
 
 
@@ -33,20 +34,11 @@ class _Masks(NamedTuple):
     sub: np.ndarray
 
 
-MASK_KINDS = _Masks._fields
-
-
 def _masks(structure: BlockStructure) -> _Masks:
     labels = structure.labels
     norm = np.eye(structure.num_columns, dtype=bool)
     inter = labels[:, None] != labels[None, :]
     return _Masks(norm, inter, ~inter & ~norm)
-
-
-def _kind_mask(structure: BlockStructure, kind: str) -> np.ndarray:
-    if kind not in MASK_KINDS:
-        raise ValueError(f"unknown mask kind {kind!r}, expected one of {MASK_KINDS}")
-    return getattr(_masks(structure), kind)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -170,11 +162,6 @@ def total_sub_block_coherence(gram: BlockGram) -> float:
     return _gram_terms(gram.matrix, gram.structure).sub
 
 
-def normalization_penalty(gram: BlockGram) -> float:
-    """Sum of squared deviations of the Gram diagonal from 1."""
-    return _gram_terms(gram.matrix, gram.structure).norm
-
-
 def weighted_objective(gram: BlockGram, alpha: float) -> float:
     """Design objective: half the normalization penalty plus the coherence
     totals blended by ``alpha``:
@@ -190,17 +177,10 @@ def deviation(gram: BlockGram, kind: str) -> np.ndarray:
     ``"norm"``, the cross-block entries for ``"inter"``, or the within-block
     off-diagonals for ``"sub"``; zero everywhere else.
     """
-    mask = _kind_mask(gram.structure, kind)
+    if kind not in _Masks._fields:
+        raise ValueError(f"unknown mask kind {kind!r}, expected one of {_Masks._fields}")
+    mask = getattr(_masks(gram.structure), kind)
     return np.where(mask, gram.matrix - np.eye(gram.size), 0.0)
-
-
-def idealized(gram: BlockGram, kind: str) -> np.ndarray:
-    """G with the entries penalized by ``kind`` replaced by their ideal value
-    (ones on the diagonal for ``"norm"``, zeros otherwise). Complements
-    :func:`deviation`: G - idealized(G, kind) == deviation(G, kind).
-    """
-    mask = _kind_mask(gram.structure, kind)
-    return np.where(mask, np.eye(gram.size), gram.matrix)
 
 
 def objective_gradient(gram: BlockGram, alpha: float) -> np.ndarray:
@@ -270,7 +250,7 @@ def objective_lower_bound(K: int, M: int, alpha: float) -> float:
     alpha = _check_alpha(alpha)
     if alpha < 0.5:
         raise ValueError(f"the lower bound holds for alpha >= 0.5, got {alpha}")
-    K, M = int(K), int(M)
+    K, M = _number("K", K, int), _number("M", M, int)
     if not 1 <= M <= K:
         raise ValueError(f"M must satisfy 1 <= M <= K={K}, got {M}")
     rho = M / K

@@ -12,17 +12,18 @@ from __future__ import annotations
 import numpy as np
 
 from .coherence import _gram_mismatch
+from .fileio import _number
 from .model import Dictionary, SensingMatrix
 
 
 def design_ds(D: Dictionary, M: int) -> SensingMatrix:
     """Optimal sensing matrix for the structure-blind Gram objective.
 
-    Requires 1 <= M < N. The first M rows of ``D.whitening`` satisfy
+    Requires an integer 1 <= M < N. The first M rows of ``D.whitening`` satisfy
     A D D' A' = I_M; any left-orthonormal rotation of them is equally optimal,
     this particular choice is fixed for reproducibility.
     """
-    M = int(M)
+    M = _number("M", M, int)
     n = D.signal_dim
     if not 1 <= M < n:
         raise ValueError(f"M must satisfy 1 <= M < N={n}, got {M}")

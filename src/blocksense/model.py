@@ -226,10 +226,6 @@ class BlockGram:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """The s_i x s_j submatrix at block row i, block column j (0-based)."""
-        return self.matrix[self.structure.block_slice(i), self.structure.block_slice(j)]
-
 
 @dataclass(frozen=True, eq=False)
 class BlockSparseVector:
@@ -257,12 +253,6 @@ class BlockSparseVector:
             raise ValueError("entries outside the support blocks must be exactly zero")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "support", support)
-
-    @property
-    def block_sparsity(self) -> int:
-        """Number of blocks holding at least one nonzero entry."""
-        peaks = np.maximum.reduceat(np.abs(self.values), self.structure.offsets[:-1])
-        return int(np.count_nonzero(peaks))
 
 
 def equivalent_dictionary(A, D: Dictionary) -> EquivalentDictionary:

@@ -72,8 +72,9 @@ target T = G_p - grad f(G_p) / 3: a gradient step of size 1/3 on the Gram
 matrix, followed, as in Elad's optimized projections (2007), by a projection
 onto the Gram matrices the design can reach. That projection is exact: after
 whitening by the dictionary frame it is a nearest rank-M PSD approximation,
-solved by the top-M eigenpairs of the whitened target. ``wcm_step`` and the
-``surrogate_*`` functions are this exact majorizer, for every alpha.
+solved by the top-M eigenpairs of the whitened target. ``wcm_step`` takes
+this exact MM step, and ``surrogate_value`` and ``surrogate_gradient`` are
+the majorizer and its gradient, for every alpha.
 
 The projected loop takes the longer step T = G_p - eta(alpha) * grad f(G_p),
 with
@@ -124,7 +125,6 @@ from .coherence import (
     _gram_parts,
     _Terms,
     _check_alpha,
-    _gradient,
     coherence_report,
     objective_gradient,
     objective_lower_bound,
@@ -173,9 +173,10 @@ class WcmConfig:
     strictly inside (0, 1) and selects the designer (L-BFGS from 1/2 up,
     projected steps below). ``alpha`` and ``rel_tol`` are stored as floats,
     and a string or bool is rejected. Iteration stops when the objective changes by at
-    most ``rel_tol * (1 + f)`` in one step, or at ``max_iters``. ``init``
-    selects the starting sensing matrix: the closed-form baseline ("ds") or
-    i.i.d. standard normal entries ("random", which requires a seed).
+    most ``rel_tol * (1 + f)`` in one step, or at ``max_iters``; ``rel_tol``
+    must be positive and finite. ``init`` selects the starting sensing
+    matrix: the closed-form baseline ("ds") or i.i.d. standard normal
+    entries ("random", which requires a seed).
     """
 
     alpha: float
@@ -189,8 +190,8 @@ class WcmConfig:
         if _number("max_iters", self.max_iters, int) < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         rel_tol = _number("rel_tol", self.rel_tol, float)
-        if not rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+        if not 0.0 < rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         object.__setattr__(self, "rel_tol", rel_tol)
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
@@ -244,27 +245,16 @@ class WcmReport:
         return coherence_report(self.equivalent, alpha=self.alpha)
 
 
-def surrogate_target(gram: BlockGram, alpha: float) -> np.ndarray:
-    """Gram matrix that the per-step minimization drives G toward, the
-    gradient step
-
-        T = G - grad f(G) / 3
-          = (2/3) * (1/2 * idealized_norm + (1-alpha) * idealized_inter + alpha * idealized_sub)
-    """
-    alpha = _check_alpha(alpha)
-    return gram.matrix - _MM_STEP * _gradient(gram.matrix, gram.structure, alpha)
-
-
 def surrogate_value(gram: BlockGram, gram_prev: BlockGram, alpha: float) -> float:
     """MM majorizer g(G, G_prev) of the objective, anchored at G_prev:
 
         f(G_prev) + <grad f(G_prev), G - G_prev> + 3/2 * ||G - G_prev||_F^2
 
-    which equals the quadratic distances from G to the idealized masks of
-    G_prev, in the objective's weights:
+    which equals the quadratic distances from G to G_prev with the entries
+    of each kind at their ideal values, H_kind = G_prev - deviation(G_prev, kind),
+    in the objective's weights:
 
-        1/2 * ||G - idealized_norm||^2 + (1-alpha) * ||G - idealized_inter||^2
-        + alpha * ||G - idealized_sub||^2
+        1/2 * ||G - H_norm||^2 + (1-alpha) * ||G - H_inter||^2 + alpha * ||G - H_sub||^2
     """
     alpha = _check_alpha(alpha)
     if gram.matrix.shape != gram_prev.matrix.shape:
@@ -594,7 +584,7 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     with a higher or a lower f, than iterating the plain MM step from the
     same start. No benchmark sweep grid has ``alpha < 1/2``.
     """
-    M = int(M)
+    M = _number("M", M, int)
     if not 1 <= M < D.signal_dim:
         raise ValueError(f"M must satisfy 1 <= M < N={D.signal_dim}, got {M}")
     basis = _DesignBasis(D)

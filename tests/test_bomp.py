@@ -764,6 +764,29 @@ class TestChunkedDecode:
         np.testing.assert_array_equal(theta, whole)
         np.testing.assert_array_equal(supports, whole_supports)
 
+    def test_no_prefix_checks_when_nothing_fails(self, monkeypatch):
+        # every support is full rank: each chunk checks its final supports
+        # once, and none of the k - 1 leading prefixes
+        rng = np.random.default_rng(12)
+        structure = BlockStructure((3,) * 12)
+        E = unit_columns(rng.standard_normal((16, structure.num_columns)))
+        Y = rng.standard_normal((16, 37))
+        whole = _bomp_batch(E, structure, Y, 3)
+        checked = []
+        fails = bomp._fails
+
+        def counted(r, r_inv, widths, m_rows):
+            checked.append(len(r))
+            return fails(r, r_inv, widths, m_rows)
+
+        monkeypatch.setattr(bomp, "_fails", counted)
+        chunks, retries = recorded_chunks(monkeypatch)
+        monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 3, 16, 7))
+        for got, want in zip(_bomp_batch(E, structure, Y, 3), whole):
+            np.testing.assert_array_equal(got, want)
+        assert retries == [] and chunks == [7, 7, 7, 7, 7, 2]
+        assert checked == chunks
+
     def test_near_span_blocks_agree_with_one_chunk(self, monkeypatch):
         # some signals take the second Gram-Schmidt pass and some do not
         rng = np.random.default_rng(9)

@@ -11,10 +11,8 @@ from blocksense import (
     coherence_report,
     decomposition_check,
     deviation,
-    idealized,
     inter_block_coherence,
     mutual_coherence,
-    normalization_penalty,
     objective_gradient,
     objective_lower_bound,
     sparse_recovery_bound,
@@ -162,8 +160,8 @@ class TestTotals:
         assert total_sub_block_coherence(permuted) == pytest.approx(
             total_sub_block_coherence(g), rel=1e-12
         )
-        assert normalization_penalty(permuted) == pytest.approx(
-            normalization_penalty(g), rel=1e-12
+        assert np.sum(deviation(permuted, "norm") ** 2) == pytest.approx(
+            np.sum(deviation(g, "norm") ** 2), rel=1e-12
         )
 
     def test_total_sub_identity_zero(self):
@@ -182,14 +180,18 @@ class TestTotals:
         assert total_sub_block_coherence(g) == 0.0
 
     def test_norm_penalty_examples(self):
-        assert normalization_penalty(BlockGram(np.eye(5), BlockStructure((5,)))) == 0.0
-        g = BlockGram(2 * np.eye(5), BlockStructure((5,)))
-        assert normalization_penalty(g) == pytest.approx(5.0, abs=1e-12)
+        # the report reads the penalty from E, whose Gram matrix is E'E
+        structure = BlockStructure((5,))
+        assert coherence_report(EquivalentDictionary(np.eye(5), structure)).norm_penalty == 0.0
+        e = EquivalentDictionary(np.sqrt(2.0) * np.eye(5), structure)
+        assert coherence_report(e).norm_penalty == pytest.approx(5.0, abs=1e-12)
 
     def test_norm_penalty_matches_scan(self):
-        g = random_gram(np.random.default_rng(8), (3, 2))
-        expected = sum((g.matrix[m, m] - 1.0) ** 2 for m in range(5))
-        assert normalization_penalty(g) == pytest.approx(expected, rel=1e-12)
+        rng = np.random.default_rng(8)
+        e = EquivalentDictionary(rng.standard_normal((3, 5)), BlockStructure((3, 2)))
+        g = e.matrix.T @ e.matrix
+        expected = sum((g[m, m] - 1.0) ** 2 for m in range(5))
+        assert coherence_report(e).norm_penalty == pytest.approx(expected, rel=1e-12)
 
 
 class TestWeightedObjective:
@@ -206,7 +208,7 @@ class TestWeightedObjective:
     def test_composition_of_totals(self):
         g = random_gram(np.random.default_rng(10), (3, 3))
         expected = (
-            0.5 * normalization_penalty(g)
+            0.5 * np.sum((np.diagonal(g.matrix) - 1.0) ** 2)
             + 0.7 * total_inter_block_coherence(g)
             + 0.3 * total_sub_block_coherence(g)
         )
@@ -339,7 +341,6 @@ class TestMasks:
         g = BlockGram(np.eye(6), BlockStructure((3, 3)))
         for kind in ("norm", "inter", "sub"):
             assert np.all(deviation(g, kind) == 0.0)
-            np.testing.assert_array_equal(idealized(g, kind), np.eye(6))
 
     def test_objective_from_masks(self):
         g = random_gram(np.random.default_rng(15), (2, 3, 2))
@@ -361,28 +362,32 @@ class TestMasks:
         np.testing.assert_allclose(total, g.matrix - np.eye(6), atol=1e-14)
 
     def test_deviation_complements_idealized(self):
+        # G - deviation(G, kind) is G with the entries of that kind at their
+        # ideal value: ones on the diagonal for "norm", zeros otherwise
         g = random_gram(np.random.default_rng(17), (3, 2))
-        for kind in ("norm", "inter", "sub"):
-            np.testing.assert_allclose(
-                g.matrix - idealized(g, kind), deviation(g, kind), atol=1e-14
-            )
+        labels = g.structure.labels
+        same_block = labels[:, None] == labels[None, :]
+        eye = np.eye(g.size, dtype=bool)
+        masks = {"norm": eye, "inter": ~same_block, "sub": same_block & ~eye}
+        for kind, mask in masks.items():
+            h = g.matrix - deviation(g, kind)
+            np.testing.assert_allclose(h[mask], eye[mask], atol=1e-14)
+            np.testing.assert_array_equal(h[~mask], g.matrix[~mask])
 
     def test_idealized_preserves_symmetry(self):
         g = random_gram(np.random.default_rng(18), (2, 2, 2))
         for kind in ("norm", "inter", "sub"):
-            h = idealized(g, kind)
+            h = g.matrix - deviation(g, kind)
             np.testing.assert_allclose(h, h.T, atol=1e-14)
 
     def test_sub_masks_vanish_for_unit_blocks(self):
         g = random_gram(np.random.default_rng(19), (1, 1, 1))
         assert np.all(deviation(g, "sub") == 0.0)
-        np.testing.assert_array_equal(idealized(g, "sub"), g.matrix)
 
     def test_unknown_kind(self):
         g = random_gram(np.random.default_rng(20), (2, 2))
-        for fn in (deviation, idealized):
-            with pytest.raises(ValueError, match="kind"):
-                fn(g, "bogus")
+        with pytest.raises(ValueError, match="unknown mask kind 'bogus'"):
+            deviation(g, "bogus")
 
 
 class TestObjectiveGradient:

