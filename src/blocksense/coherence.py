@@ -42,7 +42,8 @@ def _masks(structure: BlockStructure) -> _Masks:
 
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+    """``alpha`` as a float strictly inside (0, 1); a string or bool is refused."""
+    alpha = _number("alpha", alpha, float)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     return alpha
@@ -80,11 +81,10 @@ def _gram_parts(e: np.ndarray, structure: BlockStructure) -> tuple[np.ndarray, n
     return e @ e.T, rows, rows @ rows.transpose(0, 2, 1)
 
 
-def _block_terms(eet: np.ndarray, blocks: np.ndarray,
-                 structure: BlockStructure) -> tuple[_Terms, float]:
+def _block_terms(eet: np.ndarray, blocks: np.ndarray, structure: BlockStructure) -> _Terms:
     """Penalty totals of G = E'E from E E' and the diagonal blocks E_b' E_b in
-    the layout of ``structure``, and the blocks' sum of squares S_b; inter is
-    ||E E'||_F^2 = ||G||_F^2 less S_b. The blocks are read at the structure's
+    the layout of ``structure``; inter is ||E E'||_F^2 = ||G||_F^2 less the
+    blocks' sum of squares S_b. The blocks are read at the structure's
     ``diagonal`` and ``off_diagonal`` slots. Each sum sees the array, shape
     and memory order of the boolean-mask gathers ``blocks[:, ~eye]`` and
     ``blocks[:, eye][~padding]``, so f keeps its bits: the integer gather
@@ -94,18 +94,17 @@ def _block_terms(eet: np.ndarray, blocks: np.ndarray,
     diagonal = blocks.take(structure.diagonal)
     diagonal -= 1.0
     diagonal *= diagonal
-    terms = _Terms(
+    return _Terms(
         float((eet**2).sum() - s_b),
         float(squares.reshape(len(squares), -1)[:, structure.off_diagonal].sum()),
         float(diagonal.sum()),
     )
-    return terms, float(s_b)
 
 
 def _equivalent_terms(e: np.ndarray, structure: BlockStructure) -> _Terms:
     """All three penalty totals of G = E'E, from ``e`` without forming G."""
     eet, _, blocks = _gram_parts(e, structure)
-    return _block_terms(eet, blocks, structure)[0]
+    return _block_terms(eet, blocks, structure)
 
 
 def mutual_coherence(E) -> float:
@@ -227,7 +226,7 @@ def block_recovery_bound(mu_block: float, nu_sub: float, s: int) -> float:
     mu_block = float(mu_block)
     if mu_block <= 0.0:
         raise ValueError(f"mu_block must be positive, got {mu_block}")
-    s = int(s)
+    s = _number("s", s, int)
     if s < 1:
         raise ValueError(f"block size must be >= 1, got {s}")
     return (1.0 / mu_block + s - (s - 1) * float(nu_sub) / mu_block) / (2.0 * s)

@@ -179,7 +179,7 @@ class SweepResult:
 
 def dct_matrix(K: int) -> np.ndarray:
     """Orthonormal K x K type-II discrete cosine transform matrix."""
-    K = int(K)
+    K = _number("K", K, int)
     n = np.arange(K)
     c = np.cos(np.pi * np.outer(n, 2 * n + 1) / (2.0 * K)) * np.sqrt(2.0 / K)
     c[0] /= np.sqrt(2.0)

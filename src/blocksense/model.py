@@ -2,14 +2,19 @@
 
 All types are immutable after construction (arrays are stored read-only), so
 every operation in the package is a pure function that is safe to call from
-concurrent workers.
+concurrent workers. The one field built later is ``Dictionary.whitened_rows``,
+on first read; it too is read-only, and depends only on fields fixed at
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from .fileio import _number
 
 # Relative eigenvalue threshold below which a dictionary is treated as
 # row-rank deficient.
@@ -34,11 +39,12 @@ def _as_readonly_matrix(values, name: str) -> np.ndarray:
 class BlockStructure:
     """Ordered partition of matrix columns into contiguous blocks.
 
-    ``sizes`` holds one positive integer per block; derived fields give the
-    number of blocks, the total column count, the start offset of each block,
-    a per-column block label, and the padded layout every block-wise kernel
-    reads: ``columns`` (blocks, s_max), each block's column indices padded
-    with K, one past the last column, and ``padding``, the mask of those slots.
+    ``sizes`` holds one positive integer per block (a float, bool or string
+    is refused, never truncated); derived fields give the number of blocks,
+    the total column count, the start offset of each block, a per-column
+    block label, and the padded layout every block-wise kernel reads:
+    ``columns`` (blocks, s_max), each block's column indices padded with K,
+    one past the last column, and ``padding``, the mask of those slots.
     Two index fields locate entries of the padded diagonal blocks, a
     (blocks, s_max, s_max) array: ``diagonal``, the flat positions of the
     live diagonal slots in column order (K of them), and ``off_diagonal``,
@@ -55,7 +61,7 @@ class BlockStructure:
     off_diagonal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_number("sizes", s, int) for s in self.sizes)
         if len(sizes) == 0:
             raise ValueError("at least one block is required")
         if any(s < 1 for s in sizes):
@@ -137,6 +143,15 @@ class Dictionary:
         whitening = (u / np.sqrt(w)).T
         whitening.flags.writeable = False
         object.__setattr__(self, "whitening", whitening)
+
+    @cached_property
+    def whitened_rows(self) -> np.ndarray:
+        """The columns of W D as read-only padded rows (blocks, s_max, N),
+        built on first read: they cost the product of the N x N frame with
+        the N x K dictionary, and N x K floats."""
+        rows = _block_rows(self.whitening @ self.matrix, self.structure)
+        rows.flags.writeable = False
+        return rows
 
     @property
     def signal_dim(self) -> int:

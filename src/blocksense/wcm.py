@@ -35,6 +35,9 @@ rounding. Each iterate also keeps E, E E' and the diagonal blocks E_b' E_b
 in the structure's padded layout (``BlockStructure.columns``: every block
 padded to the widest with zero columns), from which both designers read f
 by ``coherence._block_terms``, the kernel that scores the sweep's designs.
+Both designers read W, D and the rows of (W D)' from the ``Dictionary``
+(``whitening``, ``matrix`` and ``whitened_rows``); the rows are built on
+first use, once per dictionary, and every design on it shares them.
 Each designer is a generator of iterates; ``run_wcm`` holds the one loop
 that records the trace, applies the stop rule and counts fallbacks.
 
@@ -56,9 +59,9 @@ within the rounding error of f's own evaluation (``_meets_bound``), the
 start is a global minimizer as far as f can resolve, and the one iteration
 returns it unchanged. So at alpha = 1/2, where f is the structure-blind
 1/2 ||G - I||_F^2 and the closed-form start meets the bound (K - M) / 2,
-``run_wcm`` takes no gradient and never forms C_0 or the (W D)' basis (the
-product of the N x N frame with the N x K dictionary); the report is still
-one iteration with the trace [f_0, f_0].
+``run_wcm`` takes no gradient and never forms C_0 or the rows of (W D)'
+(the product of the N x N frame with the N x K dictionary); the report is
+still one iteration with the trace [f_0, f_0].
 
 Projected steps (alpha < 1/2). The MM majorizer of f at a Gram matrix G_p is
 
@@ -113,7 +116,7 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -136,7 +139,6 @@ from .model import (
     Dictionary,
     EquivalentDictionary,
     SensingMatrix,
-    _block_rows,
     sym_eig,
 )
 
@@ -186,7 +188,7 @@ class WcmConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _check_alpha(_number("alpha", self.alpha, float)))
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         if _number("max_iters", self.max_iters, int) < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         rel_tol = _number("rel_tol", self.rel_tol, float)
@@ -280,9 +282,8 @@ def surrogate_gradient(gram: BlockGram, gram_prev: BlockGram, alpha: float) -> n
 class _Iterate(NamedTuple):
     """One iterate of either designer: C (M x N), the sensing matrix A = C W,
     E = A D, E E', the columns of E as padded rows (blocks, s_max, M), the
-    diagonal blocks E_b' E_b, f's totals and value, and the blocks' sum of
-    squares S_b that f's evaluation summed. A start iterate may hold
-    C = None until a designer first needs it (``_DesignBasis.lift``)."""
+    diagonal blocks E_b' E_b, and f's totals and value. A start iterate may
+    hold C = None until a designer first needs it (``_lift``)."""
 
     c: np.ndarray
     a: np.ndarray
@@ -292,105 +293,75 @@ class _Iterate(NamedTuple):
     blocks: np.ndarray
     terms: _Terms
     f: float
-    blocks_sq: float
 
 
-class _DesignBasis:
-    """The dictionary's whitening frame W = ``D.whitening`` and the rows of
-    (W D)' in its structure's padded layout. The rows are built on first
-    use, so a run whose start is certified (``_meets_bound``) never forms
-    them: they cost the product of the N x N frame with the N x K
-    dictionary, and N x K floats."""
-
-    def __init__(self, D: Dictionary):
-        self.dictionary = D.matrix
-        self.structure = D.structure
-        self.whiten = D.whitening
-        self._q_weights = {}
-
-    @cached_property
-    def whiten_dict(self) -> np.ndarray:
-        """(W D)' as padded rows (blocks, s_max, N)."""
-        return _block_rows(self.whiten @ self.dictionary, self.structure)
-
-    @cached_property
-    def whiten_dict_flat(self) -> np.ndarray:
-        """``whiten_dict`` with blocks and slots in one axis, a view."""
-        return self.whiten_dict.reshape(-1, self.whiten.shape[0])
-
-    def q_weights(self, alpha: float) -> np.ndarray:
-        """Entrywise weights that turn the padded diagonal blocks of G into
-        those of Q: alpha - 1/2 on the diagonal, 2 alpha - 1 off it. Built
-        once per alpha."""
-        weights = self._q_weights.get(alpha)
-        if weights is None:
-            eye = np.eye(self.structure.padding.shape[1], dtype=bool)
-            weights = self._q_weights[alpha] = np.where(eye, alpha - 0.5, 2.0 * alpha - 1.0)
-        return weights
-
-    def start(self, a: np.ndarray, alpha: float) -> _Iterate:
-        """The iterate of sensing matrix ``a``, with its C_0 (``lift``). It
-        keeps ``a`` itself and E_0 = ``a`` D, not C_0 W, which would differ
-        from ``a`` by rounding; so a run that takes no step returns its start
-        bit for bit."""
-        return self.lift(_iterate(self, None, alpha, a))
-
-    def lift(self, p: _Iterate) -> _Iterate:
-        """``p`` with C filled in if it has none: C_0 = E_0 (W D)', which
-        maps back to A_0 in exact arithmetic because W^-1 = D D' W'. This
-        is the first use of the (W D)' rows."""
-        if p.c is not None:
-            return p
-        flat = self.whiten_dict_flat
-        return p._replace(c=p.rows.reshape(flat.shape[0], -1).T @ flat)
-
-    def step(self, p: _Iterate, prev: _Iterate, beta: float, alpha: float,
-             eta: float) -> np.ndarray:
-        """C of the sensing matrix whose Gram matrix is nearest to the
-        gradient step ``G_e - eta * grad f(G_e)`` from G_e = G + beta * (G -
-        G_prev), the Gram matrices of ``p`` and ``prev``; with ``beta = 0``
-        and ``eta = _MM_STEP`` this exactly minimizes the surrogate anchored
-        at ``p``."""
-        target = p.c.T @ p.c  # W D G (W D)'
-        blocks = p.blocks
-        if beta:
-            target *= 1.0 + beta
-            target -= beta * (prev.c.T @ prev.c)
-            blocks = (1.0 + beta) * blocks - beta * prev.blocks
-        # -2 eta Q, one s x s block per dictionary block
-        q = blocks * (-2.0 * eta * self.q_weights(alpha))
-        flat = self.whiten_dict_flat
-        target *= 1.0 - 2.0 * eta * (1.0 - alpha)
-        target += flat.T @ (q @ self.whiten_dict).reshape(flat.shape)
-        target[np.diag_indices_from(target)] += eta
-        w, v = sym_eig(target)
-        # Negative directions cannot be matched by a PSD Gram and only add a
-        # constant, so they are clamped before the square root.
-        m = p.c.shape[0]
-        top = np.sqrt(np.clip(w[:m], 0.0, None))
-        return (v[:, :m] * top).T
+@cache
+def _q_weights(alpha: float, s_max: int) -> np.ndarray:
+    """Entrywise weights, read-only, that turn the padded diagonal blocks of
+    G into those of Q: alpha - 1/2 on the diagonal, 2 alpha - 1 off it."""
+    weights = np.where(np.eye(s_max, dtype=bool), alpha - 0.5, 2.0 * alpha - 1.0)
+    weights.flags.writeable = False
+    return weights
 
 
-def _iterate(basis: _DesignBasis, c: np.ndarray | None, alpha: float,
+def _iterate(D: Dictionary, c: np.ndarray | None, alpha: float,
              a: np.ndarray | None = None) -> _Iterate:
     """f at C, read from E = A D by ``coherence._block_terms``, with the
     sensing matrix A = C W unless ``a`` is given (then ``c`` may be None,
-    for the caller to fill in)."""
+    for ``_lift`` to fill in). An iterate built from ``a`` keeps ``a``
+    itself and E = ``a`` D, not C W, which would differ from ``a`` by
+    rounding; so a run that takes no step returns its start bit for bit."""
     if a is None:
-        a = c @ basis.whiten
-    e = a @ basis.dictionary
-    eet, rows, blocks = _gram_parts(e, basis.structure)
-    terms, blocks_sq = _block_terms(eet, blocks, basis.structure)
-    return _Iterate(c, a, e, eet, rows, blocks, terms, terms.objective(alpha), blocks_sq)
+        a = c @ D.whitening
+    e = a @ D.matrix
+    eet, rows, blocks = _gram_parts(e, D.structure)
+    terms = _block_terms(eet, blocks, D.structure)
+    return _Iterate(c, a, e, eet, rows, blocks, terms, terms.objective(alpha))
 
 
-def _gradient_c(basis: _DesignBasis, p: _Iterate, alpha: float) -> np.ndarray:
+def _lift(D: Dictionary, p: _Iterate) -> _Iterate:
+    """``p`` with C = E (W D)', which maps back to A in exact arithmetic
+    because W^-1 = D D' W'. Its first call on ``D`` builds
+    ``D.whitened_rows``."""
+    flat = D.whitened_rows.reshape(-1, D.signal_dim)
+    return p._replace(c=p.rows.reshape(flat.shape[0], -1).T @ flat)
+
+
+def _step(D: Dictionary, p: _Iterate, prev: _Iterate, beta: float, alpha: float,
+          eta: float) -> np.ndarray:
+    """C of the sensing matrix whose Gram matrix is nearest to the gradient
+    step ``G_e - eta * grad f(G_e)`` from G_e = G + beta * (G - G_prev), the
+    Gram matrices of ``p`` and ``prev``; with ``beta = 0`` and
+    ``eta = _MM_STEP`` this exactly minimizes the surrogate anchored at
+    ``p``."""
+    target = p.c.T @ p.c  # W D G (W D)'
+    blocks = p.blocks
+    if beta:
+        target *= 1.0 + beta
+        target -= beta * (prev.c.T @ prev.c)
+        blocks = (1.0 + beta) * blocks - beta * prev.blocks
+    # -2 eta Q, one s x s block per dictionary block
+    q = blocks * (-2.0 * eta * _q_weights(alpha, blocks.shape[1]))
+    rows = D.whitened_rows
+    flat = rows.reshape(-1, D.signal_dim)
+    target *= 1.0 - 2.0 * eta * (1.0 - alpha)
+    target += flat.T @ (q @ rows).reshape(flat.shape)
+    target[np.diag_indices_from(target)] += eta
+    w, v = sym_eig(target)
+    # Negative directions cannot be matched by a PSD Gram and only add a
+    # constant, so they are clamped before the square root.
+    m = p.c.shape[0]
+    top = np.sqrt(np.clip(w[:m], 0.0, None))
+    return (v[:, :m] * top).T
+
+
+def _gradient_c(D: Dictionary, p: _Iterate, alpha: float) -> np.ndarray:
     """grad_C f = 2 ((2 (1 - alpha) E E' - I) C + 2 E Q (W D)'), with E Q
     taken one s x s block at a time in the padded layout."""
-    q = p.blocks * basis.q_weights(alpha)
+    q = p.blocks * _q_weights(alpha, p.blocks.shape[1])
     eq = (q @ p.rows).reshape(-1, p.c.shape[0])  # (E Q)', row per column
     grad = (2.0 * (1.0 - alpha)) * (p.eet @ p.c) - p.c
-    grad += 2.0 * (eq.T @ basis.whiten_dict_flat)
+    grad += 2.0 * (eq.T @ D.whitened_rows.reshape(-1, D.signal_dim))
     grad *= 2.0
     return grad
 
@@ -411,7 +382,7 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     return r
 
 
-def _armijo(basis: _DesignBasis, p: _Iterate, g: np.ndarray, d: np.ndarray,
+def _armijo(D: Dictionary, p: _Iterate, g: np.ndarray, d: np.ndarray,
             alpha: float) -> _Iterate | None:
     """First of the steps 1, 1/2, 1/4, ... along ``d`` that decreases f by at
     least ``_ARMIJO`` times the linear prediction, or None if ``d`` is not a
@@ -425,7 +396,7 @@ def _armijo(basis: _DesignBasis, p: _Iterate, g: np.ndarray, d: np.ndarray,
     for _ in range(_BACKTRACKS):
         if p.f + t * slope == p.f:
             return None
-        trial = _iterate(basis, p.c + (d if t == 1.0 else t * d), alpha)
+        trial = _iterate(D, p.c + (d if t == 1.0 else t * d), alpha)
         if trial.f <= p.f + _ARMIJO * t * slope:
             return trial
         t *= 0.5
@@ -470,22 +441,23 @@ def _meets_bound(p: _Iterate, alpha: float) -> bool:
     m, k = p.e.shape
     bound = objective_lower_bound(k, m, alpha)
     terms = p.terms
+    s_b = float((p.blocks**2).sum())  # as _block_terms sums it
     # F, with ||E E'||^2 + S_b = inter + 2 S_b
     magnitude = (0.5 * terms.norm + alpha * terms.sub
-                 + (1.0 - alpha) * (terms.inter + 2.0 * p.blocks_sq))
+                 + (1.0 - alpha) * (terms.inter + 2.0 * s_b))
     n = p.eet.size + p.blocks.size + 16
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     return abs(p.f - bound) <= gamma * magnitude
 
 
-def _lbfgs_steps(basis: _DesignBasis, p: _Iterate, alpha: float):
+def _lbfgs_steps(D: Dictionary, p: _Iterate, alpha: float):
     """L-BFGS on f over C for alpha >= 1/2 (Liu & Nocedal, Math. Prog., 1989),
     yielding (iterate, fell_back) once per iteration.
 
     A start that meets the lower bound within f's rounding (``_meets_bound``)
     is certified optimal: its one iteration yields it unchanged, and no
-    gradient, C_0 or (W D)' basis is formed. Otherwise each accepted step
-    passes the Armijo test, so f never rises. When the quasi-Newton
+    gradient, C_0 or ``D.whitened_rows`` is formed. Otherwise each accepted
+    step passes the Armijo test, so f never rises. When the quasi-Newton
     direction finds no such step, the history is dropped and steepest
     descent tried instead (a fallback); when that finds none either, the
     iterate stays and f repeats, which meets the stop rule. The gradient at
@@ -494,17 +466,17 @@ def _lbfgs_steps(basis: _DesignBasis, p: _Iterate, alpha: float):
     if _meets_bound(p, alpha):
         yield p, False
         return
-    p = basis.lift(p)
-    g = _gradient_c(basis, p, alpha)
+    p = _lift(D, p)
+    g = _gradient_c(D, p, alpha)
     pairs = deque(maxlen=_HISTORY)
     while True:
-        p_new = _armijo(basis, p, g, -_two_loop(g, pairs), alpha) if pairs else None
+        p_new = _armijo(D, p, g, -_two_loop(g, pairs), alpha) if pairs else None
         fell_back = p_new is None and bool(pairs)
         if p_new is None:
             pairs.clear()
-            p_new = _armijo(basis, p, g, -g, alpha) or p
+            p_new = _armijo(D, p, g, -g, alpha) or p
         yield p_new, fell_back
-        g_new = _gradient_c(basis, p_new, alpha)
+        g_new = _gradient_c(D, p_new, alpha)
         s, y = p_new.c - p.c, g_new - g
         sy = float(np.vdot(s, y))
         if sy > _EPS * float(np.vdot(y, y)):
@@ -512,23 +484,23 @@ def _lbfgs_steps(basis: _DesignBasis, p: _Iterate, alpha: float):
         p, g = p_new, g_new
 
 
-def _projected_steps(basis: _DesignBasis, p: _Iterate, alpha: float):
+def _projected_steps(D: Dictionary, p: _Iterate, alpha: float):
     """Accelerated projected gradient steps on G for alpha < 1/2, yielding
     (iterate, fell_back) once per iteration. A step that raises f falls
     back: the momentum restarts and the exact MM step, which cannot raise
     f, is taken from G instead."""
     eta = _step_size(alpha)
     t = 1.0
-    p = prev = basis.lift(p)
+    p = prev = _lift(D, p)
     while True:
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         t = t_next
-        p_new = _iterate(basis, basis.step(p, prev, beta, alpha, eta), alpha)
+        p_new = _iterate(D, _step(D, p, prev, beta, alpha, eta), alpha)
         fell_back = p_new.f > p.f
         if fell_back:
             t = 1.0
-            p_new = _iterate(basis, basis.step(p, p, 0.0, alpha, _MM_STEP), alpha)
+            p_new = _iterate(D, _step(D, p, p, 0.0, alpha, _MM_STEP), alpha)
         prev, p = p, p_new
         yield p, fell_back
 
@@ -547,9 +519,8 @@ def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatri
             f"sensing matrix expects signals of dimension {A_prev.signal_dim}, "
             f"dictionary has {D.signal_dim}"
         )
-    basis = _DesignBasis(D)
-    p = basis.start(A_prev.matrix, alpha)
-    return SensingMatrix(basis.step(p, p, 0.0, alpha, _MM_STEP) @ basis.whiten)
+    p = _lift(D, _iterate(D, None, alpha, A_prev.matrix))
+    return SensingMatrix(_step(D, p, p, 0.0, alpha, _MM_STEP) @ D.whitening)
 
 
 def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
@@ -576,9 +547,10 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     At alpha = 1/2 the closed-form start is a global minimizer: its f meets
     ``coherence.objective_lower_bound`` within the rounding of f itself,
     which certifies that no step can lower it (``_meets_bound``). So the
-    one iteration is a null step taken with no gradient and no (W D)'
-    basis: the run stops after one iteration, converged, with the trace
-    [f_0, f_0], and returns the baseline's A and E = A D bit for bit.
+    one iteration is a null step taken with no gradient and no
+    ``D.whitened_rows``: the run stops after one iteration, converged, with
+    the trace [f_0, f_0], and returns the baseline's A and E = A D bit for
+    bit.
 
     For ``alpha < 1/2`` the run can stop at a different stationary point,
     with a higher or a lower f, than iterating the plain MM step from the
@@ -587,21 +559,20 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     M = _number("M", M, int)
     if not 1 <= M < D.signal_dim:
         raise ValueError(f"M must satisfy 1 <= M < N={D.signal_dim}, got {M}")
-    basis = _DesignBasis(D)
     alpha = config.alpha
 
     if config.init == "ds":
-        a_mat = basis.whiten[:M]
+        a_mat = D.whitening[:M]
     else:
         rng = np.random.default_rng(config.seed)
         a_mat = rng.standard_normal((M, D.signal_dim))
 
-    p = _iterate(basis, None, alpha, a_mat)  # the designer forms C_0 if it steps
+    p = _iterate(D, None, alpha, a_mat)  # the designer forms C_0 if it steps
     steps = _lbfgs_steps if alpha >= 0.5 else _projected_steps
     trace, components = [p.f], [p.terms]
     converged = False
     fallbacks = 0
-    for p_new, fell_back in islice(steps(basis, p, alpha), config.max_iters):
+    for p_new, fell_back in islice(steps(D, p, alpha), config.max_iters):
         fallbacks += fell_back
         trace.append(p_new.f)
         components.append(p_new.terms)

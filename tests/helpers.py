@@ -199,8 +199,8 @@ def reference_block_terms(eet: np.ndarray, blocks: np.ndarray, structure: BlockS
 def reference_wcm_step(D: Dictionary, g, alpha, m, eta):
     """Sensing matrix whose Gram matrix is nearest to ``g - eta * grad f(g)``,
     with the target formed and whitened as a K x K matrix. The reference for
-    the Gram-free step of ``wcm._DesignBasis``: same projection, same
-    clamping of negative eigenvalues."""
+    the Gram-free step ``wcm._step``: same projection, same clamping of
+    negative eigenvalues."""
     whiten = D.whitening
     whiten_dict = whiten @ D.matrix
     target = g - eta * _gradient(g, D.structure, alpha)

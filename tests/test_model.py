@@ -8,10 +8,12 @@ from blocksense import (
     Dictionary,
     EquivalentDictionary,
     SensingMatrix,
+    block_recovery_bound,
     equivalent_dictionary,
     gram,
     sym_eig,
 )
+from blocksense.harness import dct_matrix
 from blocksense.model import _block_rows
 from helpers import (
     random_dictionary,
@@ -294,3 +296,19 @@ class TestInputChecks:
     def test_rejects(self, make, error, match):
         with pytest.raises(error, match=match):
             make()
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize(
+        "call, key",
+        [
+            (lambda size: BlockStructure((2, size)).sizes, "sizes"),
+            (lambda size: dct_matrix(size).shape, "K"),
+            (lambda size: block_recovery_bound(0.1, 0.05, size), "s"),
+        ],
+        ids=["block_structure", "dct_matrix", "block_recovery_bound"],
+    )
+    def test_rejects_a_non_integer_size(self, call, key, bad):
+        # a size is read as the sweep config reads it, never truncated
+        with pytest.raises(ValueError, match=f"{key} must hold int values"):
+            call(bad)
+        assert call(np.int64(3)) == call(3)

@@ -9,9 +9,11 @@ import blocksense.wcm
 from blocksense import (
     BlockGram,
     BlockStructure,
+    Dictionary,
     ExperimentConfig,
     SensingMatrix,
     WcmConfig,
+    coherence_report,
     design_ds,
     deviation,
     ds_objective,
@@ -27,6 +29,7 @@ from blocksense import (
     wcm_step,
 )
 from blocksense.coherence import _equivalent_terms
+from blocksense.harness import run_trial
 from helpers import (
     numerical_gradient,
     random_dictionary,
@@ -49,6 +52,25 @@ def gram_of(a_mat, d):
     e = a_mat @ d.matrix
     g = e.T @ e
     return BlockGram((g + g.T) / 2, d.structure, validate=False)
+
+
+def lifted_start(d, a_mat, alpha):
+    """The iterate of sensing matrix ``a_mat`` with its C, as ``wcm_step``
+    builds it."""
+    return blocksense.wcm._lift(d, blocksense.wcm._iterate(d, None, alpha, a_mat))
+
+
+def spy_whitened_rows(monkeypatch, calls):
+    """Append "rows" to ``calls`` at every build of ``Dictionary.whitened_rows``.
+    The spy wraps the function that the property caches, so the property's
+    own caching stays in place."""
+    build = Dictionary.whitened_rows.func
+
+    def spy(self):
+        calls.append("rows")
+        return build(self)
+
+    monkeypatch.setattr(Dictionary.whitened_rows, "func", spy)
 
 
 def c05_dictionary():
@@ -222,13 +244,12 @@ class TestGramFreeStep:
         d = random_dictionary(rng, 8, sizes)
         m = 4
         a_mat, a_prev = rng.standard_normal((2, m, 8))
-        basis = blocksense.wcm._DesignBasis(d)
-        p, prev = basis.start(a_mat, alpha), basis.start(a_prev, alpha)
+        p, prev = lifted_start(d, a_mat, alpha), lifted_start(d, a_prev, alpha)
         g, _, _ = reference_wcm_measure(a_mat, d, alpha)
         g_prev, _, _ = reference_wcm_measure(a_prev, d, alpha)
         g_e = g + beta * (g - g_prev)
         for eta in (blocksense.wcm._MM_STEP, blocksense.wcm._step_size(alpha)):
-            a_new = basis.step(p, prev, beta, alpha, eta) @ basis.whiten
+            a_new = blocksense.wcm._step(d, p, prev, beta, alpha, eta) @ d.whitening
             a_ref = reference_wcm_step(d, g_e, alpha, m, eta)
             np.testing.assert_allclose(
                 gram_of(a_new, d).matrix, gram_of(a_ref, d).matrix, rtol=0, atol=1e-10
@@ -247,11 +268,15 @@ class TestGramFreeStep:
     @pytest.mark.parametrize("sizes", [(3,) * 40, (2, 3, 4, 3) * 10])
     def test_basis_rows_are_the_padded_columns_of_w_d(self, sizes):
         d = random_dictionary(np.random.default_rng(35), 60, sizes)
-        basis = blocksense.wcm._DesignBasis(d)
         expected = reference_block_rows(d.whitening @ d.matrix, d.structure)
-        np.testing.assert_array_equal(basis.whiten_dict, expected)
-        np.testing.assert_array_equal(
-            basis.whiten_dict_flat, expected.reshape(-1, d.signal_dim))
+        rows = d.whitened_rows
+        np.testing.assert_array_equal(rows, expected)
+        assert d.whitened_rows is rows
+        assert not rows.flags.writeable
+        # the designers read them flat, through a view
+        flat = rows.reshape(-1, d.signal_dim)
+        assert np.shares_memory(flat, rows)
+        np.testing.assert_array_equal(flat, expected.reshape(-1, d.signal_dim))
 
     def test_no_k_by_k_array(self):
         # K >> N: one K x K float64 array outweighs everything the loop keeps
@@ -374,22 +399,17 @@ class TestRunWcm:
     def test_half_alpha_keeps_baseline_at_desk_size(self, monkeypatch):
         # The closed-form baseline meets the lower bound at alpha = 1/2 within
         # the rounding of f, so its one iteration is a certified null step:
-        # no gradient, no (W D)' basis, and the design comes back bit for
+        # no gradient, no (W D)' rows, and the design comes back bit for
         # bit, with E = A D as the sweep computes it.
         calls = []
         gradient = blocksense.wcm._gradient_c
-        basis_rows = blocksense.wcm._DesignBasis.whiten_dict.func
 
         def spy_gradient(*args):
             calls.append("gradient")
             return gradient(*args)
 
-        def spy_rows(self):
-            calls.append("basis")
-            return basis_rows(self)
-
         monkeypatch.setattr(blocksense.wcm, "_gradient_c", spy_gradient)
-        monkeypatch.setattr(blocksense.wcm._DesignBasis, "whiten_dict", property(spy_rows))
+        spy_whitened_rows(monkeypatch, calls)
         for family, sizes in itertools.product(("gaussian", "dct_rows"), (3, [2, 3, 4, 3] * 10)):
             cfg = ExperimentConfig(
                 dict_family=family, N=60, K=120, M=14, block_sizes=sizes, k=2,
@@ -410,7 +430,26 @@ class TestRunWcm:
         assert calls == []
         # the same spies see the gradient path above 1/2
         run_wcm(d, 14, WcmConfig(alpha=0.9, max_iters=1))
-        assert calls[:2] == ["basis", "gradient"]
+        assert calls[:2] == ["rows", "gradient"]
+
+    def test_one_trial_builds_the_whitened_rows_once(self, monkeypatch):
+        # every design on one dictionary shares its (W D)' rows; a trial whose
+        # only wcm design is the certified alpha = 1/2 start builds none
+        calls = []
+        spy_whitened_rows(monkeypatch, calls)
+        base = dict(dict_family="gaussian", N=60, K=120, M=14, block_sizes=[2, 3, 4, 3] * 10,
+                    k=2, L=4, trials=1, seed=7)
+        run_trial(ExperimentConfig(**base, alpha_grid=(0.5,), designers=("ds", "wcm")), 0)
+        assert calls == []
+        cfg = ExperimentConfig(**base, alpha_grid=(0.3, 0.9, 0.99), designers=("wcm",))
+        run_trial(cfg, 0)
+        assert calls == ["rows"]
+        calls.clear()
+        d = generate_dictionary(cfg, np.random.default_rng([7, 0]))
+        for alpha in (0.3, 0.5, 0.9, 0.99):
+            run_wcm(d, cfg.M, WcmConfig(alpha=alpha, max_iters=5))
+        wcm_step(design_ds(d, cfg.M), d, 0.3)
+        assert calls == ["rows"]
 
     def test_certified_run_allocates_no_basis(self):
         # the (W D)' rows alone are K N floats; the certified alpha = 1/2 run
@@ -454,10 +493,7 @@ class TestRunWcm:
         d = random_dictionary(np.random.default_rng(35), 60, sizes)
         configs = [WcmConfig(alpha=alpha) for alpha in (0.3, 0.6, 0.9, 0.99)]
         expected = [run_wcm(d, 14, config) for config in configs]
-        monkeypatch.setattr(
-            blocksense.wcm, "_block_terms",
-            lambda eet, blocks, structure: (reference_block_terms(eet, blocks, structure),
-                                            float(np.sum(blocks**2))))
+        monkeypatch.setattr(blocksense.wcm, "_block_terms", reference_block_terms)
         for config, want in zip(configs, expected):
             report = run_wcm(d, 14, config)
             assert (report.iterations, report.fallbacks, report.converged) == (
@@ -469,12 +505,13 @@ class TestRunWcm:
 
     def test_bound_slack_counts_the_block_squares(self):
         # the slack is gamma_n * F with F = 1/2 norm + alpha sub + (1 - alpha)
-        # (inter + 2 S_b); S_b is the sum f's evaluation stored on the iterate
+        # (inter + 2 S_b); S_b is the blocks' sum of squares, summed as f's
+        # evaluation sums it
         d = c05_dictionary()
-        p = blocksense.wcm._DesignBasis(d).start(design_ds(d, 14).matrix, 0.5)
-        assert p.blocks_sq == float(np.sum(p.blocks**2))
+        p = blocksense.wcm._iterate(d, None, 0.5, design_ds(d, 14).matrix)
+        s_b = float(np.sum(p.blocks**2))
         t = p.terms
-        magnitude = 0.5 * t.norm + 0.5 * t.sub + 0.5 * (t.inter + 2.0 * p.blocks_sq)
+        magnitude = 0.5 * t.norm + 0.5 * t.sub + 0.5 * (t.inter + 2.0 * s_b)
         n = p.eet.size + p.blocks.size + 16
         slack = n * 2.0**-53 / (1.0 - n * 2.0**-53) * magnitude
         bound = objective_lower_bound(120, 14, 0.5)
@@ -483,9 +520,8 @@ class TestRunWcm:
 
     def test_certified_start_ends_after_one_yield(self):
         d = c05_dictionary()
-        basis = blocksense.wcm._DesignBasis(d)
-        p = basis.start(design_ds(d, 14).matrix, 0.5)
-        steps = blocksense.wcm._lbfgs_steps(basis, p, 0.5)
+        p = blocksense.wcm._iterate(d, None, 0.5, design_ds(d, 14).matrix)
+        steps = blocksense.wcm._lbfgs_steps(d, p, 0.5)
         assert next(steps) == (p, False)
         with pytest.raises(StopIteration):
             next(steps)
@@ -495,7 +531,6 @@ class TestRunWcm:
         # alpha = 1/2: far inside rel_tol, yet outside f's rounding, and it
         # still descends
         d = c05_dictionary()
-        basis = blocksense.wcm._DesignBasis(d)
         gradients = []
         gradient = blocksense.wcm._gradient_c
 
@@ -504,16 +539,16 @@ class TestRunWcm:
             return gradient(*args)
 
         monkeypatch.setattr(blocksense.wcm, "_gradient_c", spy)
-        p = basis.start((1.0 + 1e-6) * design_ds(d, 14).matrix, 0.5)
+        p = blocksense.wcm._iterate(d, None, 0.5, (1.0 + 1e-6) * design_ds(d, 14).matrix)
         gap = p.f / objective_lower_bound(120, 14, 0.5) - 1.0
         assert 0.0 < gap < WcmConfig(alpha=0.5).rel_tol * 1e-3
-        p_new, fell_back = next(blocksense.wcm._lbfgs_steps(basis, p, 0.5))
+        p_new, fell_back = next(blocksense.wcm._lbfgs_steps(d, p, 0.5))
         assert gradients == [1]
         assert p_new.f < p.f and not fell_back
         # the unscaled start is certified: no gradient, the same iterate back
         gradients.clear()
-        p = basis.start(design_ds(d, 14).matrix, 0.5)
-        assert next(blocksense.wcm._lbfgs_steps(basis, p, 0.5)) == (p, False)
+        p = blocksense.wcm._iterate(d, None, 0.5, design_ds(d, 14).matrix)
+        assert next(blocksense.wcm._lbfgs_steps(d, p, 0.5)) == (p, False)
         assert gradients == []
 
     def test_fallback_reproduces_exact_mm_steps(self, monkeypatch):
@@ -539,16 +574,16 @@ class TestRunWcm:
     def test_restart_takes_one_exact_mm_step(self, monkeypatch):
         # every iteration of the projected loop (alpha < 1/2) projects once,
         # and a restart once more, with the exact MM step
-        step = blocksense.wcm._DesignBasis.step
+        step = blocksense.wcm._step
         d = c05_dictionary()
         for alpha in (0.05, 0.3):
             etas = []
 
-            def recording_step(self, p, prev, beta, alpha, eta):
+            def recording_step(D, p, prev, beta, alpha, eta):
                 etas.append(eta)
-                return step(self, p, prev, beta, alpha, eta)
+                return step(D, p, prev, beta, alpha, eta)
 
-            monkeypatch.setattr(blocksense.wcm._DesignBasis, "step", recording_step)
+            monkeypatch.setattr(blocksense.wcm, "_step", recording_step)
             report = run_wcm(d, 14, WcmConfig(alpha=alpha))
             assert report.fallbacks > 0
             assert len(etas) == report.iterations + report.fallbacks
@@ -613,10 +648,9 @@ class TestLbfgsDesigner:
     def test_gradient_matches_central_differences(self, sizes, alpha):
         rng = np.random.default_rng(29)
         d = random_dictionary(rng, 8, sizes)
-        basis = blocksense.wcm._DesignBasis(d)
         c = rng.standard_normal((4, 8))
-        grad = blocksense.wcm._gradient_c(basis, blocksense.wcm._iterate(basis, c, alpha), alpha)
-        fd = numerical_gradient(lambda x: blocksense.wcm._iterate(basis, x, alpha).f, c, h=1e-5)
+        grad = blocksense.wcm._gradient_c(d, blocksense.wcm._iterate(d, c, alpha), alpha)
+        fd = numerical_gradient(lambda x: blocksense.wcm._iterate(d, x, alpha).f, c, h=1e-5)
         assert np.linalg.norm(grad - fd) <= 1e-8 * np.linalg.norm(grad)
 
     def test_takes_no_eigensolve(self, monkeypatch):
@@ -664,26 +698,25 @@ class TestLbfgsDesigner:
     def test_armijo_gives_up_after_its_backtracks(self, monkeypatch):
         # a descent direction so long that every step it tries raises f
         d = random_dictionary(np.random.default_rng(33), 12, (3,) * 8)
-        basis = blocksense.wcm._DesignBasis(d)
-        p = basis.start(design_ds(d, 5).matrix, 0.9)
-        p = blocksense.wcm._iterate(basis, p.c + 0.1, 0.9)
-        g = blocksense.wcm._gradient_c(basis, p, 0.9)
+        p = lifted_start(d, design_ds(d, 5).matrix, 0.9)
+        p = blocksense.wcm._iterate(d, p.c + 0.1, 0.9)
+        g = blocksense.wcm._gradient_c(d, p, 0.9)
         tried = []
 
-        def recording(basis, c, alpha):
+        def recording(D, c, alpha):
             tried.append(c)
-            return iterate(basis, c, alpha)
+            return iterate(D, c, alpha)
 
         iterate = blocksense.wcm._iterate
         monkeypatch.setattr(blocksense.wcm, "_iterate", recording)
         monkeypatch.setattr(blocksense.wcm, "_BACKTRACKS", 3)
-        assert blocksense.wcm._armijo(basis, p, g, -1e6 * g, 0.9) is None
+        assert blocksense.wcm._armijo(d, p, g, -1e6 * g, 0.9) is None
         # steps 1, 1/2 and 1/4 were each tried and rejected
         assert len(tried) == 3
         np.testing.assert_array_equal(tried[-1], p.c - 0.25e6 * g)
         # the same direction, short enough, is accepted at the first step
         tried.clear()
-        assert blocksense.wcm._armijo(basis, p, g, -1e-3 * g, 0.9) is not None
+        assert blocksense.wcm._armijo(d, p, g, -1e-3 * g, 0.9) is not None
         assert len(tried) == 1
 
     @pytest.mark.parametrize("n_pairs", [1, 2, blocksense.wcm._HISTORY])
@@ -832,6 +865,30 @@ class TestConfigValidation:
         d = random_dictionary(np.random.default_rng(20), 6, (3, 3))
         with pytest.raises(ValueError, match=match):
             call(d)
+
+    @pytest.mark.parametrize("kind", [str, bool])
+    @pytest.mark.parametrize(
+        "call, good",
+        [
+            (lambda d, alpha: weighted_objective(gram_of(design_ds(d, 5).matrix, d), alpha), 0.3),
+            (lambda d, alpha: objective_gradient(gram_of(design_ds(d, 5).matrix, d), alpha), 0.3),
+            (lambda d, alpha: objective_lower_bound(24, 6, alpha), 0.9),
+            (lambda d, alpha: surrogate_value(*[gram_of(design_ds(d, 5).matrix, d)] * 2, alpha),
+             0.3),
+            (lambda d, alpha: wcm_step(design_ds(d, 5), d, alpha), 0.3),
+            (lambda d, alpha: coherence_report(
+                equivalent_dictionary(design_ds(d, 5), d), alpha), 0.3),
+        ],
+        ids=["weighted_objective", "objective_gradient", "objective_lower_bound",
+             "surrogate_value", "wcm_step", "coherence_report"],
+    )
+    def test_rejects_a_non_float_alpha(self, call, good, kind):
+        # alpha is read as the config reads it: a string or bool is refused,
+        # a numpy float accepted
+        d = random_dictionary(np.random.default_rng(20), 12, (3,) * 8)
+        with pytest.raises(ValueError, match="alpha must hold float values"):
+            call(d, kind(good))
+        assert call(d, np.float64(good)) is not None
 
     def test_bad_m(self):
         d = random_dictionary(np.random.default_rng(20), 6, (3, 3))
