@@ -211,7 +211,7 @@ def decomposition_check(E: EquivalentDictionary) -> tuple[float, float]:
 
 def sparse_recovery_bound(mu: float) -> float:
     """Sparsity level below which greedy/convex decoders provably succeed."""
-    mu = float(mu)
+    mu = _number("mu", mu, float)
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     return 0.5 * (1.0 + 1.0 / mu)
@@ -223,13 +223,14 @@ def block_recovery_bound(mu_block: float, nu_sub: float, s: int) -> float:
     Evaluates (1/2s) * (1/mu_block + s - (s - 1) * nu_sub / mu_block); with
     s = 1 this reduces to :func:`sparse_recovery_bound`.
     """
-    mu_block = float(mu_block)
+    mu_block = _number("mu_block", mu_block, float)
     if mu_block <= 0.0:
         raise ValueError(f"mu_block must be positive, got {mu_block}")
     s = _number("s", s, int)
     if s < 1:
         raise ValueError(f"block size must be >= 1, got {s}")
-    return (1.0 / mu_block + s - (s - 1) * float(nu_sub) / mu_block) / (2.0 * s)
+    nu_sub = _number("nu_sub", nu_sub, float)
+    return (1.0 / mu_block + s - (s - 1) * nu_sub / mu_block) / (2.0 * s)
 
 
 def objective_lower_bound(K: int, M: int, alpha: float) -> float:

@@ -1,4 +1,4 @@
-"""Block-structured dictionaries, sensing matrices, Gram matrices, and eigensolves.
+"""Block-structured dictionaries, sensing matrices and Gram matrices.
 
 All types are immutable after construction (arrays are stored read-only), so
 every operation in the package is a pure function that is safe to call from
@@ -20,7 +20,6 @@ from .fileio import _number
 # row-rank deficient.
 RANK_TOL = 1e-10
 
-_SYM_INPUT_TOL = 1e-10
 _GRAM_SYM_TOL = 1e-12
 _GRAM_PSD_TOL = 1e-10
 
@@ -320,22 +319,3 @@ def _scatter_blocks(structure: BlockStructure, blocks, values) -> np.ndarray:
 def gram(E: EquivalentDictionary) -> BlockGram:
     """Gram matrix of the equivalent dictionary columns, with its block layout."""
     return BlockGram(_gram_matrix(E.matrix), E.structure)
-
-
-def sym_eig(S) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending.
-
-    The input must be symmetric to within 1e-10 relative; it is symmetrized
-    via (S + S') / 2 before the solve. Returns ``(w, V)`` with S = V diag(w) V'
-    and orthonormal columns in V.
-    """
-    mat = np.asarray(S, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if float(np.abs(mat - mat.T).max()) > _SYM_INPUT_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    w, v = np.linalg.eigh((mat + mat.T) / 2.0)
-    return w[::-1].copy(), v[:, ::-1].copy()

@@ -21,7 +21,8 @@ block. Neither designer forms a K x K matrix.
 
 * alpha >= 1/2: L-BFGS on C (A = C W, below), with no eigensolve.
   From 1/2 up the objective has a certified lower bound
-  (``coherence.objective_lower_bound``).
+  (``coherence.objective_lower_bound``). At 1/2 the ds start is the closed
+  form, and no designer runs (below).
 * alpha < 1/2: accelerated projected gradient steps on G, safeguarded by
   majorization-minimization (MM), where L-BFGS ends worse.
 
@@ -53,15 +54,13 @@ non-increasing by construction.
 Designing the sensing matrix by gradient descent on the coherence penalty
 follows Abolghasemi, Ferdowsi & Sanei (Signal Processing, 2012).
 
-Certified start (alpha >= 1/2). Before its first gradient, L-BFGS compares
-the start's f with ``coherence.objective_lower_bound``. When the two agree
-within the rounding error of f's own evaluation (``_meets_bound``), the
-start is a global minimizer as far as f can resolve, and the one iteration
-returns it unchanged. So at alpha = 1/2, where f is the structure-blind
-1/2 ||G - I||_F^2 and the closed-form start meets the bound (K - M) / 2,
-``run_wcm`` takes no gradient and never forms C_0 or the rows of (W D)'
-(the product of the N x N frame with the N x K dictionary); the report is
-still one iteration with the trace [f_0, f_0].
+Closed form at alpha = 1/2. There f is the structure-blind
+1/2 ||G - I||_F^2, which the closed-form baseline (``ds.design_ds``)
+minimizes exactly: up to rounding, its f is the lower bound (K - M) / 2.
+So ``run_wcm`` started from it runs no designer: its one iteration returns
+the start unchanged, with the trace [f_0, f_0], and it never forms C_0, a
+gradient or the rows of (W D)' (the product of the N x N frame with the
+N x K dictionary). L-BFGS from that start would find no step either.
 
 Projected steps (alpha < 1/2). The MM majorizer of f at a Gram matrix G_p is
 
@@ -133,13 +132,13 @@ from .coherence import (
     objective_lower_bound,
     weighted_objective,
 )
+from .ds import design_ds
 from .fileio import _number
 from .model import (
     BlockGram,
     Dictionary,
     EquivalentDictionary,
     SensingMatrix,
-    sym_eig,
 )
 
 INIT_MODES = ("ds", "random")
@@ -154,9 +153,7 @@ _HISTORY = 10
 _ARMIJO = 1e-4
 _BACKTRACKS = 40
 
-# The unit roundoff u = 2^-53 of float64, in the certificate of _meets_bound,
-# and the machine epsilon 2u, in L-BFGS's curvature test.
-_UNIT_ROUNDOFF = 2.0**-53
+# The machine epsilon, in L-BFGS's curvature test.
 _EPS = np.finfo(float).eps
 
 _log = logging.getLogger(__name__)
@@ -216,9 +213,9 @@ class WcmReport:
     was taken from the current Gram matrix instead. ``equivalent`` is the
     final E = A D, and ``alpha`` the weight the design was run at.
 
-    A start certified optimal by the lower bound (the closed-form start at
-    alpha = 1/2) reports one iteration, converged, no fallbacks and the
-    trace [f_0, f_0]: that iteration is a null step, with no gradient taken.
+    The closed-form start at alpha = 1/2, already optimal, reports one
+    iteration, converged, no fallbacks and the trace [f_0, f_0]: that
+    iteration is a null step, with no gradient taken.
     """
 
     sensing: SensingMatrix
@@ -282,8 +279,8 @@ def surrogate_gradient(gram: BlockGram, gram_prev: BlockGram, alpha: float) -> n
 class _Iterate(NamedTuple):
     """One iterate of either designer: C (M x N), the sensing matrix A = C W,
     E = A D, E E', the columns of E as padded rows (blocks, s_max, M), the
-    diagonal blocks E_b' E_b, and f's totals and value. A start iterate may
-    hold C = None until a designer first needs it (``_lift``)."""
+    diagonal blocks E_b' E_b, and f's totals and value. A start iterate
+    holds C = None until ``_lift`` fills it in, before any designer runs."""
 
     c: np.ndarray
     a: np.ndarray
@@ -310,7 +307,8 @@ def _iterate(D: Dictionary, c: np.ndarray | None, alpha: float,
     sensing matrix A = C W unless ``a`` is given (then ``c`` may be None,
     for ``_lift`` to fill in). An iterate built from ``a`` keeps ``a``
     itself and E = ``a`` D, not C W, which would differ from ``a`` by
-    rounding; so a run that takes no step returns its start bit for bit."""
+    rounding; so the closed form at alpha = 1/2, and any run that takes no
+    step, returns its start bit for bit."""
     if a is None:
         a = c @ D.whitening
     e = a @ D.matrix
@@ -347,12 +345,15 @@ def _step(D: Dictionary, p: _Iterate, prev: _Iterate, beta: float, alpha: float,
     target *= 1.0 - 2.0 * eta * (1.0 - alpha)
     target += flat.T @ (q @ rows).reshape(flat.shape)
     target[np.diag_indices_from(target)] += eta
-    w, v = sym_eig(target)
-    # Negative directions cannot be matched by a PSD Gram and only add a
-    # constant, so they are clamped before the square root.
+    # The product above is symmetric only up to rounding and eigh reads one
+    # triangle, so the target is symmetrized. The top M eigenpairs are taken
+    # largest first (eigh sorts ascending); negative directions cannot be
+    # matched by a PSD Gram and only add a constant, so they are clamped
+    # before the square root.
+    w, v = np.linalg.eigh((target + target.T) / 2.0)
     m = p.c.shape[0]
-    top = np.sqrt(np.clip(w[:m], 0.0, None))
-    return (v[:, :m] * top).T
+    top = np.sqrt(np.clip(w[:-m - 1:-1], 0.0, None))
+    return (v[:, :-m - 1:-1] * top).T
 
 
 def _gradient_c(D: Dictionary, p: _Iterate, alpha: float) -> np.ndarray:
@@ -403,70 +404,17 @@ def _armijo(D: Dictionary, p: _Iterate, g: np.ndarray, d: np.ndarray,
     return None
 
 
-def _meets_bound(p: _Iterate, alpha: float) -> bool:
-    """Whether f at ``p`` equals ``coherence.objective_lower_bound`` to
-    within the rounding error of f's own evaluation (alpha >= 1/2).
-
-    ``_block_terms`` reads f from the stored E E' and diagonal blocks
-    E_b' E_b: it sums the squares of E E' (M^2 of them), of the blocks
-    (their total S_b), of the blocks' off-diagonal entries (sub) and of
-    the shifted diagonal g_ii - 1 (norm), then forms inter = ||E E'||^2 - S_b
-    and f = 1/2 norm + (1 - alpha) inter + alpha sub. A floating-point sum
-    of m terms, in any order, errs by at most gamma_{m-1} times the sum of
-    their magnitudes, and a product of k roundings (1 + d_i) lies within
-    gamma_k of 1, where gamma_k = k u / (1 - k u) and u is the unit
-    roundoff (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., eq. 4.6 and Lemma 3.1). Each square passes through at most
-    max(M^2, blocks.size) - 1 additions in its sum, plus its own rounding,
-    the shift, the difference, its weight and f's two additions. The bound
-    takes a handful of roundings of K, M and alpha. With
-    n = M^2 + blocks.size + 16, the computed f therefore lies within
-    gamma_n * F of f evaluated exactly on the stored arrays, and the
-    computed bound within gamma_n * F of the exact bound, where
-
-        F = 1/2 norm + (1 - alpha) (||E E'||^2 + S_b) + alpha sub >= f
-
-    is f with the difference inter replaced by the sum of its two parts.
-
-    No E has f below the exact bound. So when the computed f and bound
-    differ by at most gamma_n * F, the exact f of the stored E lies within
-    3 gamma_n * F of the global minimum: no step can lower f by more than a
-    few times the error of f's own evaluation, so no computed decrease could
-    be told from rounding. The closed-form start at alpha = 1/2 is such a
-    start; its f is (K - M) / 2 up to a few ulps. ``rel_tol`` is no
-    substitute for this slack: it is 1e-8 relative by default, while a
-    start scaled by 1 + 1e-6 from that optimum lies about 5e-13 relative
-    above it and still descends.
-    """
-    m, k = p.e.shape
-    bound = objective_lower_bound(k, m, alpha)
-    terms = p.terms
-    s_b = float((p.blocks**2).sum())  # as _block_terms sums it
-    # F, with ||E E'||^2 + S_b = inter + 2 S_b
-    magnitude = (0.5 * terms.norm + alpha * terms.sub
-                 + (1.0 - alpha) * (terms.inter + 2.0 * s_b))
-    n = p.eet.size + p.blocks.size + 16
-    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    return abs(p.f - bound) <= gamma * magnitude
-
-
 def _lbfgs_steps(D: Dictionary, p: _Iterate, alpha: float):
     """L-BFGS on f over C for alpha >= 1/2 (Liu & Nocedal, Math. Prog., 1989),
-    yielding (iterate, fell_back) once per iteration.
+    yielding (iterate, fell_back) once per iteration from the lifted start
+    ``p``.
 
-    A start that meets the lower bound within f's rounding (``_meets_bound``)
-    is certified optimal: its one iteration yields it unchanged, and no
-    gradient, C_0 or ``D.whitened_rows`` is formed. Otherwise each accepted
-    step passes the Armijo test, so f never rises. When the quasi-Newton
-    direction finds no such step, the history is dropped and steepest
-    descent tried instead (a fallback); when that finds none either, the
-    iterate stays and f repeats, which meets the stop rule. The gradient at
-    an iterate is taken only once the next step is asked for, so the
-    iterate a run stops at costs none."""
-    if _meets_bound(p, alpha):
-        yield p, False
-        return
-    p = _lift(D, p)
+    Each accepted step passes the Armijo test, so f never rises. When the
+    quasi-Newton direction finds no such step, the history is dropped and
+    steepest descent tried instead (a fallback); when that finds none
+    either, the iterate stays and f repeats, which meets the stop rule. The
+    gradient at an iterate is taken only once the next step is asked for,
+    so the iterate a run stops at costs none."""
     g = _gradient_c(D, p, alpha)
     pairs = deque(maxlen=_HISTORY)
     while True:
@@ -486,12 +434,12 @@ def _lbfgs_steps(D: Dictionary, p: _Iterate, alpha: float):
 
 def _projected_steps(D: Dictionary, p: _Iterate, alpha: float):
     """Accelerated projected gradient steps on G for alpha < 1/2, yielding
-    (iterate, fell_back) once per iteration. A step that raises f falls
-    back: the momentum restarts and the exact MM step, which cannot raise
-    f, is taken from G instead."""
+    (iterate, fell_back) once per iteration from the lifted start ``p``. A
+    step that raises f falls back: the momentum restarts and the exact MM
+    step, which cannot raise f, is taken from G instead."""
     eta = _step_size(alpha)
     t = 1.0
-    p = prev = _lift(D, p)
+    prev = p
     while True:
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
@@ -544,35 +492,33 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     ``config.rel_tol * (1 + f)``, and a run that reaches
     ``config.max_iters`` unconverged logs a warning.
 
-    At alpha = 1/2 the closed-form start is a global minimizer: its f meets
-    ``coherence.objective_lower_bound`` within the rounding of f itself,
-    which certifies that no step can lower it (``_meets_bound``). So the
-    one iteration is a null step taken with no gradient and no
-    ``D.whitened_rows``: the run stops after one iteration, converged, with
-    the trace [f_0, f_0], and returns the baseline's A and E = A D bit for
-    bit.
+    At alpha = 1/2 the closed-form start is a global minimizer of f, so a
+    run from it takes the closed form and runs no designer: its one
+    iteration is a null step with no gradient and no ``D.whitened_rows``.
+    The run stops after one iteration, converged, with the trace
+    [f_0, f_0], and returns the baseline's A and E = A D bit for bit. A
+    random start at alpha = 1/2 runs L-BFGS.
 
     For ``alpha < 1/2`` the run can stop at a different stationary point,
     with a higher or a lower f, than iterating the plain MM step from the
     same start. No benchmark sweep grid has ``alpha < 1/2``.
     """
-    M = _number("M", M, int)
-    if not 1 <= M < D.signal_dim:
-        raise ValueError(f"M must satisfy 1 <= M < N={D.signal_dim}, got {M}")
     alpha = config.alpha
+    start = design_ds(D, M)  # design_ds checks M for both starts
+    a_mat = start.matrix
+    if config.init == "random":
+        a_mat = np.random.default_rng(config.seed).standard_normal(a_mat.shape)
 
-    if config.init == "ds":
-        a_mat = D.whitening[:M]
+    p = _iterate(D, None, alpha, a_mat)
+    if alpha == 0.5 and config.init == "ds":
+        iterates = [(p, False)]  # the closed form: a null step
     else:
-        rng = np.random.default_rng(config.seed)
-        a_mat = rng.standard_normal((M, D.signal_dim))
-
-    p = _iterate(D, None, alpha, a_mat)  # the designer forms C_0 if it steps
-    steps = _lbfgs_steps if alpha >= 0.5 else _projected_steps
+        steps = _lbfgs_steps if alpha >= 0.5 else _projected_steps
+        iterates = islice(steps(D, _lift(D, p), alpha), config.max_iters)
     trace, components = [p.f], [p.terms]
     converged = False
     fallbacks = 0
-    for p_new, fell_back in islice(steps(D, p, alpha), config.max_iters):
+    for p_new, fell_back in iterates:
         fallbacks += fell_back
         trace.append(p_new.f)
         components.append(p_new.terms)
@@ -586,8 +532,10 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
             "WCM at alpha=%g stopped unconverged after %d iterations, f=%.9g",
             alpha, iterations, p.f,
         )
+    # A run that ends at the ds start returns design_ds's matrix itself: a
+    # copy would cost M N floats more, 0.7 MB at K = 1200
     return WcmReport(
-        sensing=SensingMatrix(p.a),
+        sensing=start if p.a is start.matrix else SensingMatrix(p.a),
         objective_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,

@@ -25,7 +25,7 @@ from blocksense import (
 from blocksense.bomp import _triangular_inverse
 from blocksense.coherence import _equivalent_terms, _gradient, _gram_terms, _Terms
 from blocksense.harness import _grid
-from blocksense.model import _gram_matrix, sym_eig
+from blocksense.model import _gram_matrix
 
 
 def unit_columns(mat: np.ndarray) -> np.ndarray:
@@ -204,9 +204,11 @@ def reference_wcm_step(D: Dictionary, g, alpha, m, eta):
     whiten = D.whitening
     whiten_dict = whiten @ D.matrix
     target = g - eta * _gradient(g, D.structure, alpha)
-    w, v = sym_eig(whiten_dict @ target @ whiten_dict.T)
-    top = np.sqrt(np.clip(w[:m], 0.0, None))
-    return (v[:, :m] * top).T @ whiten
+    s = whiten_dict @ target @ whiten_dict.T
+    w, v = np.linalg.eigh((s + s.T) / 2.0)
+    w, v = w[::-1][:m], v[:, ::-1][:, :m]  # the top m, largest first
+    top = np.sqrt(np.clip(w, 0.0, None))
+    return (v * top).T @ whiten
 
 
 def reference_block_rows(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
@@ -223,10 +225,12 @@ def reference_block_rows(x: np.ndarray, structure: BlockStructure) -> np.ndarray
 
 
 def reference_whitening(mat: np.ndarray) -> np.ndarray:
-    """The frame diag(w)^{-1/2} U' of D D' = U diag(w) U' by ``sym_eig``, which
-    checks symmetry, symmetrizes and sorts by copies. The reference for
-    ``Dictionary.whitening``."""
-    w, u = sym_eig(mat @ mat.T)
+    """The frame diag(w)^{-1/2} U' of D D' = U diag(w) U', w descending, by
+    ``np.linalg.eigh`` of the symmetrized D D', sorted by copies. The
+    reference for ``Dictionary.whitening``."""
+    dd = mat @ mat.T
+    w, u = np.linalg.eigh((dd + dd.T) / 2.0)
+    w, u = w[::-1].copy(), u[:, ::-1].copy()
     return (u / np.sqrt(w)).T
 
 

@@ -298,6 +298,22 @@ class TestBounds:
         with pytest.raises(ValueError, match="block size must be >= 1"):
             block_recovery_bound(0.25, 0.1, 0)
 
+    @pytest.mark.parametrize("bad", ["0.5", True], ids=["str", "bool"])
+    @pytest.mark.parametrize(
+        "call, key",
+        [
+            (sparse_recovery_bound, "mu"),
+            (lambda x: block_recovery_bound(x, 0.05, 2), "mu_block"),
+            (lambda x: block_recovery_bound(0.1, x, 2), "nu_sub"),
+        ],
+        ids=["mu", "mu_block", "nu_sub"],
+    )
+    def test_rejects_a_non_float_coherence(self, call, key, bad):
+        # a coherence is read as alpha is, never converted from a string or bool
+        with pytest.raises(ValueError, match=f"{key} must hold float values"):
+            call(bad)
+        assert call(np.float64(0.5)) == call(0.5)
+
     def test_objective_lower_bound_holds_for_every_e(self):
         # gaussian E at random scales, and scaled E with orthonormal rows,
         # whose Gram c * P sits close to the bound

@@ -7,14 +7,13 @@ from blocksense import (
     SensingMatrix,
     design_ds,
     ds_objective,
-    sym_eig,
 )
 from helpers import random_dictionary
 
 
 def gamma_of(a_mat, d_mat):
     """Whitened coordinates of a sensing matrix: A U diag(w)^{1/2}."""
-    w, u = sym_eig(d_mat @ d_mat.T)
+    w, u = np.linalg.eigh(d_mat @ d_mat.T)
     return a_mat @ u @ np.diag(np.sqrt(w))
 
 

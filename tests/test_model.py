@@ -11,7 +11,6 @@ from blocksense import (
     block_recovery_bound,
     equivalent_dictionary,
     gram,
-    sym_eig,
 )
 from blocksense.harness import dct_matrix
 from blocksense.model import _block_rows
@@ -105,7 +104,7 @@ class TestDictionary:
     @pytest.mark.parametrize("sizes", [(3,) * 40, (2, 3, 4, 3) * 10, (2, 3, 4) * 14])
     def test_whitening_equals_the_symmetrized_eigensolve(self, sizes):
         # D D' comes out of numpy exactly symmetric, so eigendecomposing it
-        # as it is gives the frame of the checked, symmetrized solve bit for bit
+        # as it is gives the frame of the symmetrized solve bit for bit
         rng = np.random.default_rng(2)
         for n in (12, 60):
             d = random_dictionary(rng, n, sizes)
@@ -197,48 +196,6 @@ class TestGram:
             np.testing.assert_allclose(g.matrix, g.matrix.T, atol=1e-12)
 
 
-class TestSymEig:
-    def test_identity(self):
-        w, v = sym_eig(np.eye(5))
-        np.testing.assert_allclose(w, np.ones(5))
-        np.testing.assert_allclose(v.T @ v, np.eye(5), atol=1e-12)
-
-    def test_diagonal_sorted_descending(self):
-        w, v = sym_eig(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(w, [3.0, 2.0, 1.0])
-        # eigenvectors are signed axes
-        np.testing.assert_allclose(np.abs(v), np.eye(3)[:, [0, 2, 1]], atol=1e-12)
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(8)
-        s = rng.standard_normal((10, 10))
-        s = (s + s.T) / 2
-        w, v = sym_eig(s)
-        assert np.all(np.diff(w) <= 0)
-        np.testing.assert_allclose(v @ np.diag(w) @ v.T, s, atol=1e-8 * np.linalg.norm(s))
-        np.testing.assert_allclose(v.T @ v, np.eye(10), atol=1e-8)
-
-    def test_large_roundtrip(self):
-        rng = np.random.default_rng(9)
-        s = rng.standard_normal((400, 400))
-        s = (s + s.T) / 2
-        w, v = sym_eig(s)
-        err = np.linalg.norm(v @ np.diag(w) @ v.T - s) / np.linalg.norm(s)
-        assert err <= 1e-8
-
-    def test_rejects_nonfinite(self):
-        s = np.eye(3)
-        s[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            sym_eig(s)
-
-    def test_rejects_asymmetric(self):
-        s = np.eye(3)
-        s[0, 1] = 0.5
-        with pytest.raises(ValueError, match="symmetric"):
-            sym_eig(s)
-
-
 class TestBlockSparseVector:
     def test_rejects_leakage_outside_support(self):
         with pytest.raises(ValueError, match="outside"):
@@ -286,11 +243,10 @@ class TestInputChecks:
                 ValueError,
                 "length-4",
             ),
-            (lambda: sym_eig(np.ones((2, 3))), ValueError, "square"),
         ],
         ids=[
             "matrix-1d", "matrix-nonfinite", "matrix-columns", "block-index", "gram-shape",
-            "gram-asymmetric", "gram-not-psd", "vector-length", "sym-eig-nonsquare",
+            "gram-asymmetric", "gram-not-psd", "vector-length",
         ],
     )
     def test_rejects(self, make, error, match):

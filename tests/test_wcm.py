@@ -397,10 +397,9 @@ class TestRunWcm:
         assert "7 iterations" in record.getMessage()
 
     def test_half_alpha_keeps_baseline_at_desk_size(self, monkeypatch):
-        # The closed-form baseline meets the lower bound at alpha = 1/2 within
-        # the rounding of f, so its one iteration is a certified null step:
-        # no gradient, no (W D)' rows, and the design comes back bit for
-        # bit, with E = A D as the sweep computes it.
+        # At alpha = 1/2 the run takes the closed form: its one iteration is
+        # a null step with no gradient and no (W D)' rows, and the design
+        # comes back bit for bit, with E = A D as the sweep computes it.
         calls = []
         gradient = blocksense.wcm._gradient_c
 
@@ -434,7 +433,7 @@ class TestRunWcm:
 
     def test_one_trial_builds_the_whitened_rows_once(self, monkeypatch):
         # every design on one dictionary shares its (W D)' rows; a trial whose
-        # only wcm design is the certified alpha = 1/2 start builds none
+        # only wcm design is the alpha = 1/2 closed form builds none
         calls = []
         spy_whitened_rows(monkeypatch, calls)
         base = dict(dict_family="gaussian", N=60, K=120, M=14, block_sizes=[2, 3, 4, 3] * 10,
@@ -452,7 +451,7 @@ class TestRunWcm:
         assert calls == ["rows"]
 
     def test_certified_run_allocates_no_basis(self):
-        # the (W D)' rows alone are K N floats; the certified alpha = 1/2 run
+        # the (W D)' rows alone are K N floats; the alpha = 1/2 closed form
         # keeps only E, its blocks and the report (0.7 MiB here)
         cfg = ExperimentConfig(
             dict_family="gaussian", N=300, K=600, M=40, block_sizes=3, k=2,
@@ -468,23 +467,34 @@ class TestRunWcm:
         assert report.iterations == 1
         assert peak < cfg.K * cfg.N * 8
 
-    @pytest.mark.parametrize("init", ["ds", "random"])
-    def test_certificate_changes_no_report(self, init, monkeypatch):
-        # above 1/2 no start meets the bound, and at 1/2 the gradient path
-        # finds no step either: disabling the certificate changes no bit
+    @pytest.mark.parametrize("sizes", [3, [2, 3, 4, 3] * 10], ids=["threes", "mixed"])
+    @pytest.mark.parametrize("family", ["gaussian", "dct_rows"])
+    def test_lbfgs_takes_no_step_from_the_closed_form(self, family, sizes):
+        # the fact the alpha = 1/2 closed form rests on: started from the
+        # lifted ds design, L-BFGS finds no step and yields its start, with
+        # the same A, E and f, so the run would stop there as it does now
+        cfg = ExperimentConfig(
+            dict_family=family, N=60, K=120, M=14, block_sizes=sizes, k=2,
+            L=1, trials=1, designers=("ds",), seed=7,
+        )
+        for trial in range(3):
+            d = generate_dictionary(cfg, np.random.default_rng([7, trial]))
+            a_ds = design_ds(d, 14).matrix
+            p = lifted_start(d, a_ds, 0.5)
+            p_new, fell_back = next(blocksense.wcm._lbfgs_steps(d, p, 0.5))
+            assert p_new is p and not fell_back
+            np.testing.assert_array_equal(p_new.a, a_ds)
+            np.testing.assert_array_equal(p_new.e, a_ds @ d.matrix)
+            assert p_new.f == run_wcm(d, 14, WcmConfig(alpha=0.5)).objective_trace[-1]
+
+    def test_random_start_at_half_alpha_runs_lbfgs(self):
+        # only the ds start takes the closed form: a random start at 1/2
+        # descends by L-BFGS, and its trace never rises
         d = random_dictionary(np.random.default_rng(34), 24, (2, 3, 4, 3) * 4)
-        configs = [WcmConfig(alpha=alpha, init=init, seed=5) for alpha in (0.5, 0.6, 0.9, 0.99)]
-        certified = [run_wcm(d, 8, config) for config in configs]
-        monkeypatch.setattr(blocksense.wcm, "_meets_bound", lambda p, alpha: False)
-        for config, expected in zip(configs, certified):
-            report = run_wcm(d, 8, config)
-            assert (report.iterations, report.fallbacks, report.converged) == (
-                expected.iterations, expected.fallbacks, expected.converged)
-            for field in ("objective_trace", "component_trace"):
-                np.testing.assert_array_equal(getattr(report, field), getattr(expected, field))
-            np.testing.assert_array_equal(report.sensing.matrix, expected.sensing.matrix)
-            np.testing.assert_array_equal(report.equivalent.matrix, expected.equivalent.matrix)
-        assert all(r.iterations > 1 for r in certified[1:])
+        report = run_wcm(d, 8, WcmConfig(alpha=0.5, init="random", seed=5))
+        assert report.iterations > 1 and report.converged
+        assert np.all(np.diff(report.objective_trace) <= 0.0)
+        assert report.objective_trace[-1] < report.objective_trace[0]
 
     @pytest.mark.parametrize("sizes", [(3,) * 40, (2, 3, 4, 3) * 10])
     def test_mask_reference_changes_no_report(self, sizes, monkeypatch):
@@ -503,53 +513,15 @@ class TestRunWcm:
             np.testing.assert_array_equal(report.sensing.matrix, want.sensing.matrix)
         assert all(r.iterations > 1 for r in expected)
 
-    def test_bound_slack_counts_the_block_squares(self):
-        # the slack is gamma_n * F with F = 1/2 norm + alpha sub + (1 - alpha)
-        # (inter + 2 S_b); S_b is the blocks' sum of squares, summed as f's
-        # evaluation sums it
+    def test_scaled_closed_form_still_descends(self):
+        # ds scaled by 1 + 1e-6 lies about 5e-13 relative above the optimum
+        # at alpha = 1/2, far inside rel_tol, yet L-BFGS still descends from it
         d = c05_dictionary()
-        p = blocksense.wcm._iterate(d, None, 0.5, design_ds(d, 14).matrix)
-        s_b = float(np.sum(p.blocks**2))
-        t = p.terms
-        magnitude = 0.5 * t.norm + 0.5 * t.sub + 0.5 * (t.inter + 2.0 * s_b)
-        n = p.eet.size + p.blocks.size + 16
-        slack = n * 2.0**-53 / (1.0 - n * 2.0**-53) * magnitude
-        bound = objective_lower_bound(120, 14, 0.5)
-        for f, certified in ((bound + 0.99 * slack, True), (bound + 1.01 * slack, False)):
-            assert blocksense.wcm._meets_bound(p._replace(f=f), 0.5) is certified
-
-    def test_certified_start_ends_after_one_yield(self):
-        d = c05_dictionary()
-        p = blocksense.wcm._iterate(d, None, 0.5, design_ds(d, 14).matrix)
-        steps = blocksense.wcm._lbfgs_steps(d, p, 0.5)
-        assert next(steps) == (p, False)
-        with pytest.raises(StopIteration):
-            next(steps)
-
-    def test_start_off_the_bound_takes_the_gradient_path(self, monkeypatch):
-        # ds scaled by 1 + 1e-6 lies about 5e-13 relative above the bound at
-        # alpha = 1/2: far inside rel_tol, yet outside f's rounding, and it
-        # still descends
-        d = c05_dictionary()
-        gradients = []
-        gradient = blocksense.wcm._gradient_c
-
-        def spy(*args):
-            gradients.append(1)
-            return gradient(*args)
-
-        monkeypatch.setattr(blocksense.wcm, "_gradient_c", spy)
-        p = blocksense.wcm._iterate(d, None, 0.5, (1.0 + 1e-6) * design_ds(d, 14).matrix)
+        p = lifted_start(d, (1.0 + 1e-6) * design_ds(d, 14).matrix, 0.5)
         gap = p.f / objective_lower_bound(120, 14, 0.5) - 1.0
         assert 0.0 < gap < WcmConfig(alpha=0.5).rel_tol * 1e-3
         p_new, fell_back = next(blocksense.wcm._lbfgs_steps(d, p, 0.5))
-        assert gradients == [1]
         assert p_new.f < p.f and not fell_back
-        # the unscaled start is certified: no gradient, the same iterate back
-        gradients.clear()
-        p = blocksense.wcm._iterate(d, None, 0.5, design_ds(d, 14).matrix)
-        assert next(blocksense.wcm._lbfgs_steps(d, p, 0.5)) == (p, False)
-        assert gradients == []
 
     def test_fallback_reproduces_exact_mm_steps(self, monkeypatch):
         # A step far too long for the objective raises f every time, so every
