@@ -107,25 +107,6 @@ def _equivalent_terms(e: np.ndarray, structure: BlockStructure) -> _Terms:
     return _block_terms(eet, blocks, structure)
 
 
-def mutual_coherence(E) -> float:
-    """Largest normalized inner product between two distinct columns of E."""
-    mat = E.matrix if isinstance(E, EquivalentDictionary) else np.asarray(E, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError("mutual coherence needs a matrix with at least two columns")
-    return _mutual_coherence(_gram_matrix(mat), np.linalg.norm(mat, axis=0))
-
-
-def _mutual_coherence(g: np.ndarray, norms: np.ndarray) -> float:
-    """Mutual coherence of E from its Gram matrix G = E'E and its column norms."""
-    if norms.size < 2:
-        raise ValueError("mutual coherence needs a matrix with at least two columns")
-    if np.any(norms == 0.0):
-        raise ValueError("matrix has a zero column; coherence is undefined")
-    c = np.abs(g) / np.outer(norms, norms)
-    np.fill_diagonal(c, 0.0)
-    return float(c.max())
-
-
 def inter_block_coherence(gram: BlockGram) -> float:
     """Largest cross-block spectral norm of the Gram matrix, scaled by 1/s.
 
@@ -288,7 +269,14 @@ class CoherenceReport:
 
 def coherence_report(E: EquivalentDictionary, alpha: float | None = None) -> CoherenceReport:
     """Compute every coherence diagnostic of an equivalent dictionary at once.
-    The totals come from E by :func:`_equivalent_terms`, as ``run_wcm``'s trace does."""
+    The totals come from E by :func:`_equivalent_terms`, as ``run_wcm``'s trace
+    does; the mutual coherence ``mu``, the largest normalized inner product
+    of two distinct columns, is read from the report's one E'E."""
+    norms = np.linalg.norm(E.matrix, axis=0)
+    if norms.size < 2:
+        raise ValueError("mutual coherence needs a matrix with at least two columns")
+    if np.any(norms == 0.0):
+        raise ValueError("matrix has a zero column; coherence is undefined")
     # E'E is symmetric PSD by construction, so the eigensolve check is skipped
     g = BlockGram(_gram_matrix(E.matrix), E.structure, validate=False)
     if g.structure.uniform_size is not None and g.structure.num_blocks >= 2:
@@ -296,10 +284,13 @@ def coherence_report(E: EquivalentDictionary, alpha: float | None = None) -> Coh
     else:
         mu_block = None
     terms = _equivalent_terms(E.matrix, E.structure)
+    nu_sub = sub_block_coherence(g)
+    c = np.abs(g.matrix) / np.outer(norms, norms)
+    np.fill_diagonal(c, 0.0)
     return CoherenceReport(
-        mu=_mutual_coherence(g.matrix, np.linalg.norm(E.matrix, axis=0)),
+        mu=float(c.max()),
         mu_block=mu_block,
-        nu_sub=sub_block_coherence(g),
+        nu_sub=nu_sub,
         total_inter=terms.inter,
         total_sub=terms.sub,
         norm_penalty=terms.norm,

@@ -9,9 +9,9 @@ byte-identical CSV output, with or without the process pool.
 A trial decodes and scores each distinct sensing matrix once: cells whose
 designs are equal bit for bit, such as ``ds`` and ``wcm`` at alpha = 1/2,
 share one decode, and only their objective is weighed at each cell's alpha.
-A wcm design is scored from the E = A D and the penalty totals its
-``run_wcm`` report holds; the baselines form both, after every wcm cell, so
-that a baseline which a wcm design repeats is not scored again.
+A trial designs its wcm cells first and scores each design as soon as it is
+made: a wcm design from the E = A D and the penalty totals its ``run_wcm``
+report holds, a baseline by forming both, unless a wcm design repeated it.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ class ExperimentConfig:
     """Sweep description.
 
     ``block_sizes`` is either one integer (fixed size, must divide K) or an
-    explicit list of sizes summing to K. ``designers`` are evaluated in the
-    given order; the "wcm" designer expands over ``alpha_grid``. Both are
-    lists or tuples; N, K, M, k, L, trials and seed are integers.
+    explicit list of sizes summing to K. The given order of ``designers``
+    sets the row order; the "wcm" designer expands over ``alpha_grid``.
+    Both are lists or tuples; N, K, M, k, L, trials and seed are integers.
     """
 
     dict_family: str = "gaussian"
@@ -180,6 +180,8 @@ class SweepResult:
 def dct_matrix(K: int) -> np.ndarray:
     """Orthonormal K x K type-II discrete cosine transform matrix."""
     K = _number("K", K, int)
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     n = np.arange(K)
     c = np.cos(np.pi * np.outer(n, 2 * n + 1) / (2.0 * K)) * np.sqrt(2.0 / K)
     c[0] /= np.sqrt(2.0)
@@ -273,14 +275,17 @@ def representation_error(X: np.ndarray, D, theta_hat: np.ndarray) -> float:
     return float(np.linalg.norm(residual)) / denom
 
 
-def _score(cfg, D, X, theta, a_mat, E=None, terms=None) -> tuple[float, float, _Terms]:
+def _score(cfg, D, X, theta, a_mat, report) -> tuple[float, float, _Terms]:
     """Decode the trial's signals through sensing matrix ``a_mat`` and return
     the representation error, the classification rate and the penalty
-    totals of E = A D, from which every alpha's objective follows. E and
-    its totals are formed here unless given."""
-    if E is None:
+    totals of E = A D, from which every alpha's objective follows. E and its
+    totals are read from the ``run_wcm`` report of a wcm design, and formed
+    here for a baseline, whose report is None."""
+    if report is None:
         E = EquivalentDictionary(a_mat @ D.matrix, D.structure)
         terms = _equivalent_terms(E.matrix, D.structure)
+    else:
+        E, terms = report.equivalent, _Terms(*map(float, report.component_trace[-1]))
     theta_hat = bomp_decode_batch(E, a_mat @ X, BompConfig(k_blocks=cfg.k))
     return (
         representation_error(X, D, theta_hat),
@@ -313,18 +318,16 @@ def _design(cfg: ExperimentConfig, trial: int, D: Dictionary, designer: str,
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
-    """Run one trial: draw data, design with every configured method, then
-    decode and score each distinct sensing matrix once. Deterministic in
+    """Run one trial: draw data, then design with every configured method,
+    decoding and scoring each distinct sensing matrix once. Deterministic in
     (cfg.seed, trial). Logs the trial's cell count and wall time at INFO.
 
-    A wcm design is scored as soon as it is designed, from its report's E,
-    which is A D bit for bit, and the report's last ``component_trace`` row,
-    the totals ``coherence._equivalent_terms`` gives; the report is then
-    dropped. A baseline design is scored once every cell is designed, unless
-    a wcm design was equal to it, so the ds cell and the wcm cell at alpha =
-    1/2 share one decode whichever comes first. Designs are matched on the
-    SHA-256 of A's bytes, and a baseline's A is the only matrix kept until
-    it is scored.
+    The wcm cells are designed first, then the baselines, each in grid
+    order; rows still come out in grid order. Each design is scored as soon
+    as it is made (``_score``), unless an earlier design was equal to it, so
+    the ds cell and the wcm cell at alpha = 1/2 share one decode and the
+    report's E whichever designer comes first. Designs are matched on the
+    SHA-256 of A's bytes, and no design is kept after its own score.
     """
     # imported here, like the pool in run_sweep, so that CLI commands that
     # run no trial do not pay for importing it
@@ -335,23 +338,14 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     D = generate_dictionary(cfg, rng)
     X, theta = generate_signals(D, cfg.k, cfg.L, rng)
     cells = _grid(cfg)
-    keys = []  # SHA-256 of each cell's A: cells with equal designs share one score
+    keys = [None] * len(cells)  # SHA-256 of each cell's A: equal designs share one score
     scores = {}  # key -> (e, r, totals)
-    baselines = {}  # key -> A of a baseline design not yet scored
-    for designer, alpha in cells:
-        a_mat, report = _design(cfg, trial, D, designer, alpha)
-        key = hashlib.sha256(a_mat.tobytes()).digest()
-        keys.append(key)
-        if report is None:
-            if key not in scores:
-                baselines[key] = a_mat
-        elif key not in scores:
-            baselines.pop(key, None)
-            terms = _Terms(*map(float, report.component_trace[-1]))
-            scores[key] = _score(cfg, D, X, theta, a_mat, report.equivalent, terms)
+    for i in sorted(range(len(cells)), key=lambda i: cells[i][0] != "wcm"):
+        a_mat, report = _design(cfg, trial, D, *cells[i])
+        keys[i] = key = hashlib.sha256(a_mat.tobytes()).digest()
+        if key not in scores:
+            scores[key] = _score(cfg, D, X, theta, a_mat, report)
         del a_mat, report  # not held through the next design
-    for key, a_mat in baselines.items():
-        scores[key] = _score(cfg, D, X, theta, a_mat)
     rows = []
     for (designer, alpha), key in zip(cells, keys):
         e, r, terms = scores[key]

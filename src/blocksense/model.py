@@ -95,11 +95,6 @@ class BlockStructure:
         first = self.sizes[0]
         return first if all(s == first for s in self.sizes) else None
 
-    def block_slice(self, j: int) -> slice:
-        if not 0 <= j < self.num_blocks:
-            raise IndexError(f"block index {j} out of range [0, {self.num_blocks})")
-        return slice(int(self.offsets[j]), int(self.offsets[j + 1]))
-
 
 @dataclass(frozen=True, eq=False)
 class Dictionary:

@@ -175,7 +175,8 @@ class WcmConfig:
     most ``rel_tol * (1 + f)`` in one step, or at ``max_iters``; ``rel_tol``
     must be positive and finite. ``init`` selects the starting sensing
     matrix: the closed-form baseline ("ds") or i.i.d. standard normal
-    entries ("random", which requires a seed).
+    entries ("random", which requires a seed). ``seed``, when given, is
+    stored as an int >= 0.
     """
 
     alpha: float
@@ -194,7 +195,11 @@ class WcmConfig:
         object.__setattr__(self, "rel_tol", rel_tol)
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if self.init == "random" and self.seed is None:
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _number("seed", self.seed, int))
+            if self.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {self.seed}")
+        elif self.init == "random":
             raise ValueError("random initialization requires a seed")
 
 

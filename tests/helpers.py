@@ -170,8 +170,8 @@ def reference_signals(D: Dictionary, k: int, L: int, rng):
         order = sorted(range(n_blocks), key=lambda j: (keys[sig][j], j))
         for j in order[:k]:
             values = rng.uniform(-1.0, 1.0, size=s_max)
-            sl = structure.block_slice(j)
-            theta[sl, sig] = values[: sl.stop - sl.start]
+            lo, hi = structure.offsets[j : j + 2]
+            theta[lo:hi, sig] = values[: hi - lo]
     return D.matrix @ theta, theta
 
 
@@ -214,13 +214,13 @@ def reference_wcm_step(D: Dictionary, g, alpha, m, eta):
 def reference_block_rows(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
     """The columns of ``x`` as rows, one block at a time: a (blocks, s_max,
     rows) array whose padding rows are zero. The reference for
-    ``model._block_rows``: it reads only ``block_slice``, never the padded
-    layout."""
+    ``model._block_rows``: it reads only the block ``offsets``, never the
+    padded layout."""
     s_max = max(structure.sizes)
     rows = np.zeros((structure.num_blocks, s_max, x.shape[0]))
     for j in range(structure.num_blocks):
-        sl = structure.block_slice(j)
-        rows[j, : sl.stop - sl.start] = x[:, sl].T
+        lo, hi = structure.offsets[j : j + 2]
+        rows[j, : hi - lo] = x[:, lo:hi].T
     return rows
 
 

@@ -12,7 +12,6 @@ from blocksense import (
     decomposition_check,
     deviation,
     inter_block_coherence,
-    mutual_coherence,
     objective_gradient,
     objective_lower_bound,
     sparse_recovery_bound,
@@ -35,13 +34,28 @@ def random_gram(rng, sizes, m=None):
     return BlockGram((g + g.T) / 2, structure)
 
 
+def mu_from_gram(mat: np.ndarray) -> float:
+    """The largest |G_ij| / (||e_i|| ||e_j||) over i != j, from G = E'E
+    formed here, symmetrized, and the column norms of E."""
+    g = mat.T @ mat
+    g = (g + g.T) / 2.0
+    norms = np.linalg.norm(mat, axis=0)
+    c = np.abs(g) / np.outer(norms, norms)
+    np.fill_diagonal(c, 0.0)
+    return float(c.max())
+
+
 class TestMutualCoherence:
+    """``coherence_report``'s mu: the largest normalized inner product of two
+    distinct columns of E."""
+
     def test_orthogonal_columns(self):
-        assert mutual_coherence(np.eye(4)) == 0.0
+        assert coherence_report(EquivalentDictionary(np.eye(4), BlockStructure((2, 2)))).mu == 0.0
 
     def test_identical_columns(self):
         col = np.array([1.0, 2.0, 3.0])
-        assert mutual_coherence(np.column_stack([col, col])) == pytest.approx(1.0)
+        e = EquivalentDictionary(np.column_stack([col, col]), BlockStructure((1, 1)))
+        assert coherence_report(e).mu == pytest.approx(1.0)
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(0)
@@ -54,18 +68,22 @@ class TestMutualCoherence:
                 num = abs(e[:, i] @ e[:, j])
                 den = np.linalg.norm(e[:, i]) * np.linalg.norm(e[:, j])
                 best = max(best, num / den)
-        assert mutual_coherence(e) == pytest.approx(best, rel=1e-12)
+        for sizes in ((2, 2, 2, 2), (3, 5)):
+            mu = coherence_report(EquivalentDictionary(e, BlockStructure(sizes))).mu
+            assert mu == pytest.approx(best, rel=1e-12)
+            assert mu == mu_from_gram(e)
 
     def test_zero_column_raises(self):
         e = np.eye(3)
         e[:, 1] = 0.0
         with pytest.raises(ValueError, match="zero column"):
-            mutual_coherence(e)
+            coherence_report(EquivalentDictionary(e, BlockStructure((1, 2))))
 
-    @pytest.mark.parametrize("e", [np.ones((3, 1)), np.ones(3)], ids=["one-column", "1-d"])
-    def test_needs_two_columns(self, e):
+    @pytest.mark.parametrize("sizes", [(1,)], ids=["one-column"])
+    def test_needs_two_columns(self, sizes):
+        e = EquivalentDictionary(np.ones((3, 1)), BlockStructure(sizes))
         with pytest.raises(ValueError, match="at least two columns"):
-            mutual_coherence(e)
+            coherence_report(e)
 
 
 class TestInterBlockCoherence:
@@ -448,7 +466,7 @@ class TestCoherenceReport:
 
     @pytest.mark.parametrize("sizes", [(3, 3, 3), (3, 4, 2)], ids=["uniform", "mixed"])
     def test_forms_the_gram_matrix_once(self, monkeypatch, sizes):
-        # mu is read from the report's one E'E, with the bits of mutual_coherence
+        # mu is read from the report's one E'E, with the bits of E'E formed here
         rng = np.random.default_rng(25)
         e = EquivalentDictionary(rng.standard_normal((4, 9)), BlockStructure(sizes))
         calls = []
@@ -461,7 +479,7 @@ class TestCoherenceReport:
         monkeypatch.setattr(coherence, "_gram_matrix", counted)
         report = coherence_report(e)
         assert calls == [(4, 9)]
-        assert report.mu == mutual_coherence(e)
+        assert report.mu == mu_from_gram(e.matrix)
 
     def test_unit_block_sizes_have_zero_total_sub(self):
         rng = np.random.default_rng(24)

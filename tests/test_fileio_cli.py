@@ -162,6 +162,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: rel_tol must be positive and finite")
         assert not out.exists()
 
+    def test_design_wcm_refuses_a_negative_seed(self, tmp_path, dict_file, capsys):
+        path, _ = dict_file
+        out = tmp_path / "a.csv"
+        argv = ["design", "wcm", "--dict", str(path), "-M", "4", "--alpha", "0.9",
+                "--init", "random", "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -1")
+        assert not out.exists()
+
     def test_design_wcm_below_half_prints_no_gap(self, tmp_path, dict_file, capsys):
         path, d = dict_file
         out = tmp_path / "a.csv"

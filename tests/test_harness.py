@@ -86,12 +86,9 @@ class TestGenerateSignals:
         rng = np.random.default_rng(2)
         d = random_dictionary(rng, 8, (2, 2, 2, 2))
         _, theta = generate_signals(d, 2, 20, rng)
+        blocks = np.split(theta, d.structure.offsets[1:-1])
         for sig in range(20):
-            active = [
-                j
-                for j in range(4)
-                if np.linalg.norm(theta[d.structure.block_slice(j), sig]) > 0
-            ]
+            active = [j for j in range(4) if np.linalg.norm(blocks[j][:, sig]) > 0]
             assert len(active) == 2
 
     def test_signals_match_naive_product(self):
@@ -163,9 +160,8 @@ class TestGenerateSignals:
         # the block each signal draws first holds its lowest key, the first
         # draw of the stream
         first = np.argmin(np.random.default_rng(11).random((n_signals, 6)), axis=1)
-        active = np.array([
-            np.any(theta[d.structure.block_slice(j)] != 0.0, axis=0) for j in range(6)
-        ])  # blocks x signals
+        blocks = np.split(theta, d.structure.offsets[1:-1])
+        active = np.array([np.any(block != 0.0, axis=0) for block in blocks])  # blocks x signals
         assert np.all(active.sum(axis=0) == k)
         assert np.all(active[first, np.arange(n_signals)])
         for count, p in [(active.sum(axis=1), k / 6), (np.bincount(first, minlength=6), 1 / 6)]:
@@ -175,8 +171,7 @@ class TestGenerateSignals:
         assert theta.min() < -0.99 and theta.max() > 0.99
         # no value lands outside its block: an active block's columns are all
         # set, and no column of an inactive block is
-        for j in range(6):
-            block = theta[d.structure.block_slice(j)]
+        for j, block in enumerate(blocks):
             assert np.all((block != 0.0) == active[j])
 
 
@@ -413,6 +408,43 @@ class TestScoringFromE:
             calls.clear()
             assert len(run_trial(cfg, 0)) == 5
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("alphas", [(0.5, 0.9), (0.9,)])
+    @pytest.mark.parametrize("designers", [("random", "ds", "wcm"), ("wcm", "ds", "random")])
+    def test_designs_wcm_cells_first_and_scores_each_design_at_once(self, designers, alphas,
+                                                                    monkeypatch):
+        # one loop: every wcm cell is designed before any baseline, and each
+        # design is scored, or matched to an earlier design, before the next
+        # design starts, so no A is held through another design
+        events = []
+        design, score = blocksense.harness._design, blocksense.harness._score
+
+        def spied_design(cfg, trial, D, designer, alpha):
+            a_mat, report = design(cfg, trial, D, designer, alpha)
+            events.append(("design", designer, a_mat.tobytes()))
+            return a_mat, report
+
+        def spied_score(cfg, D, X, theta, a_mat, *args):
+            events.append(("score", None, a_mat.tobytes()))
+            return score(cfg, D, X, theta, a_mat, *args)
+
+        monkeypatch.setattr(blocksense.harness, "_design", spied_design)
+        monkeypatch.setattr(blocksense.harness, "_score", spied_score)
+        cfg = ExperimentConfig(**{**TINY, "designers": designers, "alpha_grid": alphas})
+        assert run_trial(cfg, 0) == reference_run_trial(cfg, 0)
+        designed = [designer for kind, designer, _ in events if kind == "design"]
+        assert designed == ["wcm"] * len(alphas) + [d for d in designers if d != "wcm"]
+        scored = set()
+        for (kind, _, a_bytes), after in zip(events, events[1:] + [None]):
+            if kind != "design":
+                continue
+            if a_bytes in scored:
+                assert after is None or after[0] == "design"
+            else:
+                assert after == ("score", None, a_bytes)
+                scored.add(a_bytes)
+        # ds repeats the wcm design at 1/2, and no other design repeats one
+        assert len(scored) == len(designed) - (0.5 in alphas)
 
     @pytest.mark.parametrize("sizes, alphas", [
         (3, (0.5, 0.9, 0.99)), ([2, 3, 4, 3] * 10, (0.5, 0.9, 0.99)), (3, (0.3, 0.5, 0.9)),

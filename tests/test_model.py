@@ -29,7 +29,6 @@ class TestBlockStructure:
         assert s.num_columns == 6
         assert s.offsets.tolist() == [0, 2, 5, 6]
         assert s.labels.tolist() == [0, 0, 1, 1, 1, 2]
-        assert s.block_slice(1) == slice(2, 5)
         # each block's columns, padded to the widest block with K = 6
         assert s.columns.tolist() == [[0, 1, 6], [2, 3, 4], [5, 6, 6]]
         assert s.padding.tolist() == [
@@ -230,7 +229,6 @@ class TestInputChecks:
                 ValueError,
                 "3 columns",
             ),
-            (lambda: BlockStructure((2, 3)).block_slice(2), IndexError, "out of range"),
             (lambda: BlockGram(np.eye(3), BlockStructure((2, 2))), ValueError, "4 x 4"),
             (
                 lambda: BlockGram(np.triu(np.ones((4, 4))), BlockStructure((2, 2))),
@@ -243,10 +241,12 @@ class TestInputChecks:
                 ValueError,
                 "length-4",
             ),
+            (lambda: dct_matrix(0), ValueError, "K must be >= 1, got 0"),
+            (lambda: dct_matrix(-3), ValueError, "K must be >= 1, got -3"),
         ],
         ids=[
-            "matrix-1d", "matrix-nonfinite", "matrix-columns", "block-index", "gram-shape",
-            "gram-asymmetric", "gram-not-psd", "vector-length",
+            "matrix-1d", "matrix-nonfinite", "matrix-columns", "gram-shape",
+            "gram-asymmetric", "gram-not-psd", "vector-length", "dct-zero", "dct-negative",
         ],
     )
     def test_rejects(self, make, error, match):

@@ -811,6 +811,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             WcmConfig(alpha=0.5, init="zeros")
 
+    @pytest.mark.parametrize("init", ["ds", "random"])
+    @pytest.mark.parametrize("seed, match", [
+        ("x", "seed must hold int values"),
+        (2.5, "seed must hold int values"),
+        (True, "seed must hold int values"),
+        (-1, "seed must be >= 0, got -1"),
+    ], ids=["str", "float", "bool", "negative"])
+    def test_seed_is_a_non_negative_integer(self, seed, match, init):
+        # read as the sweep config reads its seed, whatever the start: a
+        # string or float once failed only inside run_wcm, and True seeded 1
+        with pytest.raises(ValueError, match=match):
+            WcmConfig(alpha=0.9, init=init, seed=seed)
+
+    def test_numpy_integer_seed_is_stored_as_an_int(self):
+        config = WcmConfig(alpha=0.9, init="random", seed=np.int64(3))
+        assert type(config.seed) is int and config.seed == 3
+        d = random_dictionary(np.random.default_rng(21), 6, (3, 3))
+        report = run_wcm(d, 3, config)
+        expected = run_wcm(d, 3, WcmConfig(alpha=0.9, init="random", seed=3))
+        np.testing.assert_array_equal(report.sensing.matrix, expected.sensing.matrix)
+        np.testing.assert_array_equal(report.objective_trace, expected.objective_trace)
+        assert report.iterations == expected.iterations
+
     @pytest.mark.parametrize(
         "call, match",
         [
