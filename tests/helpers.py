@@ -262,9 +262,11 @@ def reference_decode_chunk(rows, e_pad, structure, Y, k, coef, supports, exclude
     masked divide. It checks supports at the relative singular-value
     threshold ``ls_tol``, failing an exactly zero pivot as well, and finds
     each failing signal's first failing step one signal and one prefix at a
-    time (``_first_failing_step``). Same arguments and returns as
-    ``bomp._decode_chunk``, except the layout of ``e_pad`` and the added
-    ``ls_tol``. The reference for ``bomp._decode_chunk``, whose
+    time (``_first_failing_step``). It scores in float64 only, forming the
+    correlations two residuals per product, as ``bomp._float64_scores``
+    does. Same arguments and returns as ``bomp._decode_chunk``, except the
+    layout of ``e_pad``, no float32 copy of it and the added ``ls_tol``.
+    The reference for ``bomp._decode_chunk``, whose
     coefficients, supports, failing signals and failing steps must equal
     these bit for bit at ``ls_tol = bomp._RANK_TOL``."""
     m_rows = e_pad.shape[0]
@@ -279,7 +281,13 @@ def reference_decode_chunk(rows, e_pad, structure, Y, k, coef, supports, exclude
     r = np.zeros((n_signals, width, width))
     qty = np.zeros((n_signals, width))  # Q' y
     for t in range(k):
-        np.matmul(resid, e_pad, out=corr.reshape(n_signals, n_blocks * s_max))
+        # two rows per product, the last padded with a zero row, so that a
+        # row's bits do not depend on how many signals are decoded
+        padded = np.zeros((n_signals + n_signals % 2, m_rows))
+        padded[:n_signals] = resid
+        flat = corr.reshape(n_signals, n_blocks * s_max)
+        for i in range(0, n_signals, 2):
+            flat[i : i + 2] = (padded[i : i + 2] @ e_pad)[: n_signals - i]
         np.square(corr, out=corr)
         # summed in column order, as np.add.reduceat would; padding adds +0.0
         scores = corr[:, :, 0].copy()

@@ -230,6 +230,23 @@ class TestBatchDecode:
             np.testing.assert_array_equal(batch[:, sig], single.values)
         assert 0 < first < 6
 
+    @pytest.mark.parametrize("seed", [21, 87, 105])
+    def test_single_signal_breaks_ties_as_in_a_batch(self, seed):
+        # block 1 holds block 0's columns in the order (2, 0, 1), so the two
+        # tie in exact arithmetic and their float64 scores differ only in the
+        # last bits; a signal decoded alone must pick what it picks in a pair
+        # (a one-row product by gemv rounds differently from a gemm row)
+        rng = np.random.default_rng(seed)
+        e_mat = unit_columns(rng.standard_normal((8, 18)))
+        e_mat[:, 3:6] = e_mat[:, [2, 0, 1]]
+        e = EquivalentDictionary(e_mat, BlockStructure((3,) * 6))
+        y, other = rng.standard_normal(8), rng.standard_normal(8)
+        cfg = BompConfig(k_blocks=1)
+        single = bomp_decode(e, y, cfg)
+        pair = bomp_decode_batch(e, np.column_stack([y, other]), cfg)
+        assert single.support[0] in (0, 1)
+        np.testing.assert_array_equal(single.values, pair[:, 0])
+
     def test_decode_is_idempotent(self):
         rng = np.random.default_rng(8)
         e = EquivalentDictionary(rng.standard_normal((6, 9)), BlockStructure((3, 3, 3)))
@@ -273,7 +290,7 @@ class TestBatchDecode:
         decode = bomp._decode_chunk
 
         def counted(*args):
-            calls.append(args[3].shape[1])
+            calls.append(args[2].shape[1])
             return decode(*args)
 
         monkeypatch.setattr(bomp, "_decode_chunk", counted)
@@ -577,11 +594,12 @@ class TestConditioningScreen:
         assert 2 not in supports[:, 1]
 
 
-def block_major_kernel(rows, e_pad, structure, Y, k, coef, supports, excluded=None,
+def block_major_kernel(layouts, structure, Y, k, coef, supports, excluded=None,
                        ls_tol=LS_TOL):
     """``reference_decode_chunk`` at ``ls_tol`` in place of
     ``bomp._decode_chunk``: it is handed E's padded columns block-major, as
-    the blocks' rows flattened."""
+    the blocks' rows flattened, and scores in float64 only."""
+    rows = layouts.rows
     e_block_major = np.ascontiguousarray(rows.reshape(-1, rows.shape[2]).T)
     return reference_decode_chunk(
         rows, e_block_major, structure, Y, k, coef, supports, excluded, ls_tol
@@ -633,6 +651,136 @@ class TestKernelAgreesWithBlockMajorReference:
             monkeypatch, E, BlockStructure((3,) * 5), Y, 2, ref_tol
         )
         assert 2 not in supports[:, 1]  # passed over
+
+
+def fallback_rows(monkeypatch):
+    """A list that counts, from now on, the signals of every call to
+    ``bomp._float64_scores``: the signal-steps that take float64 scores."""
+    rows = []
+    scores = bomp._float64_scores
+
+    def counted(resid, e_pad, s_max):
+        rows.append(resid.shape[0])
+        return scores(resid, e_pad, s_max)
+
+    monkeypatch.setattr(bomp, "_float64_scores", counted)
+    return rows
+
+
+def sparse_batch(rng, E, structure, k, n_signals, noise=0.01):
+    """n_signals measurements, each of k random blocks of E with uniform
+    coefficients, plus Gaussian noise of the given scale."""
+    lo = structure.offsets
+    Y = noise * rng.standard_normal((E.shape[0], n_signals))
+    for sig in range(n_signals):
+        for b in rng.permutation(structure.num_blocks)[:k]:
+            Y[:, sig] += E[:, lo[b] : lo[b + 1]] @ rng.uniform(-1.0, 1.0, lo[b + 1] - lo[b])
+    return Y
+
+
+class TestFloat32Scores:
+    """Blocks are scored in float32; a signal keeps the float32 argmax only
+    where the rounding bound certifies it as the float64 argmax, and takes
+    float64 scores otherwise."""
+
+    @pytest.mark.parametrize(
+        "scale, winner",
+        [(1.0, 0), (1.0 + 2.0**-30, 1), (1.0 + 2.0**-20, 1)],
+        ids=["exact-tie", "near-tie", "float32-near-tie"],
+    )
+    def test_ties_take_float64_scores(self, monkeypatch, scale, winner):
+        # block 1 is block 0 scaled: an exact tie goes to the lower index; a
+        # relative score gap of 2^-29, which float32 cannot see, and one of
+        # 2^-19, within float32's rounding of these scores, go to block 1
+        rng = np.random.default_rng(23)
+        E = unit_columns(rng.standard_normal((16, 18)))
+        E[:, 3:6] = scale * E[:, 0:3]
+        Y = E[:, :3] @ rng.uniform(-1.0, 1.0, (3, 40)) + 0.01 * rng.standard_normal((16, 40))
+        rows = fallback_rows(monkeypatch)
+        structure = BlockStructure((3,) * 6)
+        supports = assert_same_as_block_major(monkeypatch, E, structure, Y, 1)
+        assert np.all(supports[0] == winner)
+        assert sum(rows) == 40
+
+    @pytest.mark.parametrize("power", [100, 63, -65, -100])
+    def test_power_of_two_scaling_scales_theta(self, monkeypatch, power):
+        # 2^100 overflows every float32 square, 2^63 only the larger ones,
+        # 2^-65 leaves them subnormal and 2^-100 flushes them to zero; theta
+        # must scale exactly and keep its supports, as the float64 arithmetic
+        # does
+        rng = np.random.default_rng(29)
+        structure = BlockStructure((3,) * 12)
+        E = unit_columns(rng.standard_normal((16, 36)))
+        Y = sparse_batch(rng, E, structure, 3, 40)
+        theta, supports = _bomp_batch(E, structure, Y, 3)
+        rows = fallback_rows(monkeypatch)
+        scaled, scaled_supports = _bomp_batch(E, structure, np.ldexp(Y, power), 3)
+        np.testing.assert_array_equal(scaled_supports, supports)
+        np.testing.assert_array_equal(scaled, np.ldexp(theta, power))
+        if power in (100, -100):
+            assert sum(rows) == 40 * 3  # no float32 score certifies
+
+    def test_overflow_at_the_top_takes_float64_scores(self, monkeypatch):
+        # block 1 holds block 0's columns in the order (2, 0, 1), so their
+        # float32 scores differ only by rounding; each signal is scaled until
+        # the float32 score of one block just overflows, as the kernel forms
+        # it, while the other's may not: an infinite top score never
+        # certifies, though its margin over a finite runner-up is infinite
+        rng = np.random.default_rng(41)
+        structure = BlockStructure((3,) * 6)
+        E = unit_columns(rng.standard_normal((16, 18)))
+        E[:, 3:6] = E[:, [2, 0, 1]]
+        Y = E[:, :3] @ rng.uniform(-1.0, 1.0, (3, 200)) + 0.01 * rng.standard_normal((16, 200))
+        e32 = E.reshape(16, 6, 3).transpose(0, 2, 1).reshape(16, 18).astype(np.float32)
+
+        def overflows(log_scale):
+            with np.errstate(over="ignore"):
+                c = ((Y * np.exp2(log_scale)).T.astype(np.float32) @ e32).reshape(-1, 3, 6)
+                return np.isinf(np.einsum("ljb,ljb->lb", c, c)[:, :2]).any(axis=1)
+
+        finite, infinite = np.full(200, 60.0), np.full(200, 66.0)  # log2 of the scales
+        for _ in range(60):
+            mid = (finite + infinite) / 2
+            over = overflows(mid)
+            finite, infinite = np.where(over, finite, mid), np.where(over, mid, infinite)
+        Y *= np.exp2(infinite)
+        rows = fallback_rows(monkeypatch)
+        supports = assert_same_as_block_major(monkeypatch, E, structure, Y, 1)
+        assert {0, 1} <= set(supports[0].tolist())  # each wins some ties
+        assert sum(rows) == 200
+
+    @pytest.mark.parametrize("per_chunk", [None, 7], ids=["one-chunk", "chunked"])
+    def test_columns_agree_over_batch_sizes(self, monkeypatch, per_chunk):
+        # two pairs of blocks tie, so many signal-steps take float64 scores
+        rng = np.random.default_rng(31)
+        structure = BlockStructure((3,) * 6)
+        E = unit_columns(rng.standard_normal((24, 18)))
+        E[:, 3:6] = E[:, [2, 0, 1]]
+        E[:, 9:12] = E[:, [7, 8, 6]]
+        Y = sparse_batch(rng, E, structure, 2, 100)
+        rows = fallback_rows(monkeypatch)
+        if per_chunk:
+            monkeypatch.setattr(bomp, "_CHUNK_BYTES", chunk_bytes(structure, 2, 24, per_chunk))
+        theta, supports = _bomp_batch(E, structure, Y, 2)
+        assert 0 < sum(rows) < 200
+        assert_same_as_block_major(monkeypatch, E, structure, Y, 2)
+        for n_signals in (1, 2, 3):
+            for first in range(0, 100 - n_signals, 9):
+                part = slice(first, first + n_signals)
+                got, got_supports = _bomp_batch(E, structure, Y[:, part], 2)
+                np.testing.assert_array_equal(got_supports, supports[:, part])
+                np.testing.assert_array_equal(got, theta[:, part])
+
+    def test_float32_scores_decide_most_steps_at_k1200_shape(self, monkeypatch):
+        # M = 140, K = 1200 in blocks of 3, k = 8, as the scale-k1200 sweep
+        rng = np.random.default_rng(37)
+        structure = BlockStructure((3,) * 400)
+        E = unit_columns(rng.standard_normal((140, 1200)))
+        Y = sparse_batch(rng, E, structure, 8, 100)
+        rows = fallback_rows(monkeypatch)
+        assert_same_as_block_major(monkeypatch, E, structure, Y, 8)
+        # the block-major reference scores in float64 only, and is not counted
+        assert sum(rows) <= 0.05 * 100 * 8
 
 
 def dependent_batch(kind, sizes):
@@ -692,12 +840,12 @@ class TestPrefixSearch:
         steps = []
         decode = bomp._decode_chunk
 
-        def compared(rows, e_pad, structure, Y, k, coef, supports, excluded=None):
+        def compared(layouts, structure, Y, k, coef, supports, excluded=None):
             ref_coef, ref_supports = coef.copy(), supports.copy()
             ref_failed, ref_steps = block_major_kernel(
-                rows, e_pad, structure, Y, k, ref_coef, ref_supports, excluded
+                layouts, structure, Y, k, ref_coef, ref_supports, excluded
             )
-            failed, got_steps = decode(rows, e_pad, structure, Y, k, coef, supports, excluded)
+            failed, got_steps = decode(layouts, structure, Y, k, coef, supports, excluded)
             np.testing.assert_array_equal(failed, ref_failed)
             np.testing.assert_array_equal(got_steps, ref_steps)
             np.testing.assert_array_equal(supports, ref_supports)
@@ -719,10 +867,11 @@ class TestPrefixSearch:
 
 def chunk_bytes(structure, k, m_rows, signals):
     """A budget that fits exactly ``signals`` signals' worth of the
-    kernel's per-signal buffers: basis, factor R, Q' y and correlations."""
+    kernel's per-signal buffers: basis, factor R and Q' y in float64, and
+    correlations in float32."""
     n_blocks, s_max = structure.padding.shape
     width = k * s_max
-    return signals * 8 * (width * m_rows + width * width + width + n_blocks * s_max)
+    return signals * (8 * (width * m_rows + width * width + width) + 4 * n_blocks * s_max)
 
 
 def recorded_chunks(monkeypatch):
@@ -732,12 +881,12 @@ def recorded_chunks(monkeypatch):
     chunks, retries = [], []
     decode = bomp._decode_chunk
 
-    def recording(rows, e_pad, structure, Y, k, coef, supports, excluded=None):
+    def recording(layouts, structure, Y, k, coef, supports, excluded=None):
         if excluded is None:
             chunks.append(Y.shape[1])
         else:
             retries.append(Y.copy())
-        return decode(rows, e_pad, structure, Y, k, coef, supports, excluded)
+        return decode(layouts, structure, Y, k, coef, supports, excluded)
 
     monkeypatch.setattr(bomp, "_decode_chunk", recording)
     return chunks, retries

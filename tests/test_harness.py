@@ -362,10 +362,10 @@ class TestSweepsRunToTheEnd:
             assert all(len(set(col)) == k for col in supports.T.tolist())
             return theta, supports
 
-        def counted(rows, e_pad, structure, Y, *args):
+        def counted(layouts, structure, Y, *args):
             if args[-1] is not None:
                 retried.append(Y.shape[1])
-            return decode_chunk(rows, e_pad, structure, Y, *args)
+            return decode_chunk(layouts, structure, Y, *args)
 
         monkeypatch.setattr(bomp, "_bomp_batch", checked)
         monkeypatch.setattr(bomp, "_decode_chunk", counted)
