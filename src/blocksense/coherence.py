@@ -226,7 +226,9 @@ def objective_lower_bound(K: int, M: int, alpha: float) -> float:
     g_ii equals c * rho with c = 1 / (rho + 2 (1 - alpha)(1 - rho)). For
     alpha > 1/2 the bound is met exactly when G = c P, with P a rank-M
     orthogonal projector whose diagonal blocks are rho * I; at alpha = 1/2 it
-    is (K - M) / 2, the closed-form baseline's optimum.
+    is (K - M) / 2, the closed-form baseline's optimum. The bound at
+    1 - alpha also bounds f at alpha < 1/2, by the mirror argument
+    (``wcm.WcmReport.gap``).
     """
     alpha = _check_alpha(alpha)
     if alpha < 0.5:

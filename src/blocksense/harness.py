@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import asdict, astuple, dataclass, fields
@@ -264,15 +265,23 @@ def classification_rate(theta_hat: np.ndarray, theta: np.ndarray) -> float:
 
 
 def representation_error(X: np.ndarray, D, theta_hat: np.ndarray) -> float:
-    """Normalized reconstruction error ||X - D theta_hat||_F / ||X||_F."""
+    """Normalized reconstruction error ||X - D theta_hat||_F / ||X||_F.
+
+    Both norms are sums that numpy reduces itself, with no temporary the
+    size of a contiguous X beyond the residual: ``np.linalg.norm`` of a
+    whole array is a BLAS ddot, which OpenBLAS splits across threads from a
+    few thousand entries, so its bits would depend on the BLAS thread
+    count."""
     x = np.asarray(X, dtype=float)
     d_mat = D.matrix if isinstance(D, Dictionary) else np.asarray(D, dtype=float)
-    denom = float(np.linalg.norm(x))
+    flat = x.ravel()
+    denom = math.sqrt(np.einsum("i,i->", flat, flat))
     if denom == 0.0:
         raise ValueError("signals are identically zero")
     residual = d_mat @ np.asarray(theta_hat, dtype=float)
     np.subtract(x, residual, out=residual)
-    return float(np.linalg.norm(residual)) / denom
+    np.square(residual, out=residual)
+    return math.sqrt(residual.sum()) / denom
 
 
 def _score(cfg, D, X, theta, a_mat, report) -> tuple[float, float, _Terms]:

@@ -292,8 +292,12 @@ def _gram_matrix(e: np.ndarray) -> np.ndarray:
 
 def _block_rows(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
     """The columns of ``x`` as rows, in the padded layout of ``structure``: a
-    (blocks, s_max, rows) array whose padding rows are zero."""
-    rows = np.zeros(structure.padding.shape + (x.shape[0],))
+    new C-contiguous (blocks, s_max, rows) array whose padding rows are
+    zero. Without padding (uniform sizes) that is a copy of x' reshaped."""
+    shape = structure.padding.shape + (x.shape[0],)
+    if not structure.padding.any():
+        return x.T.astype(float, order="C").reshape(shape)
+    rows = np.zeros(shape)
     # the live slots, in C order, are the columns in order
     rows[~structure.padding] = x.T
     return rows

@@ -235,9 +235,12 @@ def reference_whitening(mat: np.ndarray) -> np.ndarray:
 
 
 def reference_representation_error(X, D: Dictionary, theta_hat) -> float:
-    """||X - D theta_hat||_F / ||X||_F, out of place. The reference for
+    """||X - D theta_hat||_F / ||X||_F, out of place, with both squared
+    norms summed by numpy rather than by a BLAS dot. The reference for
     ``harness.representation_error``."""
-    return float(np.linalg.norm(X - D.matrix @ theta_hat)) / float(np.linalg.norm(X))
+    residual = X - D.matrix @ theta_hat
+    flat = X.ravel()
+    return float(np.sqrt(np.sum(residual**2)) / np.sqrt(np.einsum("i,i->", flat, flat)))
 
 
 def _first_failing_step(r, widths, s_max, m_rows, ls_tol):

@@ -349,6 +349,23 @@ class TestBounds:
             f = _equivalent_terms(e, BlockStructure(sizes)).objective(alpha)
             assert f >= objective_lower_bound(k, m, alpha) * (1.0 - 1e-12)
 
+    def test_mirrored_lower_bound_holds_below_half(self):
+        # lowering the inter-block weight from 1 - alpha to alpha leaves the
+        # uniform problem that the bound at 1 - alpha covers
+        rng = np.random.default_rng(16)
+        for i in range(600):
+            sizes = tuple(int(v) for v in rng.integers(1, 6, size=rng.integers(2, 9)))
+            k = sum(sizes)
+            m = int(rng.integers(1, k + 1))
+            alpha = float(rng.uniform(0.0, 0.5)) or 0.25
+            e = rng.standard_normal((m, k))
+            if i % 2:
+                e = np.linalg.qr(e.T)[0].T * np.sqrt(rng.uniform(0.2, 5.0))
+            else:
+                e *= rng.uniform(0.01, 2.0)
+            f = _equivalent_terms(e, BlockStructure(sizes)).objective(alpha)
+            assert f >= objective_lower_bound(k, m, 1.0 - alpha) * (1.0 - 1e-12)
+
     def test_objective_lower_bound_is_attained(self):
         # G = c P with P = [[I, I], [I, I]] / 2, a rank-M projector whose
         # diagonal blocks are rho * I with rho = 1/2

@@ -171,17 +171,19 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: seed must be >= 0, got -1")
         assert not out.exists()
 
-    def test_design_wcm_below_half_prints_no_gap(self, tmp_path, dict_file, capsys):
+    def test_design_wcm_below_half_prints_the_gap(self, tmp_path, dict_file, capsys):
         path, d = dict_file
         out = tmp_path / "a.csv"
         args = ["design", "wcm", "--dict", str(path), "-M", "4", "--alpha", "0.3",
                 "--max-iters", "40", "--out", str(out)]
         assert main(args) == 0
         report = run_wcm(d, 4, WcmConfig(alpha=0.3, max_iters=40))
-        assert report.gap is None
+        assert report.gap >= 0.0
         summary = capsys.readouterr().out
-        assert f"after {report.iterations} iterations, {report.fallbacks} fallbacks (" in summary
-        assert "gap" not in summary
+        assert (
+            f"after {report.iterations} iterations, {report.fallbacks} fallbacks, "
+            f"gap {report.gap:.3g} to the lower bound (" in summary
+        )
 
     def test_decode_bomp(self, tmp_path):
         rng = np.random.default_rng(6)

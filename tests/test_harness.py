@@ -1,5 +1,8 @@
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -204,6 +207,10 @@ class TestMetrics:
         x, theta = generate_signals(d, 1, 5, rng)
         assert representation_error(x, d, theta) == 0.0
         assert representation_error(x, d, np.zeros_like(theta)) == pytest.approx(1.0)
+        # one signal as a vector reads as the same signal as a column
+        hat = theta[:, 0] + 0.1
+        column = representation_error(x[:, :1], d, hat[:, None])
+        assert representation_error(x[:, 0], d, hat) == column
 
     def test_representation_error_matches_direct(self):
         rng = np.random.default_rng(8)
@@ -555,6 +562,28 @@ class TestOutputs:
         write_sweep_outputs(run_sweep(cfg), cfg, tmp_path / "list")
         echo.update(M=8, block_sizes=list(sizes), designers=["ds"])
         assert json.loads((tmp_path / "list" / "config.echo.json").read_text()) == echo
+
+    def test_desk_csv_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # a desk-shaped sweep in two processes, at one and at two BLAS
+        # threads: OpenBLAS splits a ddot over 12000 entries across threads,
+        # so a norm taken by BLAS would move e in its last bits
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(dict(
+            dict_family="gaussian", N=60, K=120, M=14, block_sizes=3, k=2, L=200,
+            trials=4, alpha_grid=[0.3, 0.5, 0.9, 0.99], designers=["random", "ds", "wcm"],
+            seed=7,
+        )))
+        src = os.path.dirname(os.path.dirname(blocksense.harness.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            code = ("import sys; from blocksense.cli import main; "
+                    "sys.exit(main(sys.argv[1:]))")
+            argv = ["sweep", "--config", str(config), "--out-dir", str(tmp_path / threads)]
+            subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True)
+        for fname in ("results.csv", "summary.csv"):
+            assert (tmp_path / "1" / fname).read_bytes() == (tmp_path / "2" / fname).read_bytes()
 
 
 class TestRunHistogram:

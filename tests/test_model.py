@@ -125,6 +125,22 @@ class TestBlockRows:
         np.testing.assert_array_equal(rows, reference_block_rows(x, BlockStructure(sizes)))
         assert rows.flags.c_contiguous
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("sizes", [(3,) * 8, (1,) * 5, (4, 4), (2, 3, 4, 3) * 2, (1, 5, 1)])
+    def test_uniform_sizes_copy_and_mixed_sizes_zero_fill(self, sizes, order):
+        # without padding the rows are x' copied and reshaped, the same array
+        # as the zero-filled layout; either way never a view of x
+        structure = BlockStructure(sizes)
+        x = np.asarray(np.random.default_rng(4).standard_normal((5, sum(sizes))), order=order)
+        want = reference_block_rows(x, structure)
+        rows = _block_rows(x, structure)
+        np.testing.assert_array_equal(rows, want)
+        assert (rows.shape, rows.dtype) == (want.shape, want.dtype)
+        assert rows.flags.c_contiguous
+        assert not np.shares_memory(rows, x)
+        # the zero fill owns its array; the copy path returns a reshaped view of x' copied
+        assert rows.flags.owndata == (structure.uniform_size is None)
+
 
 class TestSensingMatrix:
     def test_rejects_square_or_tall(self):

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -654,11 +655,11 @@ class TestLbfgsDesigner:
         monkeypatch.undo()
         history = []
 
-        def ascent(g, pairs):
+        def ascent(pairs, g):
             history.append(len(pairs))
             return -g
 
-        monkeypatch.setattr(blocksense.wcm, "_two_loop", ascent)
+        monkeypatch.setattr(blocksense.wcm._History, "product", ascent)
         report = run_wcm(d, 5, config)
         assert report.iterations == 60
         assert report.fallbacks == report.iterations - 1
@@ -691,19 +692,25 @@ class TestLbfgsDesigner:
         assert blocksense.wcm._armijo(d, p, g, -1e-3 * g, 0.9) is not None
         assert len(tried) == 1
 
-    @pytest.mark.parametrize("n_pairs", [1, 2, blocksense.wcm._HISTORY])
-    def test_two_loop_is_the_dense_bfgs_product(self, n_pairs):
-        # H from H_0 = (s'y / y'y) I of the newest pair, updated by every
-        # pair, oldest first: H <- (I - rho s y') H (I - rho y s') + rho s s'
-        rng = np.random.default_rng(n_pairs)
-        shape, n = (3, 4), 12
+    @staticmethod
+    def _bfgs_pairs(rng, count, shape=(3, 4)):
+        # pairs (s, y = H s) of a positive definite H, so that s'y > 0
+        n = math.prod(shape)
         b = rng.standard_normal((n, n))
-        hessian = b @ b.T + n * np.eye(n)  # positive definite, so s'y > 0
+        hessian = b @ b.T + n * np.eye(n)
         pairs = []
-        for _ in range(n_pairs):
+        for _ in range(count):
             s = rng.standard_normal(shape)
             y = (hessian @ s.ravel()).reshape(shape)
             pairs.append((s, y, 1.0 / np.vdot(s, y)))
+        return pairs
+
+    @staticmethod
+    def _assert_dense_bfgs_product(history, pairs, rng):
+        # H from H_0 = (s'y / y'y) I of the newest pair, updated by every
+        # pair, oldest first: H <- (I - rho s y') H (I - rho y s') + rho s s'
+        shape = pairs[0][0].shape
+        n = math.prod(shape)
         _, y, rho = pairs[-1]
         h = np.eye(n) / (rho * np.vdot(y, y))
         for s, y, rho in pairs:
@@ -711,19 +718,55 @@ class TestLbfgsDesigner:
             h = left @ h @ left.T + rho * np.outer(s, s)
         g = rng.standard_normal(shape)
         want = h @ g.ravel()
-        got = blocksense.wcm._two_loop(g, pairs)
+        got = history.product(g)
         assert got.shape == shape
         assert np.linalg.norm(got.ravel() - want) <= 1e-12 * np.linalg.norm(want)
 
+    @staticmethod
+    def _append(history, pairs):
+        for s, y, rho in pairs:
+            history.append(s, y, 1.0 / rho, float(np.vdot(y, y)))
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, blocksense.wcm._HISTORY])
+    def test_two_loop_is_the_dense_bfgs_product(self, n_pairs):
+        rng = np.random.default_rng(n_pairs)
+        pairs = self._bfgs_pairs(rng, n_pairs)
+        history = blocksense.wcm._History(12)
+        self._append(history, pairs)
+        assert len(history) == n_pairs
+        self._assert_dense_bfgs_product(history, pairs, rng)
+
+    @pytest.mark.parametrize("extra", [1, 3, blocksense.wcm._HISTORY + 2])
+    def test_wrapped_ring_is_the_dense_bfgs_product_of_the_newest_pairs(self, extra):
+        # past _HISTORY pairs each new pair overwrites the oldest slot
+        rng = np.random.default_rng(40 + extra)
+        pairs = self._bfgs_pairs(rng, blocksense.wcm._HISTORY + extra)
+        history = blocksense.wcm._History(12)
+        self._append(history, pairs)
+        assert len(history) == blocksense.wcm._HISTORY
+        self._assert_dense_bfgs_product(history, pairs[-blocksense.wcm._HISTORY:], rng)
+
+    @pytest.mark.parametrize("before, after", [(3, 2), (blocksense.wcm._HISTORY + 4, 5)])
+    def test_cleared_history_is_the_dense_bfgs_product_of_the_new_pairs(self, before, after):
+        rng = np.random.default_rng(50 + before)
+        history = blocksense.wcm._History(12)
+        self._append(history, self._bfgs_pairs(rng, before))
+        history.clear()
+        assert len(history) == 0
+        pairs = self._bfgs_pairs(rng, after)
+        self._append(history, pairs)
+        assert len(history) == after
+        self._assert_dense_bfgs_product(history, pairs, rng)
+
     def test_keeps_at_most_history_pairs(self, monkeypatch):
         lengths = []
-        two_loop = blocksense.wcm._two_loop
+        product = blocksense.wcm._History.product
 
-        def recording(g, pairs):
+        def recording(pairs, g):
             lengths.append(len(pairs))
-            return two_loop(g, pairs)
+            return product(pairs, g)
 
-        monkeypatch.setattr(blocksense.wcm, "_two_loop", recording)
+        monkeypatch.setattr(blocksense.wcm._History, "product", recording)
         report = run_wcm(c05_dictionary(), 14, WcmConfig(alpha=0.99))
         assert report.iterations > blocksense.wcm._HISTORY
         assert max(lengths) == blocksense.wcm._HISTORY
@@ -763,8 +806,11 @@ class TestLbfgsDesigner:
                 assert report.gap == gap
                 assert report.converged
                 assert 0.0 <= report.gap <= 1e-5
-        # below 1/2 no bound is known
-        assert run_wcm(d, cfg.M, WcmConfig(alpha=0.3, max_iters=5)).gap is None
+        # below 1/2 the gap is to the bound at 1 - alpha
+        report = run_wcm(d, cfg.M, WcmConfig(alpha=0.3, max_iters=5))
+        gap = report.objective_trace[-1] / objective_lower_bound(cfg.K, cfg.M, 0.7) - 1
+        assert report.gap == gap
+        assert report.gap >= 0.0
 
     def test_unreachable_bound_still_converges(self):
         # N = 40, K = 120, M = 30, blocks of 6: no G = c P with diagonal
@@ -776,6 +822,27 @@ class TestLbfgsDesigner:
             assert report.converged
             assert np.all(np.diff(trace) <= 0.0)
             assert trace[-1] >= objective_lower_bound(120, 30, alpha) * (1.0 + 1e-4)
+
+    def test_gap_below_half_is_never_negative(self):
+        # the bound at 1 - alpha certifies f below 1/2: tight near 1/2 and
+        # loose at small alpha, from ds starts and from random ones
+        cfg = ExperimentConfig(
+            dict_family="gaussian", N=60, K=120, M=14, block_sizes=3, k=2,
+            L=1, trials=1, designers=("wcm",), seed=7,
+        )
+        d = generate_dictionary(cfg, np.random.default_rng([7, 0]))
+        gaps = {}
+        for alpha, init in itertools.product((0.05, 0.3, 0.49), ("ds", "random")):
+            report = run_wcm(d, cfg.M, WcmConfig(alpha=alpha, init=init, seed=3))
+            gaps[alpha, init] = report.gap
+            assert report.gap >= 0.0
+        assert max(gaps[0.49, "ds"], gaps[0.49, "random"]) < 0.01
+        assert min(gaps[0.05, "ds"], gaps[0.05, "random"]) > 0.5
+        for seed, sizes in itertools.product((1, 2), ((3,) * 8, (2, 3, 4, 3) * 2)):
+            d = random_dictionary(np.random.default_rng(seed), 12, sizes)
+            for alpha, init in itertools.product((0.1, 0.25, 0.4, 0.45), ("ds", "random")):
+                report = run_wcm(d, 5, WcmConfig(alpha=alpha, init=init, seed=seed))
+                assert report.gap >= 0.0
 
 
 class TestConfigValidation:
