@@ -1,5 +1,4 @@
-"""Weighted coherence minimization: two designers of one objective, chosen
-by alpha.
+"""Weighted coherence minimization: one designer, L-BFGS, at every alpha.
 
 The design objective
 
@@ -15,20 +14,15 @@ gradient is
     Q = (2 * alpha - 1) * blockdiag(G) + (1/2 - alpha) * diag(G),
 
 where Q is block-diagonal, so (W D) Q or E Q takes one s x s product per
-block. Neither designer forms a K x K matrix.
+block. No design forms a K x K matrix.
 
-``run_wcm`` picks the designer by alpha:
-
-* alpha >= 1/2: L-BFGS on C (A = C W, below), with no eigensolve.
-  At 1/2 the ds start is the closed form, and no designer runs (below).
-* alpha < 1/2: accelerated projected gradient steps on G, safeguarded by
-  majorization-minimization (MM), where L-BFGS ends worse.
-
-At every alpha the objective has a certified lower bound,
+``run_wcm`` runs L-BFGS on C (A = C W, below) at every alpha, with no
+eigensolve. At 1/2 the ds start is the closed form, and no designer runs
+(below). At every alpha the objective has a certified lower bound,
 ``coherence.objective_lower_bound`` at max(alpha, 1 - alpha), to which
 the report gives the final f's gap.
 
-Both designers iterate over the same C (M x N), with A = C W, so that
+The designer iterates over C (M x N), with A = C W, so that
 E = A D = C (W D). Because W D has orthonormal rows, E E' = C C' and
 E (W D)' = C. A sensing matrix A_0 enters as C_0 = E_0 (W D)', which maps
 back to A_0 in exact arithmetic because W^-1 = D D' W'; from the
@@ -36,15 +30,15 @@ closed-form start it is [I_M 0]. The start iterate keeps A_0 and
 E_0 = A_0 D themselves rather than C_0 W, which differs from A_0 by
 rounding. Each iterate also keeps E, E E' and the diagonal blocks E_b' E_b
 in the structure's padded layout (``BlockStructure.columns``: every block
-padded to the widest with zero columns), from which both designers read f
-by ``coherence._block_terms``, the kernel that scores the sweep's designs.
-Both designers read W, D and the rows of (W D)' from the ``Dictionary``
-(``whitening``, ``matrix`` and ``whitened_rows``); the rows are built on
-first use, once per dictionary, and every design on it shares them.
-Each designer is a generator of iterates; ``run_wcm`` holds the one loop
-that records the trace, applies the stop rule and counts fallbacks.
+padded to the widest with zero columns), from which f is read by
+``coherence._block_terms``, the kernel that scores the sweep's designs.
+W, D and the rows of (W D)' come from the ``Dictionary`` (``whitening``,
+``matrix`` and ``whitened_rows``); the rows are built on first use, once
+per dictionary, and every design on it shares them. The designer is a
+generator of iterates; ``run_wcm`` holds the loop that records the trace,
+applies the stop rule and counts fallbacks.
 
-L-BFGS (alpha >= 1/2). The chain rule through G = E'E gives
+L-BFGS. The chain rule through G = E'E gives
 
     grad_C f = 2 * ((2 * (1 - alpha) * E E' - I) C + 2 * E Q (W D)'),
 
@@ -67,7 +61,7 @@ the start unchanged, with the trace [f_0, f_0], and it never forms C_0, a
 gradient or the rows of (W D)' (the product of the N x N frame with the
 N x K dictionary). L-BFGS from that start would find no step either.
 
-Projected steps (alpha < 1/2). The MM majorizer of f at a Gram matrix G_p is
+The MM step (``wcm_step``). The MM majorizer of f at a Gram matrix G_p is
 
     g(G, G_p) = f(G_p) + <grad f(G_p), G - G_p> + 3/2 * ||G - G_p||_F^2,
 
@@ -81,35 +75,13 @@ onto the Gram matrices the design can reach. That projection is exact: after
 whitening by the dictionary frame it is a nearest rank-M PSD approximation,
 solved by the top-M eigenpairs of the whitened target. ``wcm_step`` takes
 this exact MM step, and ``surrogate_value`` and ``surrogate_gradient`` are
-the majorizer and its gradient, for every alpha.
+the majorizer and its gradient, for every alpha. The whitened target is the
+N x N matrix
 
-The projected loop takes the longer step T = G_p - eta(alpha) * grad f(G_p),
-with
-
-    eta(alpha) = 0.9 / max(1, 2 * (1 - alpha)),
-
-through the same projection. For alpha < 1/2 that is 0.9 times the step of
-the tightest majorizer, whose curvature is the largest weight 1 - alpha, so
-every step still descends.
-
-The step is taken from the extrapolated point G_e = G + beta * (G - G_prev),
-with FISTA's momentum
-
-    beta = (t - 1) / t_next,    t_next = (1 + sqrt(1 + 4 t^2)) / 2,
-
-and t = 1 at the start (Beck & Teboulle, SIAM J. Imaging Sci., 2009), so the
-first step has no momentum. A step that raises f is rejected and restarts
-the momentum at t = 1 (O'Donoghue & Candes, Found. Comput. Math., 2015). The
-iteration then takes the exact MM step from G itself, which cannot raise f,
-so the objective trace is non-increasing by construction.
-
-The whitened target of a step of size eta from G = E'E is the N x N matrix
-
-    W D T (W D)' = (1 - 2 * eta * (1 - alpha)) * B B' - 2 * eta * (W D) Q (W D)' + eta * I
+    W D T (W D)' = (1 - 2/3 * (1 - alpha)) * B B' - 2/3 * (W D) Q (W D)' + I / 3
 
 with B = W D E' (N x M). Since W D (W D)' = I, B is exactly C', so
-B B' = C' C takes no product with the dictionary, and the momentum
-extrapolates C' C and the diagonal blocks linearly. The projection returns
+B B' = C' C takes no product with the dictionary. The projection returns
 the next C directly: the top-M eigenpairs of the target, scaled by the
 square roots of their eigenvalues.
 """
@@ -150,9 +122,8 @@ INIT_MODES = ("ds", "random")
 # Step of the exact MM majorizer: the inverse of twice its curvature 3/2.
 _MM_STEP = 1.0 / 3.0
 
-# L-BFGS for alpha >= 1/2: curvature pairs kept, the Armijo constant c_1 of
-# the backtracking line search, and the halvings it tries before giving up on
-# a direction.
+# L-BFGS: curvature pairs kept, the Armijo constant c_1 of the backtracking
+# line search, and the halvings it tries before giving up on a direction.
 _HISTORY = 10
 _ARMIJO = 1e-4
 _BACKTRACKS = 40
@@ -163,18 +134,12 @@ _EPS = np.finfo(float).eps
 _log = logging.getLogger(__name__)
 
 
-def _step_size(alpha: float) -> float:
-    """Gradient step ``run_wcm`` tries before falling back to ``_MM_STEP``."""
-    return 0.9 / max(1.0, 2.0 * (1.0 - alpha))
-
-
 @dataclass(frozen=True)
 class WcmConfig:
     """Optimizer settings.
 
-    ``alpha`` weights sub-block against inter-block coherence, must lie
-    strictly inside (0, 1) and selects the designer (L-BFGS from 1/2 up,
-    projected steps below). ``alpha`` and ``rel_tol`` are stored as floats,
+    ``alpha`` weights sub-block against inter-block coherence and must lie
+    strictly inside (0, 1). ``alpha`` and ``rel_tol`` are stored as floats,
     and a string or bool is rejected. Iteration stops when the objective changes by at
     most ``rel_tol * (1 + f)`` in one step, or at ``max_iters``; ``rel_tol``
     must be positive and finite. ``init`` selects the starting sensing
@@ -214,13 +179,10 @@ class WcmReport:
     ``objective_trace`` holds f at the initial point and after every step, and
     is non-increasing up to floating-point slack. ``component_trace`` carries
     the matching (total_inter, total_sub, norm_penalty) triples, one row per
-    trace entry. ``fallbacks`` counts the iterations whose designer fell
-    back from its first choice of step: for alpha >= 1/2 (L-BFGS) the
-    quasi-Newton direction found no Armijo step, so the curvature history
-    was dropped for steepest descent; for alpha < 1/2 (projected steps) the
-    first step raised f, so the momentum restarted and the exact MM step
-    was taken from the current Gram matrix instead. ``equivalent`` is the
-    final E = A D, and ``alpha`` the weight the design was run at.
+    trace entry. ``fallbacks`` counts the iterations whose quasi-Newton
+    direction found no Armijo step, so the curvature history was dropped
+    for steepest descent. ``equivalent`` is the final E = A D, and
+    ``alpha`` the weight the design was run at.
 
     The closed-form start at alpha = 1/2, already optimal, reports one
     iteration, converged, no fallbacks and the trace [f_0, f_0]: that
@@ -293,10 +255,10 @@ def surrogate_gradient(gram: BlockGram, gram_prev: BlockGram, alpha: float) -> n
 
 
 class _Iterate(NamedTuple):
-    """One iterate of either designer: C (M x N), the sensing matrix A = C W,
+    """One iterate of the designer: C (M x N), the sensing matrix A = C W,
     E = A D, E E', the columns of E as padded rows (blocks, s_max, M), the
     diagonal blocks E_b' E_b, and f's totals and value. A start iterate
-    holds C = None until ``_lift`` fills it in, before any designer runs."""
+    holds C = None until ``_lift`` fills it in, before the designer runs."""
 
     c: np.ndarray
     a: np.ndarray
@@ -341,26 +303,18 @@ def _lift(D: Dictionary, p: _Iterate) -> _Iterate:
     return p._replace(c=p.rows.reshape(flat.shape[0], -1).T @ flat)
 
 
-def _step(D: Dictionary, p: _Iterate, prev: _Iterate, beta: float, alpha: float,
-          eta: float) -> np.ndarray:
+def _step(D: Dictionary, p: _Iterate, alpha: float) -> np.ndarray:
     """C of the sensing matrix whose Gram matrix is nearest to the gradient
-    step ``G_e - eta * grad f(G_e)`` from G_e = G + beta * (G - G_prev), the
-    Gram matrices of ``p`` and ``prev``; with ``beta = 0`` and
-    ``eta = _MM_STEP`` this exactly minimizes the surrogate anchored at
-    ``p``."""
+    step ``G - grad f(G) / 3`` from the Gram matrix G of ``p``: the exact
+    minimizer of the surrogate anchored at ``p``."""
     target = p.c.T @ p.c  # W D G (W D)'
-    blocks = p.blocks
-    if beta:
-        target *= 1.0 + beta
-        target -= beta * (prev.c.T @ prev.c)
-        blocks = (1.0 + beta) * blocks - beta * prev.blocks
-    # -2 eta Q, one s x s block per dictionary block
-    q = blocks * (-2.0 * eta * _q_weights(alpha, blocks.shape[1]))
+    # -2 Q / 3, one s x s block per dictionary block
+    q = p.blocks * (-2.0 * _MM_STEP * _q_weights(alpha, p.blocks.shape[1]))
     rows = D.whitened_rows
     flat = rows.reshape(-1, D.signal_dim)
-    target *= 1.0 - 2.0 * eta * (1.0 - alpha)
+    target *= 1.0 - 2.0 * _MM_STEP * (1.0 - alpha)
     target += flat.T @ (q @ rows).reshape(flat.shape)
-    target[np.diag_indices_from(target)] += eta
+    target[np.diag_indices_from(target)] += _MM_STEP
     # The product above is symmetric only up to rounding and eigh reads one
     # triangle, so the target is symmetrized. The top M eigenpairs are taken
     # largest first (eigh sorts ascending); negative directions cannot be
@@ -426,8 +380,6 @@ class _History:
     def append(self, s: np.ndarray, y: np.ndarray, sy: float, yy: float) -> None:
         """Store the pair (s, y) with s' y = ``sy`` and y' y = ``yy``, over
         the oldest once ``_HISTORY`` are stored."""
-        if not _HISTORY:
-            return
         slot = self.newest = (self.newest + 1) % _HISTORY
         self.count = m = min(self.count + 1, _HISTORY)
         r_inv = self.r_inv[:m, :m]
@@ -470,9 +422,8 @@ def _armijo(D: Dictionary, p: _Iterate, g: np.ndarray, d: np.ndarray,
 
 
 def _lbfgs_steps(D: Dictionary, p: _Iterate, alpha: float):
-    """L-BFGS on f over C for alpha >= 1/2 (Liu & Nocedal, Math. Prog., 1989),
-    yielding (iterate, fell_back) once per iteration from the lifted start
-    ``p``.
+    """L-BFGS on f over C (Liu & Nocedal, Math. Prog., 1989), yielding
+    (iterate, fell_back) once per iteration from the lifted start ``p``.
 
     Each accepted step passes the Armijo test, so f never rises. When the
     quasi-Newton direction finds no such step, the history is dropped and
@@ -497,27 +448,6 @@ def _lbfgs_steps(D: Dictionary, p: _Iterate, alpha: float):
         p, g = p_new, g_new
 
 
-def _projected_steps(D: Dictionary, p: _Iterate, alpha: float):
-    """Accelerated projected gradient steps on G for alpha < 1/2, yielding
-    (iterate, fell_back) once per iteration from the lifted start ``p``. A
-    step that raises f falls back: the momentum restarts and the exact MM
-    step, which cannot raise f, is taken from G instead."""
-    eta = _step_size(alpha)
-    t = 1.0
-    prev = p
-    while True:
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        t = t_next
-        p_new = _iterate(D, _step(D, p, prev, beta, alpha, eta), alpha)
-        fell_back = p_new.f > p.f
-        if fell_back:
-            t = 1.0
-            p_new = _iterate(D, _step(D, p, p, 0.0, alpha, _MM_STEP), alpha)
-        prev, p = p, p_new
-        yield p, fell_back
-
-
 def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatrix:
     """Exact minimizer of the surrogate built at ``A_prev``.
 
@@ -533,7 +463,7 @@ def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatri
             f"dictionary has {D.signal_dim}"
         )
     p = _lift(D, _iterate(D, None, alpha, A_prev.matrix))
-    return SensingMatrix(_step(D, p, p, 0.0, alpha, _MM_STEP) @ D.whitening)
+    return SensingMatrix(_step(D, p, alpha) @ D.whitening)
 
 
 def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
@@ -542,16 +472,9 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     Starts from the closed-form baseline by default (or a random matrix when
     ``config.init == "random"``), mapped to its iterate C_0 with A = C W;
     the start iterate keeps that matrix A_0 itself.
-    Both designers step over C. For ``alpha >= 1/2`` it is L-BFGS with
-    backtracking Armijo steps, which takes no eigensolve; a fallback drops
-    the curvature history for steepest descent. For ``alpha < 1/2`` each
-    iteration projects the gradient step of size ``eta(alpha)`` from the
-    momentum-extrapolated Gram matrix; a fallback (a step that raised f)
-    restarts the momentum and takes the exact MM step of :func:`wcm_step`
-    from the current point instead. The module docstring gives both
-    designers and why alpha selects between them.
-
-    Whichever designer steps, the objective and its components are recorded
+    It steps over C by L-BFGS with backtracking Armijo steps, at every
+    alpha, and takes no eigensolve; a fallback drops the curvature history
+    for steepest descent. The objective and its components are recorded
     after every iteration and the fallbacks counted here, and the trace
     never rises. The run stops once one iteration changes f by at most
     ``config.rel_tol * (1 + f)``, and a run that reaches
@@ -563,10 +486,6 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     The run stops after one iteration, converged, with the trace
     [f_0, f_0], and returns the baseline's A and E = A D bit for bit. A
     random start at alpha = 1/2 runs L-BFGS.
-
-    For ``alpha < 1/2`` the run can stop at a different stationary point,
-    with a higher or a lower f, than iterating the plain MM step from the
-    same start. No benchmark sweep grid has ``alpha < 1/2``.
     """
     alpha = config.alpha
     start = design_ds(D, M)  # design_ds checks M for both starts
@@ -578,8 +497,7 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     if alpha == 0.5 and config.init == "ds":
         iterates = [(p, False)]  # the closed form: a null step
     else:
-        steps = _lbfgs_steps if alpha >= 0.5 else _projected_steps
-        iterates = islice(steps(D, _lift(D, p), alpha), config.max_iters)
+        iterates = islice(_lbfgs_steps(D, _lift(D, p), alpha), config.max_iters)
     trace, components = [p.f], [p.terms]
     converged = False
     fallbacks = 0

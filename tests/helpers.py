@@ -196,14 +196,14 @@ def reference_block_terms(eet: np.ndarray, blocks: np.ndarray, structure: BlockS
     )
 
 
-def reference_wcm_step(D: Dictionary, g, alpha, m, eta):
-    """Sensing matrix whose Gram matrix is nearest to ``g - eta * grad f(g)``,
+def reference_wcm_step(D: Dictionary, g, alpha, m):
+    """Sensing matrix whose Gram matrix is nearest to ``g - grad f(g) / 3``,
     with the target formed and whitened as a K x K matrix. The reference for
     the Gram-free step ``wcm._step``: same projection, same clamping of
     negative eigenvalues."""
     whiten = D.whitening
     whiten_dict = whiten @ D.matrix
-    target = g - eta * _gradient(g, D.structure, alpha)
+    target = g - _gradient(g, D.structure, alpha) / 3.0
     s = whiten_dict @ target @ whiten_dict.T
     w, v = np.linalg.eigh((s + s.T) / 2.0)
     w, v = w[::-1][:m], v[:, ::-1][:, :m]  # the top m, largest first

@@ -502,17 +502,14 @@ class TestScoringFromE:
 
 class TestEigensolves:
     def test_trial_eigendecomposes_the_dictionary_once(self, monkeypatch):
-        # one N x N eigensolve builds the dictionary's frame; after that each
-        # projected WCM iteration (alpha < 1/2) projects once, and each
-        # restart once more, while the alpha >= 1/2 designer takes none
+        # one N x N eigensolve builds the dictionary's frame; the WCM
+        # designer takes none, on either side of 1/2
         cfg = ExperimentConfig(
             dict_family="gaussian", N=60, K=120, M=14, block_sizes=3, k=2, L=20,
             trials=1, alpha_grid=(0.3, 0.9), seed=33, designers=("random", "ds", "wcm"),
         )
         d = generate_dictionary(cfg, np.random.default_rng([cfg.seed, 0]))
-        report = run_wcm(d, cfg.M, WcmConfig(alpha=0.3))
-        steps = report.iterations + report.fallbacks
-        assert steps > 0
+        assert run_wcm(d, cfg.M, WcmConfig(alpha=0.3)).iterations > 1
         calls = []
 
         def counting(solver):
@@ -525,7 +522,7 @@ class TestEigensolves:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
         run_trial(cfg, 0)
-        assert len(calls) == 1 + steps
+        assert calls == ["eigh"]
 
 
 class TestOutputs:

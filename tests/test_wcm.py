@@ -238,23 +238,18 @@ class TestGramFreeStep:
     """The design loop's step and objective against the K x K reference."""
 
     @pytest.mark.parametrize("sizes", [(3, 3, 3, 3), (2, 3, 4, 3)])
-    @pytest.mark.parametrize("beta", [0.0, 0.6])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
-    def test_step_agrees_with_reference(self, sizes, beta, alpha):
+    def test_step_agrees_with_reference(self, sizes, alpha):
         rng = np.random.default_rng(25)
         d = random_dictionary(rng, 8, sizes)
         m = 4
-        a_mat, a_prev = rng.standard_normal((2, m, 8))
-        p, prev = lifted_start(d, a_mat, alpha), lifted_start(d, a_prev, alpha)
+        a_mat = rng.standard_normal((m, 8))
         g, _, _ = reference_wcm_measure(a_mat, d, alpha)
-        g_prev, _, _ = reference_wcm_measure(a_prev, d, alpha)
-        g_e = g + beta * (g - g_prev)
-        for eta in (blocksense.wcm._MM_STEP, blocksense.wcm._step_size(alpha)):
-            a_new = blocksense.wcm._step(d, p, prev, beta, alpha, eta) @ d.whitening
-            a_ref = reference_wcm_step(d, g_e, alpha, m, eta)
-            np.testing.assert_allclose(
-                gram_of(a_new, d).matrix, gram_of(a_ref, d).matrix, rtol=0, atol=1e-10
-            )
+        a_new = blocksense.wcm._step(d, lifted_start(d, a_mat, alpha), alpha) @ d.whitening
+        a_ref = reference_wcm_step(d, g, alpha, m)
+        np.testing.assert_allclose(
+            gram_of(a_new, d).matrix, gram_of(a_ref, d).matrix, rtol=0, atol=1e-10
+        )
 
     @pytest.mark.parametrize("sizes", [(3, 3, 3, 3), (2, 3, 4, 3), (1, 4, 1, 6)])
     def test_terms_agree_with_reference(self, sizes):
@@ -524,44 +519,6 @@ class TestRunWcm:
         p_new, fell_back = next(blocksense.wcm._lbfgs_steps(d, p, 0.5))
         assert p_new.f < p.f and not fell_back
 
-    def test_fallback_reproduces_exact_mm_steps(self, monkeypatch):
-        # A step far too long for the objective raises f every time, so every
-        # iteration of the projected loop (alpha < 1/2) must fall back to the
-        # exact surrogate minimizer.
-        monkeypatch.setattr(blocksense.wcm, "_step_size", lambda alpha: 5.0)
-        rng = np.random.default_rng(23)
-        d = random_dictionary(rng, 12, (3,) * 8)
-        alpha = 0.3
-        report = run_wcm(d, 5, WcmConfig(alpha=alpha, max_iters=20))
-        assert report.fallbacks > 0
-        assert report.fallbacks == report.iterations
-        assert np.all(np.diff(report.objective_trace) <= 1e-12)
-        a_mat = design_ds(d, 5)
-        for _ in range(report.iterations):
-            a_mat = wcm_step(a_mat, d, alpha)
-        np.testing.assert_allclose(
-            gram_of(report.sensing.matrix, d).matrix, gram_of(a_mat.matrix, d).matrix,
-            rtol=0, atol=1e-10,
-        )
-
-    def test_restart_takes_one_exact_mm_step(self, monkeypatch):
-        # every iteration of the projected loop (alpha < 1/2) projects once,
-        # and a restart once more, with the exact MM step
-        step = blocksense.wcm._step
-        d = c05_dictionary()
-        for alpha in (0.05, 0.3):
-            etas = []
-
-            def recording_step(D, p, prev, beta, alpha, eta):
-                etas.append(eta)
-                return step(D, p, prev, beta, alpha, eta)
-
-            monkeypatch.setattr(blocksense.wcm, "_step", recording_step)
-            report = run_wcm(d, 14, WcmConfig(alpha=alpha))
-            assert report.fallbacks > 0
-            assert len(etas) == report.iterations + report.fallbacks
-            assert etas.count(blocksense.wcm._MM_STEP) == report.fallbacks
-
     def test_high_alpha_converges_within_default_cap(self):
         report = run_wcm(c05_dictionary(), 14, WcmConfig(alpha=0.99))
         assert report.converged
@@ -614,7 +571,7 @@ class TestRunWcm:
 
 
 class TestLbfgsDesigner:
-    """The alpha >= 1/2 designer: L-BFGS over C, with A = C W."""
+    """The designer at every alpha: L-BFGS over C, with A = C W."""
 
     @pytest.mark.parametrize("sizes", [(3, 3, 3, 3), (2, 3, 4, 3)])
     @pytest.mark.parametrize("alpha", [0.5, 0.7, 0.99])
@@ -638,7 +595,7 @@ class TestLbfgsDesigner:
 
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-        for alpha in (0.5, 0.9, 0.99):
+        for alpha in (0.05, 0.3, 0.5, 0.9, 0.99):
             run_wcm(d, 5, WcmConfig(alpha=alpha))
             run_wcm(d, 5, WcmConfig(alpha=alpha, init="random", seed=1))
         assert calls == []
@@ -650,7 +607,7 @@ class TestLbfgsDesigner:
         # a run that keeps no history at all
         d = random_dictionary(np.random.default_rng(32), 12, (3,) * 8)
         config = WcmConfig(alpha=alpha, max_iters=60)
-        monkeypatch.setattr(blocksense.wcm, "_HISTORY", 0)
+        monkeypatch.setattr(blocksense.wcm._History, "append", lambda *args: None)
         plain = run_wcm(d, 5, config)
         monkeypatch.undo()
         history = []
