@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from .bomp import BompConfig, bomp_decode_batch
-from .ds import design_ds
 from .fileio import (
     load_block_matrix_json,
     load_matrix_csv,
@@ -32,7 +31,7 @@ from .fileio import (
 )
 from .harness import PRESETS, config_from_dict, run_histogram, run_sweep, write_sweep_outputs
 from .model import BlockStructure, Dictionary, EquivalentDictionary
-from .wcm import INIT_MODES, WcmConfig, run_wcm
+from .wcm import INIT_MODES, WcmConfig, design_ds, run_wcm
 
 
 def _load_dictionary(path) -> Dictionary:

@@ -8,11 +8,12 @@ after what they penalize:
 * ``"inter"`` - entries coupling different blocks,
 * ``"sub"``   - off-diagonal entries inside a diagonal block.
 
-Functions of a Gram matrix G express every penalty, deviation, gradient and
-block coherence over one uncached boolean K x K mask per kind. Callers holding
-only E = A D read the totals from its padded diagonal blocks
+Functions of a Gram matrix G take every penalty, deviation, gradient and
+block coherence from G's three deviations (:func:`_deviations`), whose
+weighted sum is f and twice that sum its gradient. Callers holding only
+E = A D read the totals from its padded diagonal blocks
 (:func:`_block_terms`), at the slots that the structure's ``diagonal`` and
-``off_diagonal`` index fields name.
+``off_diagonal`` index fields name, and form no K x K array.
 """
 
 from __future__ import annotations
@@ -23,22 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fileio import _number
-from .model import BlockGram, BlockStructure, EquivalentDictionary, _block_rows, _gram_matrix
-
-
-class _Masks(NamedTuple):
-    """Boolean K x K masks, one field per kind."""
-
-    norm: np.ndarray
-    inter: np.ndarray
-    sub: np.ndarray
-
-
-def _masks(structure: BlockStructure) -> _Masks:
-    labels = structure.labels
-    norm = np.eye(structure.num_columns, dtype=bool)
-    inter = labels[:, None] != labels[None, :]
-    return _Masks(norm, inter, ~inter & ~norm)
+from .model import BlockGram, BlockStructure, Dictionary, EquivalentDictionary, SensingMatrix
+from .model import _block_rows, _gram_matrix
 
 
 def _check_alpha(alpha: float) -> float:
@@ -50,7 +37,8 @@ def _check_alpha(alpha: float) -> float:
 
 
 class _Terms(NamedTuple):
-    """The three penalty totals of one Gram matrix."""
+    """One value per kind: the three penalty totals of a Gram matrix, or its
+    three deviations (:func:`_deviations`)."""
 
     inter: float
     sub: float
@@ -61,14 +49,22 @@ class _Terms(NamedTuple):
         return 0.5 * self.norm + (1.0 - alpha) * self.inter + alpha * self.sub
 
 
+def _deviations(g: np.ndarray, structure: BlockStructure) -> _Terms:
+    """G - I split into its cross-block, within-block off-diagonal and
+    diagonal entries: three K x K arrays, each zero elsewhere."""
+    labels = structure.labels
+    cross = labels[:, None] != labels[None, :]
+    sub = g - np.eye(len(labels))
+    inter = np.where(cross, sub, 0.0)
+    norm = np.diag(np.diagonal(sub))
+    np.copyto(sub, 0.0, where=cross)
+    np.fill_diagonal(sub, 0.0)
+    return _Terms(inter, sub, norm)
+
+
 def _gram_terms(g: np.ndarray, structure: BlockStructure) -> _Terms:
-    """All three penalty totals of ``g``, gathering each mask once."""
-    masks = _masks(structure)
-    return _Terms(
-        float(np.sum(g[masks.inter] ** 2)),
-        float(np.sum(g[masks.sub] ** 2)),
-        float(np.sum((np.diagonal(g) - 1.0) ** 2)),
-    )
+    """All three penalty totals of ``g``: the squared sums of its deviations."""
+    return _Terms(*(float(np.sum(x**2)) for x in _deviations(g, structure)))
 
 
 def _gram_parts(e: np.ndarray, structure: BlockStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -128,8 +124,7 @@ def inter_block_coherence(gram: BlockGram) -> float:
 
 def sub_block_coherence(gram: BlockGram) -> float:
     """Largest absolute off-diagonal entry inside any diagonal block."""
-    within = gram.matrix[_masks(gram.structure).sub]
-    return float(np.abs(within).max()) if within.size else 0.0
+    return float(np.abs(_deviations(gram.matrix, gram.structure).sub).max())
 
 
 def total_inter_block_coherence(gram: BlockGram) -> float:
@@ -157,10 +152,9 @@ def deviation(gram: BlockGram, kind: str) -> np.ndarray:
     ``"norm"``, the cross-block entries for ``"inter"``, or the within-block
     off-diagonals for ``"sub"``; zero everywhere else.
     """
-    if kind not in _Masks._fields:
-        raise ValueError(f"unknown mask kind {kind!r}, expected one of {_Masks._fields}")
-    mask = getattr(_masks(gram.structure), kind)
-    return np.where(mask, gram.matrix - np.eye(gram.size), 0.0)
+    if kind not in _Terms._fields:
+        raise ValueError(f"unknown mask kind {kind!r}, expected one of {_Terms._fields}")
+    return getattr(_deviations(gram.matrix, gram.structure), kind)
 
 
 def objective_gradient(gram: BlockGram, alpha: float) -> np.ndarray:
@@ -169,17 +163,27 @@ def objective_gradient(gram: BlockGram, alpha: float) -> np.ndarray:
 
 
 def _gradient(g: np.ndarray, structure: BlockStructure, alpha: float) -> np.ndarray:
-    """2 * (1/2 * deviation_norm + (1 - alpha) * deviation_inter + alpha * deviation_sub)."""
-    out = np.where(_masks(structure).inter, (1.0 - alpha) * g, alpha * g)
-    np.fill_diagonal(out, 0.5 * (np.diagonal(g) - 1.0))
-    out *= 2.0
-    return out
+    """Twice the deviations weighted as in f."""
+    return 2.0 * _deviations(g, structure).objective(alpha)
 
 
 def _gram_mismatch(mat) -> float:
     """||X'X - I||_F^2 of a matrix X, from its K x K Gram matrix."""
     g = _gram_matrix(mat)
     return float(np.sum((g - np.eye(g.shape[0])) ** 2))
+
+
+def ds_objective(A: SensingMatrix, D: Dictionary) -> float:
+    """Gram-identity mismatch ||D'A'AD - I||_F^2 of a sensing matrix, which
+    ``wcm.design_ds`` minimizes; an A that is not finite, 2-D and N wide is refused."""
+    a_mat = A.matrix if isinstance(A, SensingMatrix) else np.asarray(A, dtype=float)
+    if a_mat.ndim != 2 or not np.all(np.isfinite(a_mat)):
+        raise ValueError(f"sensing matrix must be 2-D and finite, got shape {a_mat.shape}")
+    if a_mat.shape[1] != D.signal_dim:
+        raise ValueError(
+            f"sensing matrix has {a_mat.shape[1]} columns, dictionary expects {D.signal_dim}"
+        )
+    return _gram_mismatch(a_mat @ D.matrix)
 
 
 def decomposition_check(E: EquivalentDictionary) -> tuple[float, float]:

@@ -29,10 +29,9 @@ import numpy as np
 
 from .bomp import BompConfig, bomp_decode_batch
 from .coherence import _Terms, _check_alpha, _equivalent_terms
-from .ds import design_ds
 from .fileio import _number, save_table_csv
 from .model import BlockStructure, Dictionary, EquivalentDictionary, _scatter_blocks
-from .wcm import WcmConfig, WcmReport, run_wcm
+from .wcm import WcmConfig, WcmReport, design_ds, run_wcm
 
 _log = logging.getLogger(__name__)
 

@@ -54,12 +54,15 @@ Designing the sensing matrix by gradient descent on the coherence penalty
 follows Abolghasemi, Ferdowsi & Sanei (Signal Processing, 2012).
 
 Closed form at alpha = 1/2. There f is the structure-blind
-1/2 ||G - I||_F^2, which the closed-form baseline (``ds.design_ds``)
-minimizes exactly: up to rounding, its f is the lower bound (K - M) / 2.
-So ``run_wcm`` started from it runs no designer: its one iteration returns
-the start unchanged, with the trace [f_0, f_0], and it never forms C_0, a
-gradient or the rows of (W D)' (the product of the N x N frame with the
-N x K dictionary). L-BFGS from that start would find no step either.
+1/2 ||G - I||_F^2 (``coherence.ds_objective`` is twice it), which the
+closed-form baseline ``design_ds`` minimizes exactly: the first M rows of
+the whitening, A = [I_M 0] W, make A D D' A' the identity, so its f is the
+lower bound (K - M) / 2 up to rounding, and the design takes no eigensolve
+of its own. So ``run_wcm`` started from it runs no designer: its one
+iteration returns the start unchanged, with the trace [f_0, f_0], and it
+never forms C_0, a gradient or the rows of (W D)' (the product of the
+N x N frame with the N x K dictionary). L-BFGS from that start would find
+no step either.
 
 The MM step (``wcm_step``). The MM majorizer of f at a Gram matrix G_p is
 
@@ -108,7 +111,6 @@ from .coherence import (
     objective_lower_bound,
     weighted_objective,
 )
-from .ds import design_ds
 from .fileio import _number
 from .model import (
     BlockGram,
@@ -446,6 +448,17 @@ def _lbfgs_steps(D: Dictionary, p: _Iterate, alpha: float):
         if sy > _EPS * yy:
             history.append(s, y, sy, yy)
         p, g = p_new, g_new
+
+
+def design_ds(D: Dictionary, M: int) -> SensingMatrix:
+    """The closed-form baseline: the first M rows of ``D.whitening``, for an
+    integer 1 <= M < N. Any left-orthonormal rotation of them is equally
+    optimal; this one is fixed for reproducibility."""
+    M = _number("M", M, int)
+    n = D.signal_dim
+    if not 1 <= M < n:
+        raise ValueError(f"M must satisfy 1 <= M < N={n}, got {M}")
+    return SensingMatrix(D.whitening[:M])
 
 
 def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatrix:

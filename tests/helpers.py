@@ -23,7 +23,7 @@ from blocksense import (
     run_wcm,
 )
 from blocksense.bomp import _triangular_inverse
-from blocksense.coherence import _equivalent_terms, _gradient, _gram_terms, _Terms
+from blocksense.coherence import _equivalent_terms, _gram_terms, _Terms
 from blocksense.harness import _grid
 from blocksense.model import _gram_matrix
 
@@ -196,6 +196,25 @@ def reference_block_terms(eet: np.ndarray, blocks: np.ndarray, structure: BlockS
     )
 
 
+def reference_masks(structure: BlockStructure) -> dict[str, np.ndarray]:
+    """Boolean K x K masks of the three kinds of Gram entry: ``"norm"`` the
+    diagonal, ``"inter"`` the entries across blocks and ``"sub"`` the
+    off-diagonal entries inside a block."""
+    labels = structure.labels
+    norm = np.eye(structure.num_columns, dtype=bool)
+    inter = labels[:, None] != labels[None, :]
+    return {"norm": norm, "inter": inter, "sub": ~inter & ~norm}
+
+
+def reference_gradient(g: np.ndarray, structure: BlockStructure, alpha) -> np.ndarray:
+    """grad f(G): (1 - alpha) G across blocks and alpha G inside them, with
+    1/2 (g_ii - 1) on the diagonal, times 2, by boolean masks. The reference
+    for ``coherence._gradient``, which must equal it bit for bit."""
+    out = np.where(reference_masks(structure)["inter"], (1.0 - alpha) * g, alpha * g)
+    np.fill_diagonal(out, 0.5 * (np.diagonal(g) - 1.0))
+    return 2.0 * out
+
+
 def reference_wcm_step(D: Dictionary, g, alpha, m):
     """Sensing matrix whose Gram matrix is nearest to ``g - grad f(g) / 3``,
     with the target formed and whitened as a K x K matrix. The reference for
@@ -203,7 +222,7 @@ def reference_wcm_step(D: Dictionary, g, alpha, m):
     negative eigenvalues."""
     whiten = D.whitening
     whiten_dict = whiten @ D.matrix
-    target = g - _gradient(g, D.structure, alpha) / 3.0
+    target = g - reference_gradient(g, D.structure, alpha) / 3.0
     s = whiten_dict @ target @ whiten_dict.T
     w, v = np.linalg.eigh((s + s.T) / 2.0)
     w, v = w[::-1][:m], v[:, ::-1][:, :m]  # the top m, largest first

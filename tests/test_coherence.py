@@ -22,7 +22,14 @@ from blocksense import (
 )
 from blocksense import coherence
 from blocksense.coherence import _block_terms, _equivalent_terms, _gram_parts
-from helpers import numerical_gradient, random_dictionary, reference_block_terms, unit_columns
+from helpers import (
+    numerical_gradient,
+    random_dictionary,
+    reference_block_terms,
+    reference_gradient,
+    reference_masks,
+    unit_columns,
+)
 
 
 def random_gram(rng, sizes, m=None):
@@ -438,6 +445,44 @@ class TestMasks:
         g = random_gram(np.random.default_rng(20), (2, 2))
         with pytest.raises(ValueError, match="unknown mask kind 'bogus'"):
             deviation(g, "bogus")
+
+
+class TestMaskReference:
+    """Every K x K quantity from G's three deviations equals its boolean-mask
+    form: the gradient, the deviations and nu_sub bit for bit, the totals and
+    f to rounding."""
+
+    @staticmethod
+    def random_symmetric(rng, k):
+        g = rng.standard_normal((k, k))
+        g[rng.random((k, k)) < 0.2] = 0.0  # exact zeros, some on the diagonal
+        return np.triu(g) + np.triu(g, 1).T
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.5, 0.7, 0.99])
+    def test_matches_the_mask_forms(self, alpha):
+        rng = np.random.default_rng(round(100 * alpha))
+        for sizes in [(2, 3, 1, 4), (1,) * 6, (3, 3, 3), (4, 1, 2, 1), (5,)]:
+            structure = BlockStructure(sizes)
+            k = structure.num_columns
+            masks = reference_masks(structure)
+            for _ in range(4):
+                g_mat = self.random_symmetric(rng, k)
+                g = BlockGram(g_mat, structure, validate=False)
+                grad = objective_gradient(g, alpha)
+                assert grad.tobytes() == reference_gradient(g_mat, structure, alpha).tobytes()
+                for kind, mask in masks.items():
+                    reference = np.where(mask, g_mat - np.eye(k), 0.0)
+                    assert deviation(g, kind).tobytes() == reference.tobytes()
+                within = np.abs(g_mat[masks["sub"]])
+                assert sub_block_coherence(g) == (float(within.max()) if within.size else 0.0)
+                inter = float(np.sum(g_mat[masks["inter"]] ** 2))
+                sub = float(np.sum(g_mat[masks["sub"]] ** 2))
+                norm = float(np.sum((np.diagonal(g_mat) - 1.0) ** 2))
+                f = 0.5 * norm + (1.0 - alpha) * inter + alpha * sub
+                for got, want in [(total_inter_block_coherence(g), inter),
+                                  (total_sub_block_coherence(g), sub),
+                                  (weighted_objective(g, alpha), f)]:
+                    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 class TestObjectiveGradient:

@@ -87,6 +87,14 @@ class TestObjective:
         with pytest.raises(ValueError, match=f"{n} columns, dictionary expects 6"):
             ds_objective(wrap(np.ones((4, n))), d)
 
+    @pytest.mark.parametrize(
+        "a", [np.ones(6), np.ones((2, 3, 6)), np.full((4, 6), np.nan)], ids=["1-D", "3-D", "nan"]
+    )
+    def test_rejects_malformed_sensing(self, a):
+        d = random_dictionary(np.random.default_rng(4), 6, (3, 3, 3))
+        with pytest.raises(ValueError, match="must be 2-D and finite"):
+            ds_objective(a, d)
+
     def test_rank_split_identity_for_any_sensing(self):
         # ||E'E - I_K||^2 = ||EE' - I_M||^2 + (K - M) holds for every A
         rng = np.random.default_rng(6)
