@@ -18,7 +18,9 @@ block. No design forms a K x K matrix.
 
 ``run_wcm`` runs L-BFGS on C (A = C W, below) at every alpha, with no
 eigensolve. At 1/2 the ds start is the closed form, and no designer runs
-(below). At every alpha the objective has a certified lower bound,
+(below). Above 1/2 it designs from ds once per dictionary, at the shared
+alpha 0.9, and every other alpha rescales that design and polishes it.
+At every alpha the objective has a certified lower bound,
 ``coherence.objective_lower_bound`` at max(alpha, 1 - alpha), to which
 the report gives the final f's gap.
 
@@ -93,6 +95,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import islice
@@ -132,6 +135,13 @@ _BACKTRACKS = 40
 
 # The machine epsilon, in L-BFGS's curvature test.
 _EPS = np.finfo(float).eps
+
+# Above 1/2, the alpha of the one design from the ds start per dictionary,
+# which every other alpha in (1/2, 1) rescales and polishes (``run_wcm``).
+_SHARED_ALPHA = 0.9
+
+# Dictionary -> {(M, max_iters, rel_tol): report of that shared design}
+_SHARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 _log = logging.getLogger(__name__)
 
@@ -184,11 +194,16 @@ class WcmReport:
     trace entry. ``fallbacks`` counts the iterations whose quasi-Newton
     direction found no Armijo step, so the curvature history was dropped
     for steepest descent. ``equivalent`` is the final E = A D, and
-    ``alpha`` the weight the design was run at.
+    ``alpha`` the weight the design was run at. Every array is read-only.
 
     The closed-form start at alpha = 1/2, already optimal, reports one
     iteration, converged, no fallbacks and the trace [f_0, f_0]: that
-    iteration is a null step, with no gradient taken.
+    iteration is a null step, with no gradient taken. Above 1/2 from the
+    ds start, the report at the shared alpha is the shared design itself,
+    one object per dictionary, and the report at any other alpha is its
+    polish: the trace starts at the rescaled shared design, and
+    ``iterations``, at least one, counts the polish's steps alone
+    (``run_wcm``).
     """
 
     sensing: SensingMatrix
@@ -499,15 +514,59 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     The run stops after one iteration, converged, with the trace
     [f_0, f_0], and returns the baseline's A and E = A D bit for bit. A
     random start at alpha = 1/2 runs L-BFGS.
+
+    Above 1/2 a run from the ds start designs once per dictionary: every
+    alpha in (1/2, 1) shares the bound's minimizers G = c(alpha) P up to
+    scale, with c(alpha) = 1 / (rho + 2 (1 - alpha)(1 - rho)) and
+    rho = M / K (``coherence.objective_lower_bound``). The shared design
+    is the run from ds at ``_SHARED_ALPHA``, kept per (``D``, M,
+    ``max_iters``, ``rel_tol``) for as long as ``D`` lives; at
+    ``_SHARED_ALPHA`` it is the report, the same object on every call. At
+    any other alpha above 1/2 the run starts from its A rescaled by
+    sqrt(c(alpha) / c(_SHARED_ALPHA)) and polishes it by L-BFGS at alpha,
+    under the same stop rule: the report's trace and ``iterations`` are the
+    polish's, at least one. ``max_iters`` bounds each of the two runs, and
+    the shared one, if it stops unconverged, logs its warning once, naming
+    the alpha it was started for.
     """
     alpha = config.alpha
     start = design_ds(D, M)  # design_ds checks M for both starts
-    a_mat = start.matrix
     if config.init == "random":
-        a_mat = np.random.default_rng(config.seed).standard_normal(a_mat.shape)
+        rng = np.random.default_rng(config.seed)
+        return _descend(D, start, rng.standard_normal(start.matrix.shape), alpha, config)
+    if alpha <= 0.5:
+        return _descend(D, start, start.matrix, alpha, config)
+    # the shared design is a pure function of the key and of D, which is
+    # immutable, and is kept for as long as D lives
+    designs = _SHARED.setdefault(D, {})
+    key = (M, config.max_iters, config.rel_tol)
+    if key not in designs:
+        designs[key] = _descend(D, start, start.matrix, _SHARED_ALPHA, config,
+                                f" (shared design, started for alpha={alpha:g})")
+    shared = designs[key]
+    if alpha == _SHARED_ALPHA:
+        return shared
+    K = D.num_atoms
+    scale = math.sqrt(_bound_scale(K, M, alpha) / _bound_scale(K, M, _SHARED_ALPHA))
+    return _descend(D, start, scale * shared.sensing.matrix, alpha, config)
 
+
+def _bound_scale(K: int, M: int, alpha: float) -> float:
+    """c(alpha) = 1 / (rho + 2 (1 - alpha)(1 - rho)) with rho = M / K: the
+    scale of the bound's minimizers G = c(alpha) P above 1/2."""
+    rho = M / K
+    return 1.0 / (rho + 2.0 * (1.0 - alpha) * (1.0 - rho))
+
+
+def _descend(D: Dictionary, start: SensingMatrix, a_mat: np.ndarray, alpha: float,
+             config: WcmConfig, label: str = "") -> WcmReport:
+    """The run of ``run_wcm`` from the sensing matrix ``a_mat``: L-BFGS at
+    alpha under ``config``'s stop rule, or one null step from ``start``,
+    the ds design, at 1/2. A run that ends at ``start`` returns it itself.
+    ``label`` follows alpha in the warning of a run that stops
+    unconverged."""
     p = _iterate(D, None, alpha, a_mat)
-    if alpha == 0.5 and config.init == "ds":
+    if alpha == 0.5 and a_mat is start.matrix:
         iterates = [(p, False)]  # the closed form: a null step
     else:
         iterates = islice(_lbfgs_steps(D, _lift(D, p), alpha), config.max_iters)
@@ -525,17 +584,19 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
     iterations = len(trace) - 1
     if not converged:
         _log.warning(
-            "WCM at alpha=%g stopped unconverged after %d iterations, f=%.9g",
-            alpha, iterations, p.f,
+            "WCM at alpha=%g%s stopped unconverged after %d iterations, f=%.9g",
+            alpha, label, iterations, p.f,
         )
+    trace, components = np.asarray(trace), np.asarray(components)
+    trace.flags.writeable = components.flags.writeable = False
     # A run that ends at the ds start returns design_ds's matrix itself: a
     # copy would cost M N floats more, 0.7 MB at K = 1200
     return WcmReport(
         sensing=start if p.a is start.matrix else SensingMatrix(p.a),
-        objective_trace=np.asarray(trace),
+        objective_trace=trace,
         iterations=iterations,
         converged=converged,
-        component_trace=np.asarray(components),
+        component_trace=components,
         fallbacks=fallbacks,
         equivalent=EquivalentDictionary(p.e, D.structure),
         alpha=alpha,

@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import itertools
 import logging
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from blocksense import (
     gram,
     objective_gradient,
     objective_lower_bound,
+    run_sweep,
     run_wcm,
     surrogate_gradient,
     surrogate_value,
@@ -40,6 +44,21 @@ from helpers import (
     reference_wcm_measure,
     reference_wcm_step,
 )
+
+# Above 1/2 the ds start designs once per dictionary, at this alpha
+SHARED_ALPHA = blocksense.wcm._SHARED_ALPHA
+
+
+def shared_scale(K, M, alpha):
+    """c(alpha) / c(SHARED_ALPHA), with c(alpha) = 1 / (rho + 2 (1 - alpha)(1 - rho))
+    and rho = M / K: the square of the factor that takes the shared design,
+    at the bound, to the bound at alpha."""
+    rho = M / K
+
+    def c(a):
+        return 1.0 / (rho + 2.0 * (1.0 - a) * (1.0 - rho))
+
+    return c(alpha) / c(SHARED_ALPHA)
 
 
 def random_sym_gram(rng, sizes):
@@ -495,11 +514,18 @@ class TestRunWcm:
     @pytest.mark.parametrize("sizes", [(3,) * 40, (2, 3, 4, 3) * 10])
     def test_mask_reference_changes_no_report(self, sizes, monkeypatch):
         # f read at the structure's precomputed slots steers every Armijo test
-        # as the boolean-mask gathers did: swapping the reference in changes no bit
-        d = random_dictionary(np.random.default_rng(35), 60, sizes)
-        configs = [WcmConfig(alpha=alpha) for alpha in (0.3, 0.6, 0.9, 0.99)]
+        # as the boolean-mask gathers did: swapping the reference in changes no
+        # bit. The ds starts run at 0.3 and at the shared alpha; 0.6 and 0.99
+        # polish the shared design. The reference runs on a new dictionary of
+        # the same matrix, so that it designs the shared one again itself.
+        def dictionary():
+            return random_dictionary(np.random.default_rng(35), 60, sizes)
+
+        d = dictionary()
+        configs = [WcmConfig(alpha=alpha) for alpha in (0.3, 0.6, SHARED_ALPHA, 0.99)]
         expected = [run_wcm(d, 14, config) for config in configs]
         monkeypatch.setattr(blocksense.wcm, "_block_terms", reference_block_terms)
+        d = dictionary()
         for config, want in zip(configs, expected):
             report = run_wcm(d, 14, config)
             assert (report.iterations, report.fallbacks, report.converged) == (
@@ -507,7 +533,9 @@ class TestRunWcm:
             for field in ("objective_trace", "component_trace"):
                 np.testing.assert_array_equal(getattr(report, field), getattr(want, field))
             np.testing.assert_array_equal(report.sensing.matrix, want.sensing.matrix)
-        assert all(r.iterations > 1 for r in expected)
+        ds_starts = [r for r in expected if r.alpha in (0.3, SHARED_ALPHA)]
+        assert all(r.iterations > 1 for r in ds_starts)
+        assert all(r.iterations >= 1 for r in expected)
 
     def test_scaled_closed_form_still_descends(self):
         # ds scaled by 1 + 1e-6 lies about 5e-13 relative above the optimum
@@ -724,7 +752,8 @@ class TestLbfgsDesigner:
             return product(pairs, g)
 
         monkeypatch.setattr(blocksense.wcm._History, "product", recording)
-        report = run_wcm(c05_dictionary(), 14, WcmConfig(alpha=0.99))
+        # the run from ds: above 1/2 that is the shared design
+        report = run_wcm(c05_dictionary(), 14, WcmConfig(alpha=SHARED_ALPHA))
         assert report.iterations > blocksense.wcm._HISTORY
         assert max(lengths) == blocksense.wcm._HISTORY
 
@@ -753,16 +782,27 @@ class TestLbfgsDesigner:
             )
             d = generate_dictionary(cfg, np.random.default_rng([seed, 0]))
             g_ds = gram(equivalent_dictionary(design_ds(d, cfg.M), d))
-            for alpha in (0.6, 0.9, 0.99):
+            shared = run_wcm(d, cfg.M, WcmConfig(alpha=SHARED_ALPHA))
+            # C_0 = E_0 (W D)' maps the closed-form start back to itself
+            assert shared.objective_trace[0] == pytest.approx(
+                weighted_objective(g_ds, SHARED_ALPHA), rel=1e-13
+            )
+            for alpha in (0.6, SHARED_ALPHA, 0.99):
                 report = run_wcm(d, cfg.M, WcmConfig(alpha=alpha))
-                # C_0 = E_0 (W D)' maps the closed-form start back to itself
-                assert report.objective_trace[0] == pytest.approx(
-                    weighted_objective(g_ds, alpha), rel=1e-13
-                )
+                if alpha != SHARED_ALPHA:
+                    # a polish starts at the shared design, rescaled to alpha
+                    scale = math.sqrt(shared_scale(cfg.K, cfg.M, alpha))
+                    g_start = gram_of(scale * shared.sensing.matrix, d)
+                    assert report.objective_trace[0] == pytest.approx(
+                        weighted_objective(g_start, alpha), rel=1e-13
+                    )
+                    assert report.iterations >= 1
                 gap = report.objective_trace[-1] / objective_lower_bound(cfg.K, cfg.M, alpha) - 1
                 assert report.gap == gap
                 assert report.converged
                 assert 0.0 <= report.gap <= 1e-5
+                if alpha == 0.6:
+                    assert report.gap <= 1e-8
         # below 1/2 the gap is to the bound at 1 - alpha
         report = run_wcm(d, cfg.M, WcmConfig(alpha=0.3, max_iters=5))
         gap = report.objective_trace[-1] / objective_lower_bound(cfg.K, cfg.M, 0.7) - 1
@@ -800,6 +840,121 @@ class TestLbfgsDesigner:
             for alpha, init in itertools.product((0.1, 0.25, 0.4, 0.45), ("ds", "random")):
                 report = run_wcm(d, 5, WcmConfig(alpha=alpha, init=init, seed=seed))
                 assert report.gap >= 0.0
+
+
+def desk_dictionary(seed=7):
+    """A gaussian desk dictionary: N = 60, K = 120, blocks of 3."""
+    cfg = ExperimentConfig(
+        dict_family="gaussian", N=60, K=120, M=14, block_sizes=3, k=2,
+        L=1, trials=1, designers=("wcm",), seed=seed,
+    )
+    return generate_dictionary(cfg, np.random.default_rng([seed, 0]))
+
+
+def assert_same_report(report, want):
+    assert (report.iterations, report.converged, report.fallbacks, report.alpha) == (
+        want.iterations, want.converged, want.fallbacks, want.alpha)
+    for arrays in (lambda r: (r.objective_trace, r.component_trace),
+                   lambda r: (r.sensing.matrix, r.equivalent.matrix)):
+        for got, expected in zip(arrays(report), arrays(want)):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+class TestSharedDesign:
+    """Above 1/2 from the ds start: one design per dictionary at the shared
+    alpha, which every other alpha rescales and polishes."""
+
+    ALPHAS = (0.6, 0.75, SHARED_ALPHA, 0.99)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_fresh_and_warm_dictionaries_give_the_same_bytes(self, order):
+        d = desk_dictionary()
+        warm = {alpha: run_wcm(d, 14, WcmConfig(alpha=alpha)) for alpha in self.ALPHAS[::order]}
+        for alpha in self.ALPHAS:
+            fresh = Dictionary(d.matrix, d.structure)
+            assert_same_report(warm[alpha], run_wcm(fresh, 14, WcmConfig(alpha=alpha)))
+
+    def test_sweep_rows_do_not_depend_on_the_alpha_order(self):
+        base = dict(dict_family="gaussian", N=60, K=120, M=14, block_sizes=3, k=2,
+                    L=20, trials=2, seed=7, designers=("wcm",))
+        rows = [
+            sorted(run_sweep(ExperimentConfig(**base, alpha_grid=grid)).trials,
+                   key=lambda t: (t.trial, t.alpha))
+            for grid in ((0.99, 0.9, 0.5), (0.5, 0.9, 0.99))
+        ]
+        assert rows[0] == rows[1]
+        assert len(rows[0]) == 6
+
+    def test_other_settings_never_reuse_an_entry(self):
+        d = desk_dictionary()
+        run_wcm(d, 14, WcmConfig(alpha=0.99))
+        others = [
+            (12, WcmConfig(alpha=0.99)),
+            (14, WcmConfig(alpha=0.99, rel_tol=1e-6)),
+            (14, WcmConfig(alpha=0.99, max_iters=5)),
+        ]
+        for m, config in others:
+            fresh = Dictionary(d.matrix, d.structure)
+            assert_same_report(run_wcm(d, m, config), run_wcm(fresh, m, config))
+            shared = dataclasses.replace(config, alpha=SHARED_ALPHA)
+            assert run_wcm(d, m, shared) is not run_wcm(d, 14, WcmConfig(alpha=SHARED_ALPHA))
+        assert sorted(blocksense.wcm._SHARED[d]) == [
+            (12, 1000, 1e-8), (14, 5, 1e-8), (14, 1000, 1e-8), (14, 1000, 1e-6)]
+
+    def test_entry_frees_with_its_dictionary(self):
+        d = desk_dictionary()
+        run_wcm(d, 14, WcmConfig(alpha=0.75))
+        assert d in blocksense.wcm._SHARED
+        entries = len(blocksense.wcm._SHARED)
+        ref = weakref.ref(d)
+        del d
+        gc.collect()
+        assert ref() is None
+        assert len(blocksense.wcm._SHARED) == entries - 1
+
+    def test_shared_report_cannot_be_mutated(self):
+        d = desk_dictionary()
+        first = run_wcm(d, 14, WcmConfig(alpha=SHARED_ALPHA))
+        kept = dataclasses.replace(first, objective_trace=first.objective_trace.copy())
+        second = run_wcm(d, 14, WcmConfig(alpha=SHARED_ALPHA))
+        assert second is first
+        for arr in (first.objective_trace, first.component_trace, first.sensing.matrix,
+                    first.equivalent.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.iterations = 0
+        # a polish leaves the shared design as it was
+        run_wcm(d, 14, WcmConfig(alpha=0.99))
+        assert_same_report(run_wcm(d, 14, WcmConfig(alpha=SHARED_ALPHA)), kept)
+
+    def test_unconverged_shared_design_warns_once(self, caplog):
+        d = desk_dictionary()
+        with caplog.at_level(logging.WARNING, logger="blocksense"):
+            for alpha in (0.99, 0.75, SHARED_ALPHA):
+                report = run_wcm(d, 14, WcmConfig(alpha=alpha, max_iters=3, rel_tol=1e-16))
+        assert report.iterations == 3 and not report.converged
+        shared = [r for r in caplog.records if "shared design" in r.getMessage()]
+        [record] = shared
+        assert record.levelno == logging.WARNING
+        assert record.name.startswith("blocksense")
+        assert f"WCM at alpha={SHARED_ALPHA:g} " in record.getMessage()
+        assert "started for alpha=0.99" in record.getMessage()
+        assert "3 iterations" in record.getMessage()
+
+    def test_every_polish_takes_an_iteration(self):
+        # perfbench divides each design's time by its iteration count
+        dictionaries = [(desk_dictionary(seed), 14) for seed in (7, 11)]
+        dictionaries += [(random_dictionary(np.random.default_rng(seed), 12, (3,) * 8), 5)
+                         for seed in (1, 2)]
+        dictionaries.append((random_dictionary(np.random.default_rng(3), 6, (3, 3)), 3))
+        for d, m in dictionaries:
+            for alpha in (0.51, 0.6, 0.75, 0.95, 0.99, 0.999):
+                report = run_wcm(d, m, WcmConfig(alpha=alpha))
+                assert report.iterations >= 1
+                assert len(report.objective_trace) == report.iterations + 1
+                assert np.all(np.diff(report.objective_trace) <= 0.0)
 
 
 class TestConfigValidation:
