@@ -13,37 +13,17 @@ All signals of a batch advance through the iterations together, sharing one
 block-scoring product per iteration (after Batch-OMP, Rubinstein, Zibulevsky
 & Elad, Technion CS-2008-08); a single signal is a batch of one. Everything
 else a step does per signal is elementwise work across the batch or a
-batched product: no per-signal QR and no LU. A second Gram-Schmidt pass is
-taken only by the signals whose first pass cancelled most of a column, and
-singular values only by the signals whose conditioning a cheaper bound
-cannot clear. Both decisions are made per signal, so a signal's result does
-not depend on the rest of its batch.
+batched product, with no per-signal QR and no LU (``_decode_chunk``: float32
+block scores under a certified rounding bound, classical Gram-Schmidt with
+a second pass where a column needs it, and R^-1 by back substitution).
+Every choice that can differ between signals, a float64 score, a second
+pass or a singular-value check, is made per signal, so a signal's result
+does not depend on the rest of its batch.
 
-A block's score is the float64 sum of its squared correlations with the
-residual. The shared product forms the scores in float32, and a signal keeps
-the float32 argmax only when its margin over the runner-up exceeds a
-rigorous bound on the rounding of both precisions (the certified
-mixed-precision pattern; Higham & Mary, Acta Numerica, 2022). Ties,
-near-ties and float32 overflow or underflow take the float64 scores, formed
-two signals per product so that a signal's bits do not depend on how many
-take them. So ties are decided on float64 scores, toward the lowest block
-index, and a signal's supports and coefficients are those of float64
-scoring, whatever its batch.
-
-A batch is decoded in one loop over consecutive chunks of signals, each
-as large as a fixed byte budget over the per-signal buffers allows
-(_CHUNK_BYTES), so the working memory does not grow with the number of
-signals; the result is the same bit for bit.
-
-No draw of signals can end a decode on a support that is exactly or
-numerically singular. At each step a signal takes the best-scoring block among
-those that keep its support full rank (_fails): at most as many columns as
-measurements, and sigma_min(E_S) > _RANK_TOL * sigma_max(E_S). Checking
-every candidate would cost an SVD per block, so the lockstep pass picks by
-score alone and checks each signal's final support; a chunk's few signals
-that fail are decoded again with the block chosen at their first failing
-step passed over. A batch whose k narrowest blocks hold more columns than
-measurements has no full-rank support, and is refused before any decoding.
+A batch is decoded in one loop over chunks of signals under a fixed byte
+budget, and no draw of signals ends a decode on a rank-deficient support:
+a signal whose support fails the full-rank check (``_fails``) is decoded
+again with the offending block passed over (``_bomp_batch``).
 """
 
 from __future__ import annotations
@@ -111,24 +91,23 @@ def _bomp_batch(E, structure, Y, k):
     One loop runs over chunks of signals, each as many as fit _CHUNK_BYTES
     of the kernel's per-signal buffers (basis, factor R, Q' y, float32
     block correlations), and at least one. A chunk's first pass
-    (_decode_chunk) writes into the arrays for the whole batch. Each signal
-    whose support fails is then decoded again, with the block it chose at
-    its first failing step excluded from every step, in passes that hold
-    only the chunk's failing signals, until it passes or has fewer than k
-    blocks left. Excluding a block that was not chosen leaves each earlier
+    (_decode_chunk) picks by score alone, since checking every candidate
+    block would cost an SVD each, and writes into the arrays for the whole
+    batch. Each signal whose support fails is then decoded again, with the
+    block it chose at its first failing step excluded from every step, in
+    passes that hold only the chunk's failing signals, until it passes or
+    has fewer than k blocks left. Excluding a block that was not chosen leaves each earlier
     argmax alone, and a block that fails after some prefix fails after
     every longer one (the width only grows and sigma_min / sigma_max never
     rises), so this is block-OMP that takes at each step the best-scoring
-    block that keeps the support full rank. A signal's result depends on
-    neither its chunk nor its batch.
+    block that keeps the support full rank.
 
     Returns (theta, supports): the K x L coefficient matrix and the k x L
     selected block indices in selection order. A chunk's failing signals
     run out of blocks together, since each pass passes over one more block
-    for each of them; once fewer than k are left, RankDeficientSupportError
-    names the lowest-indexed of them, the batch's lowest since chunks run in
-    order, and its support up to and including the last block passed over.
-    No later chunk is decoded.
+    for each of them, and chunks run in order; so the signal that
+    RankDeficientSupportError names is the batch's lowest-indexed, and no
+    later chunk is decoded.
     """
     m_rows = E.shape[0]
     n_signals = Y.shape[1]
@@ -188,24 +167,26 @@ def _decode_chunk(layouts, structure, Y, k, coef, supports, excluded):
     coefficients are left zero.
 
     ``layouts`` holds E as _bomp_batch lays it out. Each of the k steps
-    scores the blocks against
-    all L residuals with one float32 product, takes each signal's block,
-    orthogonalizes it against that signal's running orthonormal basis and
-    deflates the residuals. The basis Q and the triangular factor R with
-    E_S = Q R are carried along. Blocks are read in the padded layout of
-    ``structure`` (``BlockStructure.columns``): zero columns, which stay
-    zero, fill each block to the widest, s_max.
+    scores the blocks against all L residuals with one float32 product,
+    takes each signal's block, orthogonalizes it against that signal's
+    running orthonormal basis and deflates the residuals. The basis Q and
+    the triangular factor R with E_S = Q R are carried along. Blocks are
+    read in the padded layout of ``structure`` (``BlockStructure.columns``):
+    zero columns, which stay zero, fill each block to the widest, s_max.
 
     A block's score is the float64 sum of its squared correlations with the
     residual, over its slots in order; ties go to the lowest block index.
     The float32 scores only stand in for them. A signal keeps its float32
     argmax i when the margin of score i over the float32 runner-up, formed
-    in float64, exceeds a bound B on the rounding; every other signal (ties,
-    near-ties, a non-finite float32 score, a NaN margin) gets its float64
-    scores and their argmax (_float64_scores). The bound, set once per
-    chunk: with u the unit roundoff of float32 (2^-24) and v that of float64
-    (2^-53), gamma(n, u) = n u / (1 - n u), eta = 2^-150 the largest
-    float32 underflow error, M the measurements and s = s_max:
+    in float64, exceeds a bound B on the rounding (the certified
+    mixed-precision pattern; Higham & Mary, Acta Numerica, 2022). Every
+    other signal (ties, near-ties, a non-finite float32 score, a NaN
+    margin) gets its float64 scores and their argmax (_float64_scores).
+
+    The bound, set once per chunk: with u the unit roundoff of float32
+    (2^-24) and v that of float64 (2^-53), gamma(n, u) = n u / (1 - n u),
+    eta = 2^-150 the largest float32 underflow error, M the measurements
+    and s = s_max:
 
     - every residual is a projection of y, so a = 1.01 |y| max_j |e_j|,
       from the norms as computed, bounds every correlation |c_j| = |e_j' r|:
@@ -496,6 +477,7 @@ def _check_batch(E: EquivalentDictionary, Y: np.ndarray, cfg: BompConfig) -> np.
 
 def bomp_decode_batch(E: EquivalentDictionary, Y, cfg: BompConfig) -> np.ndarray:
     """Decode every column of Y, returning the K x L coefficient matrix.
+    A column's bits do not depend on the other columns of Y.
 
     Each signal's support has exactly ``cfg.k_blocks`` blocks and is full
     rank: at each step the decoder takes the best-scoring block among those

@@ -1,5 +1,5 @@
-"""Coherence metrics, the weighted design objective, masking operators, and
-recovery-bound evaluators for block-partitioned Gram matrices.
+"""Coherence metrics, the weighted design objective, its deviations and
+gradient, and recovery-bound evaluators for block-partitioned Gram matrices.
 
 A block structure partitions the entries of its Gram matrix three ways, named
 after what they penalize:

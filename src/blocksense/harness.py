@@ -4,14 +4,8 @@ designer comparison sweeps, recovery metrics, and CSV/JSON emission.
 Every quantity is derived from ``(seed, trial)`` through independent
 `numpy.random.default_rng` streams, so sweeps are fully deterministic no
 matter how trials are scheduled: the same config and seed produce
-byte-identical CSV output, with or without the process pool.
-
-A trial decodes and scores each distinct sensing matrix once: cells whose
-designs are equal bit for bit, such as ``ds`` and ``wcm`` at alpha = 1/2,
-share one decode, and only their objective is weighed at each cell's alpha.
-A trial designs its wcm cells first and scores each design as soon as it is
-made: a wcm design from the E = A D and the penalty totals its ``run_wcm``
-report holds, a baseline by forming both, unless a wcm design repeated it.
+byte-identical CSV output, with or without the process pool. How a trial
+designs, decodes and scores its cells: ``run_trial``.
 """
 
 from __future__ import annotations
@@ -49,8 +43,7 @@ PRESETS = {
 # standard deviation of each of these TrialResult fields.
 _METRICS = ("e", "r", "ratio_nu_mu", "objective")
 
-# Stop rule of every run_histogram restart.
-_HISTOGRAM_MAX_ITERS = 1000
+# Stop tolerance of every run_histogram restart, tighter than WcmConfig's.
 _HISTOGRAM_REL_TOL = 1e-10
 
 
@@ -334,7 +327,8 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialResult]:
     order; rows still come out in grid order. Each design is scored as soon
     as it is made (``_score``), unless an earlier design was equal to it, so
     the ds cell and the wcm cell at alpha = 1/2 share one decode and the
-    report's E whichever designer comes first. Designs are matched on the
+    report's E whichever designer comes first, and each cell weighs the
+    shared penalty totals at its own alpha. Designs are matched on the
     SHA-256 of A's bytes, and no design is kept after its own score.
     """
     # imported here, like the pool in run_sweep, so that CLI commands that
@@ -431,8 +425,7 @@ def run_histogram(
     finals = np.empty(replicates)
     for i in range(replicates):
         seed = int(rng.integers(0, 2**63 - 1))
-        config = WcmConfig(alpha=alpha, init="random", seed=seed,
-                           max_iters=_HISTOGRAM_MAX_ITERS, rel_tol=_HISTOGRAM_REL_TOL)
+        config = WcmConfig(alpha=alpha, init="random", seed=seed, rel_tol=_HISTOGRAM_REL_TOL)
         finals[i] = run_wcm(D, M, config).objective_trace[-1]
     return finals
 

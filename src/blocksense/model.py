@@ -231,10 +231,6 @@ class BlockGram:
             if w[0] < floor:
                 raise ValueError(f"gram matrix is not PSD (min eigenvalue {w[0]:.3e})")
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class BlockSparseVector:

@@ -14,15 +14,9 @@ gradient is
     Q = (2 * alpha - 1) * blockdiag(G) + (1/2 - alpha) * diag(G),
 
 where Q is block-diagonal, so (W D) Q or E Q takes one s x s product per
-block. No design forms a K x K matrix.
-
-``run_wcm`` runs L-BFGS on C (A = C W, below) at every alpha, with no
-eigensolve. At 1/2 the ds start is the closed form, and no designer runs
-(below). Above 1/2 it designs from ds once per dictionary, at the shared
-alpha 0.9, and every other alpha rescales that design and polishes it.
-At every alpha the objective has a certified lower bound,
-``coherence.objective_lower_bound`` at max(alpha, 1 - alpha), to which
-the report gives the final f's gap.
+block. No design forms a K x K matrix. At every alpha f has a certified
+lower bound, ``coherence.objective_lower_bound`` at max(alpha, 1 - alpha),
+to which the report gives the final f's gap (``WcmReport.gap``).
 
 The designer iterates over C (M x N), with A = C W, so that
 E = A D = C (W D). Because W D has orthonormal rows, E E' = C C' and
@@ -36,35 +30,41 @@ padded to the widest with zero columns), from which f is read by
 ``coherence._block_terms``, the kernel that scores the sweep's designs.
 W, D and the rows of (W D)' come from the ``Dictionary`` (``whitening``,
 ``matrix`` and ``whitened_rows``); the rows are built on first use, once
-per dictionary, and every design on it shares them. The designer is a
-generator of iterates; ``run_wcm`` holds the loop that records the trace,
-applies the stop rule and counts fallbacks.
+per dictionary, and every design on it shares them. The designer
+(``_lbfgs_steps``) is a generator of iterates; ``_descend`` holds the loop
+that records the trace, applies the stop rule and counts fallbacks.
 
 L-BFGS. The chain rule through G = E'E gives
 
     grad_C f = 2 * ((2 * (1 - alpha) * E E' - I) C + 2 * E Q (W D)'),
 
 so one evaluation costs two M x N x K products, E = (C W) D and
-(E Q)(W D)'. L-BFGS (Liu & Nocedal, Math. Prog., 1989) keeps ``_HISTORY``
-curvature pairs (s, y), and every step is a backtracking Armijo step
-(constant ``_ARMIJO``), so the trace is non-increasing by construction.
-The two-loop product H g (Nocedal, Math. Comp., 1980) is taken from
-stored inner products of the pairs, as in vector-free L-BFGS (Chen, Wang
-& Zhou, NeurIPS 2014; ``_History``): four matrix-vector products with the
-stored pairs, and one more for each new pair.
-Designing the sensing matrix by gradient descent on the coherence penalty
-follows Abolghasemi, Ferdowsi & Sanei (Signal Processing, 2012).
+(E Q)(W D)', and no eigensolve. L-BFGS (Liu & Nocedal, Math. Prog., 1989)
+keeps ``_HISTORY`` curvature pairs (s, y), and every step is a
+backtracking Armijo step (constant ``_ARMIJO``), so the trace is
+non-increasing by construction. The product H g is taken from stored inner
+products of the pairs (``_History``). Designing the sensing matrix by
+gradient descent on the coherence penalty follows Abolghasemi, Ferdowsi &
+Sanei (Signal Processing, 2012).
 
 Closed form at alpha = 1/2. There f is the structure-blind
 1/2 ||G - I||_F^2 (``coherence.ds_objective`` is twice it), which the
 closed-form baseline ``design_ds`` minimizes exactly: the first M rows of
 the whitening, A = [I_M 0] W, make A D D' A' the identity, so its f is the
 lower bound (K - M) / 2 up to rounding, and the design takes no eigensolve
-of its own. So ``run_wcm`` started from it runs no designer: its one
-iteration returns the start unchanged, with the trace [f_0, f_0], and it
-never forms C_0, a gradient or the rows of (W D)' (the product of the
-N x N frame with the N x K dictionary). L-BFGS from that start would find
-no step either.
+of its own. So a run started from it runs no designer: its one iteration
+is a null step that never forms C_0, a gradient or the rows of (W D)'
+(the product of the N x N frame with the N x K dictionary). L-BFGS from
+that start would find no step either.
+
+Shared design above 1/2. Where the bound is attained, every alpha in
+(1/2, 1) has the same minimizers G = c(alpha) P up to the scale c(alpha)
+(``_bound_scale``). So a run from the ds start designs from ds only at
+``_SHARED_ALPHA``, once per dictionary, and reaches any other alpha above
+1/2 by rescaling that design's A by sqrt(c(alpha) / c(_SHARED_ALPHA)) and
+polishing it by L-BFGS at alpha. On shapes where the bound cannot be
+reached, a polish can end at another local optimum than a run from ds at
+that alpha would.
 
 The MM step (``wcm_step``). The MM majorizer of f at a Gram matrix G_p is
 
@@ -188,22 +188,16 @@ class WcmConfig:
 class WcmReport:
     """Result of one optimization run.
 
-    ``objective_trace`` holds f at the initial point and after every step, and
-    is non-increasing up to floating-point slack. ``component_trace`` carries
-    the matching (total_inter, total_sub, norm_penalty) triples, one row per
-    trace entry. ``fallbacks`` counts the iterations whose quasi-Newton
-    direction found no Armijo step, so the curvature history was dropped
-    for steepest descent. ``equivalent`` is the final E = A D, and
-    ``alpha`` the weight the design was run at. Every array is read-only.
-
-    The closed-form start at alpha = 1/2, already optimal, reports one
-    iteration, converged, no fallbacks and the trace [f_0, f_0]: that
-    iteration is a null step, with no gradient taken. Above 1/2 from the
-    ds start, the report at the shared alpha is the shared design itself,
-    one object per dictionary, and the report at any other alpha is its
-    polish: the trace starts at the rescaled shared design, and
-    ``iterations``, at least one, counts the polish's steps alone
-    (``run_wcm``).
+    ``objective_trace`` holds f at the run's start and after every
+    iteration, and never rises. ``component_trace`` carries the matching
+    (total_inter, total_sub, norm_penalty) triples, one row per trace entry.
+    ``iterations``, at least one, is the trace's length less one (which run
+    it counts: ``run_wcm``). ``converged`` says whether the stop rule, not
+    ``max_iters``, ended the run. ``fallbacks`` counts the iterations whose
+    quasi-Newton direction found no Armijo step, so the curvature history
+    was dropped for steepest descent. ``equivalent`` is the final E = A D,
+    and ``alpha`` the weight the design was run at. Every array is
+    read-only.
     """
 
     sensing: SensingMatrix
@@ -439,8 +433,8 @@ def _armijo(D: Dictionary, p: _Iterate, g: np.ndarray, d: np.ndarray,
 
 
 def _lbfgs_steps(D: Dictionary, p: _Iterate, alpha: float):
-    """L-BFGS on f over C (Liu & Nocedal, Math. Prog., 1989), yielding
-    (iterate, fell_back) once per iteration from the lifted start ``p``.
+    """L-BFGS on f over C, yielding (iterate, fell_back) once per iteration
+    from the lifted start ``p``.
 
     Each accepted step passes the Armijo test, so f never rises. When the
     quasi-Newton direction finds no such step, the history is dropped and
@@ -495,39 +489,25 @@ def wcm_step(A_prev: SensingMatrix, D: Dictionary, alpha: float) -> SensingMatri
 
 
 def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
-    """Minimize the weighted objective until it stalls.
+    """Minimize the weighted objective by L-BFGS until it stalls.
 
-    Starts from the closed-form baseline by default (or a random matrix when
-    ``config.init == "random"``), mapped to its iterate C_0 with A = C W;
-    the start iterate keeps that matrix A_0 itself.
-    It steps over C by L-BFGS with backtracking Armijo steps, at every
-    alpha, and takes no eigensolve; a fallback drops the curvature history
-    for steepest descent. The objective and its components are recorded
-    after every iteration and the fallbacks counted here, and the trace
-    never rises. The run stops once one iteration changes f by at most
-    ``config.rel_tol * (1 + f)``, and a run that reaches
-    ``config.max_iters`` unconverged logs a warning.
+    Starts from the closed-form baseline by default, or from i.i.d.
+    standard normal entries when ``config.init == "random"``. A run stops
+    once one iteration changes f by at most ``config.rel_tol * (1 + f)``,
+    or after ``config.max_iters`` iterations, unconverged, with a warning.
+    Random starts and alpha < 1/2 run on their own. From the ds start:
 
-    At alpha = 1/2 the closed-form start is a global minimizer of f, so a
-    run from it takes the closed form and runs no designer: its one
-    iteration is a null step with no gradient and no ``D.whitened_rows``.
-    The run stops after one iteration, converged, with the trace
-    [f_0, f_0], and returns the baseline's A and E = A D bit for bit. A
-    random start at alpha = 1/2 runs L-BFGS.
-
-    Above 1/2 a run from the ds start designs once per dictionary: every
-    alpha in (1/2, 1) shares the bound's minimizers G = c(alpha) P up to
-    scale, with c(alpha) = 1 / (rho + 2 (1 - alpha)(1 - rho)) and
-    rho = M / K (``coherence.objective_lower_bound``). The shared design
-    is the run from ds at ``_SHARED_ALPHA``, kept per (``D``, M,
-    ``max_iters``, ``rel_tol``) for as long as ``D`` lives; at
-    ``_SHARED_ALPHA`` it is the report, the same object on every call. At
-    any other alpha above 1/2 the run starts from its A rescaled by
-    sqrt(c(alpha) / c(_SHARED_ALPHA)) and polishes it by L-BFGS at alpha,
-    under the same stop rule: the report's trace and ``iterations`` are the
-    polish's, at least one. ``max_iters`` bounds each of the two runs, and
-    the shared one, if it stops unconverged, logs its warning once, naming
-    the alpha it was started for.
+    - at alpha = 1/2 the run takes the closed form: one null iteration,
+      converged, the trace [f_0, f_0], and the baseline's A and E = A D
+      bit for bit;
+    - above 1/2 the design at ``_SHARED_ALPHA`` is made once per (``D``,
+      M, ``max_iters``, ``rel_tol``) and kept for as long as ``D`` lives;
+      at ``_SHARED_ALPHA`` it is the report, the same object on every
+      call. Any other alpha polishes it, rescaled: the trace starts at the
+      rescaled design, and ``iterations`` counts the polish alone.
+      ``max_iters`` bounds each of the two runs, and a shared design that
+      stops unconverged logs its warning once, naming the alpha it was
+      started for.
     """
     alpha = config.alpha
     start = design_ds(D, M)  # design_ds checks M for both starts
@@ -553,7 +533,9 @@ def run_wcm(D: Dictionary, M: int, config: WcmConfig) -> WcmReport:
 
 def _bound_scale(K: int, M: int, alpha: float) -> float:
     """c(alpha) = 1 / (rho + 2 (1 - alpha)(1 - rho)) with rho = M / K: the
-    scale of the bound's minimizers G = c(alpha) P above 1/2."""
+    scale of the bound's minimizers G = c(alpha) P above 1/2, a structured
+    tight frame (Tropp, Dhillon, Heath & Strohmer, IEEE Trans. Inf. Theory,
+    2005; ``coherence.objective_lower_bound``)."""
     rho = M / K
     return 1.0 / (rho + 2.0 * (1.0 - alpha) * (1.0 - rho))
 
@@ -562,9 +544,9 @@ def _descend(D: Dictionary, start: SensingMatrix, a_mat: np.ndarray, alpha: floa
              config: WcmConfig, label: str = "") -> WcmReport:
     """The run of ``run_wcm`` from the sensing matrix ``a_mat``: L-BFGS at
     alpha under ``config``'s stop rule, or one null step from ``start``,
-    the ds design, at 1/2. A run that ends at ``start`` returns it itself.
-    ``label`` follows alpha in the warning of a run that stops
-    unconverged."""
+    the ds design, at 1/2. It records the trace, applies the stop rule,
+    counts fallbacks and warns of a run that stops unconverged, with
+    ``label`` after alpha. A run that ends at ``start`` returns it itself."""
     p = _iterate(D, None, alpha, a_mat)
     if alpha == 0.5 and a_mat is start.matrix:
         iterates = [(p, False)]  # the closed form: a null step

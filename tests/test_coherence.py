@@ -424,7 +424,7 @@ class TestMasks:
         g = random_gram(np.random.default_rng(17), (3, 2))
         labels = g.structure.labels
         same_block = labels[:, None] == labels[None, :]
-        eye = np.eye(g.size, dtype=bool)
+        eye = np.eye(g.matrix.shape[0], dtype=bool)
         masks = {"norm": eye, "inter": ~same_block, "sub": same_block & ~eye}
         for kind, mask in masks.items():
             h = g.matrix - deviation(g, kind)

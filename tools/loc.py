@@ -6,6 +6,7 @@
 DIR defaults to ``src/blocksense``. A docstring line is a line of a module,
 class or function docstring. A code line is any other line that holds a
 token other than a comment, so blanks, comments and docstrings are not code.
+The last line gives the size of the repository's README.md in bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ def count(source: str) -> tuple[int, int]:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent / "src" / "blocksense")
+    repo = Path(__file__).resolve().parent.parent
+    root = Path(argv[0]) if argv else repo / "src" / "blocksense"
     total_code = total_doc = 0
     print(f"{'file':<20} {'code':>6} {'doc':>6}")
     for path in sorted(root.glob("*.py")):
@@ -45,6 +47,7 @@ def main(argv: list[str]) -> int:
         total_doc += doc
         print(f"{path.name:<20} {code:>6} {doc:>6}")
     print(f"{'total':<20} {total_code:>6} {total_doc:>6}")
+    print(f"{'README.md bytes':<20} {(repo / 'README.md').stat().st_size:>6}")
     return 0
 
 
