@@ -126,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     wcm_parser.add_argument("--dict", required=True, help="dictionary JSON file")
     wcm_parser.add_argument("-M", type=int, required=True, help="number of measurements")
     wcm_parser.add_argument("--alpha", type=float, required=True, help="weight in (0, 1)")
-    wcm_parser.add_argument("--init", choices=INIT_MODES, default="ds")
-    wcm_parser.add_argument("--seed", type=int, default=None, help="seed for random init")
-    wcm_parser.add_argument("--max-iters", type=int, default=1000)
-    wcm_parser.add_argument("--tol", type=float, default=1e-8)
+    wcm_parser.add_argument("--init", choices=INIT_MODES, default=WcmConfig.init)
+    wcm_parser.add_argument("--seed", type=int, default=WcmConfig.seed, help="seed for random init")
+    wcm_parser.add_argument("--max-iters", type=int, default=WcmConfig.max_iters)
+    wcm_parser.add_argument("--tol", type=float, default=WcmConfig.rel_tol)
     wcm_parser.add_argument("--out", required=True, help="output sensing-matrix CSV")
     wcm_parser.add_argument("--trace", default=None, help="optional per-iteration CSV")
     wcm_parser.set_defaults(func=_cmd_design_wcm)

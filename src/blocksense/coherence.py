@@ -18,6 +18,7 @@ E = A D read the totals from its padded diagonal blocks
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .fileio import _number
 from .model import BlockGram, BlockStructure, Dictionary, EquivalentDictionary, SensingMatrix
-from .model import _block_rows, _gram_matrix
+from .model import _block_rows, _gram_matrix, _sensing_array
 
 
 def _check_alpha(alpha: float) -> float:
@@ -176,14 +177,7 @@ def _gram_mismatch(mat) -> float:
 def ds_objective(A: SensingMatrix, D: Dictionary) -> float:
     """Gram-identity mismatch ||D'A'AD - I||_F^2 of a sensing matrix, which
     ``wcm.design_ds`` minimizes; an A that is not finite, 2-D and N wide is refused."""
-    a_mat = A.matrix if isinstance(A, SensingMatrix) else np.asarray(A, dtype=float)
-    if a_mat.ndim != 2 or not np.all(np.isfinite(a_mat)):
-        raise ValueError(f"sensing matrix must be 2-D and finite, got shape {a_mat.shape}")
-    if a_mat.shape[1] != D.signal_dim:
-        raise ValueError(
-            f"sensing matrix has {a_mat.shape[1]} columns, dictionary expects {D.signal_dim}"
-        )
-    return _gram_mismatch(a_mat @ D.matrix)
+    return _gram_mismatch(_sensing_array(A, D.signal_dim) @ D.matrix)
 
 
 def decomposition_check(E: EquivalentDictionary) -> tuple[float, float]:
@@ -252,6 +246,8 @@ class CoherenceReport:
     ``mu_block`` is None when block sizes are mixed (it is only defined for a
     common size) or when there is a single block. ``objective_alpha`` is the
     weighted objective at the alpha the report was built with, if any.
+    :meth:`to_json` gives the six diagnostics as a JSON object, with null for
+    a missing ``mu_block``.
     """
 
     mu: float
@@ -262,15 +258,15 @@ class CoherenceReport:
     norm_penalty: float
     objective_alpha: float | None = None
 
-    def to_json(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "mu": self.mu,
             "mu_block": self.mu_block,
             "nu_sub": self.nu_sub,
             "total_inter": self.total_inter,
             "total_sub": self.total_sub,
             "norm_penalty": self.norm_penalty,
-        }
+        })
 
 
 def coherence_report(E: EquivalentDictionary, alpha: float | None = None) -> CoherenceReport:

@@ -264,15 +264,23 @@ def equivalent_dictionary(A, D: Dictionary) -> EquivalentDictionary:
     """Compose a sensing matrix with a dictionary.
 
     ``A`` may be a SensingMatrix or a plain 2-D array (e.g. the identity, which
-    the SensingMatrix type rejects because it is not underdetermined).
+    the SensingMatrix type rejects because it is not underdetermined); an A
+    that is not finite, 2-D and N wide is refused.
     """
+    return EquivalentDictionary(_sensing_array(A, D.signal_dim) @ D.matrix, D.structure)
+
+
+def _sensing_array(A, signal_dim: int) -> np.ndarray:
+    """``A``, a SensingMatrix or an array, as a float array; refused unless it
+    is 2-D, finite and ``signal_dim`` columns wide."""
     a_mat = A.matrix if isinstance(A, SensingMatrix) else np.asarray(A, dtype=float)
-    if a_mat.ndim != 2 or a_mat.shape[1] != D.signal_dim:
+    if a_mat.ndim != 2 or not np.all(np.isfinite(a_mat)):
+        raise ValueError(f"sensing matrix must be 2-D and finite, got shape {a_mat.shape}")
+    if a_mat.shape[1] != signal_dim:
         raise ValueError(
-            f"sensing matrix with {a_mat.shape} columns does not match "
-            f"dictionary signal dimension {D.signal_dim}"
+            f"sensing matrix has {a_mat.shape[1]} columns, dictionary expects {signal_dim}"
         )
-    return EquivalentDictionary(a_mat @ D.matrix, D.structure)
+    return a_mat
 
 
 def _gram_matrix(e: np.ndarray) -> np.ndarray:

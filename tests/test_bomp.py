@@ -913,6 +913,20 @@ class TestChunkedDecode:
         np.testing.assert_array_equal(theta, whole)
         np.testing.assert_array_equal(supports, whole_supports)
 
+    def test_halves_agree_with_the_whole_at_the_real_budget(self, monkeypatch):
+        # 12336 bytes per signal: 340 signals fill a 4 MiB chunk, so the
+        # whole batch and each half take chunks of different bounds
+        rng = np.random.default_rng(0)
+        structure = BlockStructure((3,) * 80)
+        e = EquivalentDictionary(unit_columns(rng.standard_normal((60, 240))), structure)
+        Y = sparse_batch(rng, e.matrix, structure, 6, 1000)
+        chunks, _ = recorded_chunks(monkeypatch)
+        cfg = BompConfig(k_blocks=6)
+        whole = bomp_decode_batch(e, Y, cfg)
+        halves = [bomp_decode_batch(e, Y[:, half], cfg) for half in (slice(500), slice(500, None))]
+        assert chunks == [340, 340, 320] + [340, 160] * 2
+        np.testing.assert_array_equal(np.hstack(halves), whole)
+
     def test_no_prefix_checks_when_nothing_fails(self, monkeypatch):
         # every support is full rank: each chunk checks its final supports
         # once, and none of the k - 1 leading prefixes

@@ -505,7 +505,7 @@ class TestCoherenceReport:
         d = random_dictionary(rng, 6, (3, 3, 3))
         e = EquivalentDictionary(rng.standard_normal((4, 9)), d.structure)
         report = coherence_report(e, alpha=0.7)
-        payload = json.loads(json.dumps(report.to_json()))
+        payload = json.loads(report.to_json())
         assert set(payload) == {
             "mu",
             "mu_block",
@@ -514,6 +514,10 @@ class TestCoherenceReport:
             "total_sub",
             "norm_penalty",
         }
+        assert payload["mu_block"] == report.mu_block
+        # mu_block is defined only for a common block size
+        mixed = EquivalentDictionary(rng.standard_normal((4, 9)), BlockStructure((2, 3, 4)))
+        assert json.loads(coherence_report(mixed).to_json())["mu_block"] is None
         assert report.objective_alpha == pytest.approx(
             0.5 * report.norm_penalty + 0.3 * report.total_inter + 0.7 * report.total_sub,
             rel=1e-12,

@@ -7,6 +7,7 @@ from blocksense import (
     SensingMatrix,
     design_ds,
     ds_objective,
+    equivalent_dictionary,
 )
 from helpers import random_dictionary
 
@@ -88,12 +89,20 @@ class TestObjective:
             ds_objective(wrap(np.ones((4, n))), d)
 
     @pytest.mark.parametrize(
-        "a", [np.ones(6), np.ones((2, 3, 6)), np.full((4, 6), np.nan)], ids=["1-D", "3-D", "nan"]
+        "a, match",
+        [
+            (np.ones(6), "must be 2-D and finite"),
+            (np.ones((2, 3, 6)), "must be 2-D and finite"),
+            (np.full((4, 6), np.nan), "must be 2-D and finite"),
+            (np.ones((4, 5)), "5 columns, dictionary expects 6"),
+        ],
+        ids=["1-D", "3-D", "nan", "width"],
     )
-    def test_rejects_malformed_sensing(self, a):
+    def test_rejects_malformed_sensing(self, a, match):
         d = random_dictionary(np.random.default_rng(4), 6, (3, 3, 3))
-        with pytest.raises(ValueError, match="must be 2-D and finite"):
-            ds_objective(a, d)
+        for call in (ds_objective, equivalent_dictionary):
+            with pytest.raises(ValueError, match=match):
+                call(a, d)
 
     def test_rank_split_identity_for_any_sensing(self):
         # ||E'E - I_K||^2 = ||EE' - I_M||^2 + (K - M) holds for every A

@@ -17,7 +17,7 @@ from blocksense import (
     run_wcm,
     WcmConfig,
 )
-from blocksense.cli import main
+from blocksense.cli import build_parser, main
 from blocksense.fileio import (
     load_block_matrix_json,
     load_matrix_csv,
@@ -152,6 +152,14 @@ class TestCli:
             f"gap {report.gap:.3g} to the lower bound" in summary
         )
 
+    def test_design_wcm_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(
+            ["design", "wcm", "--dict", "d.json", "-M", "4", "--alpha", "0.9", "--out", "a.csv"]
+        )
+        config = WcmConfig(alpha=args.alpha, max_iters=args.max_iters, rel_tol=args.tol,
+                           init=args.init, seed=args.seed)
+        assert config == WcmConfig(alpha=0.9)
+
     def test_design_wcm_refuses_an_infinite_tol(self, tmp_path, dict_file, capsys):
         # rel_tol = inf would stop after one iteration and report "converged"
         path, _ = dict_file
@@ -182,17 +190,21 @@ class TestCli:
         summary = capsys.readouterr().out
         assert (
             f"after {report.iterations} iterations, {report.fallbacks} fallbacks, "
-            f"gap {report.gap:.3g} to the lower bound (" in summary
+            f"gap {report.gap:.3g} to the lower bound (converged)" in summary
         )
 
     def test_decode_bomp(self, tmp_path):
         rng = np.random.default_rng(6)
         e_mat = rng.standard_normal((6, 12))
-        e = EquivalentDictionary(e_mat, BlockStructure((3, 3, 3, 3)))
-        equiv_path = tmp_path / "equiv.json"
-        save_block_matrix_json(equiv_path, e_mat, (3, 3, 3, 3))
-        # three signals, then a single signal saved as a 1-D vector
-        for n, y in enumerate((rng.standard_normal((6, 3)), rng.standard_normal(6))):
+        # three signals, then a single signal saved as a 1-D vector, then
+        # three signals on blocks of mixed sizes
+        cases = [((3, 3, 3, 3), rng.standard_normal((6, 3))),
+                 ((3, 3, 3, 3), rng.standard_normal(6)),
+                 ((2, 3, 4, 3), rng.standard_normal((6, 3)))]
+        for n, (sizes, y) in enumerate(cases):
+            e = EquivalentDictionary(e_mat, BlockStructure(sizes))
+            equiv_path = tmp_path / f"equiv{n}.json"
+            save_block_matrix_json(equiv_path, e_mat, sizes)
             meas_path = tmp_path / f"y{n}.csv"
             save_matrix_csv(meas_path, y)
             out = tmp_path / f"theta{n}.csv"
@@ -340,6 +352,18 @@ class TestCli:
         save_block_matrix_json(deficient, np.ones((3, 6)), [3, 3])
         measurements = tmp_path / "y.csv"
         save_matrix_csv(measurements, np.ones((2, 1)))
+        # block 0 holds one column twice, and every 3 blocks that fit the 8
+        # measurements hold block 0: the decode cannot pass over it
+        rng = np.random.default_rng(7)
+        e_mat = rng.standard_normal((8, 12))
+        e_mat /= np.linalg.norm(e_mat, axis=0)
+        e_mat[:, 1] = e_mat[:, 0]
+        repeated = tmp_path / "repeated.json"
+        save_block_matrix_json(repeated, e_mat, [2, 3, 4, 3])
+        y_repeated = tmp_path / "y_repeated.csv"
+        save_matrix_csv(y_repeated, e_mat[:, 0])
+        y_nine = tmp_path / "y_nine.csv"
+        save_matrix_csv(y_nine, rng.standard_normal((9, 2)))
         out = tmp_path / "a.csv"
         for argv, message in [
             (["design", "wcm", "--dict", str(path), "-M", "4", "--alpha", "1.5"], "alpha"),
@@ -348,6 +372,10 @@ class TestCli:
             (["design", "ds", "--dict", str(negative), "-M", "4"], "rows must be at least 1"),
             (["decode", "bomp", "--equiv", str(negative), "--measurements", str(measurements),
               "-k", "1"], "rows must be at least 1"),
+            (["decode", "bomp", "--equiv", str(repeated), "--measurements", str(y_repeated),
+              "-k", "3"], "rank deficient while decoding signal 0"),
+            (["decode", "bomp", "--equiv", str(path), "--measurements", str(y_nine), "-k", "4"],
+             "k_blocks=4 narrowest blocks hold 12 columns, more than M=9"),
             (["design", "ds", "--dict", str(deficient), "-M", "1"], "row-rank deficient"),
             (["design", "wcm", "--dict", str(deficient), "-M", "1", "--alpha", "0.5"],
              "row-rank deficient"),

@@ -305,10 +305,20 @@ class TestRunSweep:
         assert representation_error(x, d, theta_hat) == row.e
         assert classification_rate(theta_hat, theta) == row.r
 
-    def test_worker_pool_matches_inline(self):
-        cfg = ExperimentConfig(**{**TINY, "trials": 3})
-        inline = run_sweep(cfg, workers=1)
+    @pytest.mark.parametrize("fields", [
+        {"trials": 3},
+        # padding slots in the block layout
+        {"M": 8, "block_sizes": (2, 3, 4, 3) * 2, "alpha_grid": (0.3, 0.5, 0.9),
+         "designers": ("random", "ds", "wcm")},
+        # each trial's shared design at 0.9, rescaled and polished for 0.7 and 0.99
+        {"alpha_grid": (0.7, 0.9, 0.99), "designers": ("random", "ds", "wcm")},
+    ], ids=["uniform", "mixed", "polish"])
+    def test_worker_pool_matches_inline(self, fields):
+        cfg = ExperimentConfig(**{**TINY, **fields})
+        # the workers fork from this process, so they run before the inline
+        # sweep can leave any state behind for them to inherit
         pooled = run_sweep(cfg, workers=2)
+        inline = run_sweep(cfg, workers=1)
         assert inline == pooled
 
     def test_pool_never_outnumbers_trials(self, monkeypatch):

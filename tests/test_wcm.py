@@ -368,6 +368,7 @@ class TestRunWcm:
         d = random_dictionary(rng, 12, (2, 3, 4, 3) * 2)
         for alpha in (0.3, 0.9):
             report = run_wcm(d, 5, WcmConfig(alpha=alpha, max_iters=150))
+            assert report.converged
             trace = report.objective_trace
             assert np.all(np.diff(trace) <= 1e-12)
             inter, sub, norm = report.component_trace.T
