@@ -169,7 +169,7 @@ def main(argv=None) -> int:
     logging.getLogger("blocksense").setLevel(args.log_level)
     try:
         return args.func(args)
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError) as exc:  # numpy's LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

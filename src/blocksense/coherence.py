@@ -26,7 +26,7 @@ import numpy as np
 
 from .fileio import _number
 from .model import BlockGram, BlockStructure, Dictionary, EquivalentDictionary, SensingMatrix
-from .model import _block_rows, _gram_matrix, _sensing_array
+from .model import _block_rows, _gram_matrix, _sensing_array, gram
 
 
 def _check_alpha(alpha: float) -> float:
@@ -279,8 +279,7 @@ def coherence_report(E: EquivalentDictionary, alpha: float | None = None) -> Coh
         raise ValueError("mutual coherence needs a matrix with at least two columns")
     if np.any(norms == 0.0):
         raise ValueError("matrix has a zero column; coherence is undefined")
-    # E'E is symmetric PSD by construction, so the eigensolve check is skipped
-    g = BlockGram(_gram_matrix(E.matrix), E.structure, validate=False)
+    g = gram(E)
     if g.structure.uniform_size is not None and g.structure.num_blocks >= 2:
         mu_block = inter_block_coherence(g)
     else:

@@ -5,6 +5,12 @@ every operation in the package is a pure function that is safe to call from
 concurrent workers. The one field built later is ``Dictionary.whitened_rows``,
 on first read; it too is read-only, and depends only on fields fixed at
 construction.
+
+Every stored matrix (``Dictionary.matrix``, ``SensingMatrix``,
+``EquivalentDictionary``, ``BlockGram``) is a C-contiguous copy, whatever
+the layout given. BLAS picks its kernel, and so a product's last bits, by
+layout, so ``A @ X`` takes one kernel whichever designer made A.
+``Dictionary.whitening`` keeps the eigensolver's layout.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ _GRAM_PSD_TOL = 1e-10
 
 
 def _as_readonly_matrix(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = np.array(values, dtype=float, order="C")
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -284,14 +290,15 @@ def _sensing_array(A, signal_dim: int) -> np.ndarray:
 
 
 def _gram_matrix(e: np.ndarray) -> np.ndarray:
-    """E'E, symmetrized, without the checks of :class:`BlockGram`.
+    """E'E as numpy forms it, without the checks of :class:`BlockGram`.
 
     Every Gram matrix in the package is formed here; the design and scoring
-    loops form none. The coherence diagnostics call this directly because
-    the PSD check of :func:`gram` is an eigensolve of the K x K result.
+    loops form none. numpy takes the product of an array with its own
+    transpose by one syrk, which computes one triangle and mirrors it, so
+    E'E is exactly symmetric in any layout and at any BLAS thread count,
+    and symmetrizing it would give back its bits.
     """
-    g = e.T @ e
-    return (g + g.T) / 2.0
+    return e.T @ e
 
 
 def _block_rows(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
@@ -320,5 +327,7 @@ def _scatter_blocks(structure: BlockStructure, blocks, values) -> np.ndarray:
 
 
 def gram(E: EquivalentDictionary) -> BlockGram:
-    """Gram matrix of the equivalent dictionary columns, with its block layout."""
-    return BlockGram(_gram_matrix(E.matrix), E.structure)
+    """Gram matrix of the equivalent dictionary columns, with its block
+    layout, built without :class:`BlockGram`'s checks: E'E is exactly
+    symmetric and PSD up to rounding, so their K x K eigensolve cannot fail."""
+    return BlockGram(_gram_matrix(E.matrix), E.structure, validate=False)

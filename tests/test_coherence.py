@@ -20,7 +20,7 @@ from blocksense import (
     total_sub_block_coherence,
     weighted_objective,
 )
-from blocksense import coherence
+from blocksense import coherence, model
 from blocksense.coherence import _block_terms, _equivalent_terms, _gram_parts
 from helpers import (
     numerical_gradient,
@@ -536,13 +536,14 @@ class TestCoherenceReport:
         rng = np.random.default_rng(25)
         e = EquivalentDictionary(rng.standard_normal((4, 9)), BlockStructure(sizes))
         calls = []
-        gram_matrix = coherence._gram_matrix
+        gram_matrix = model._gram_matrix
 
         def counted(mat):
             calls.append(mat.shape)
             return gram_matrix(mat)
 
-        monkeypatch.setattr(coherence, "_gram_matrix", counted)
+        # coherence_report takes its E'E from model.gram
+        monkeypatch.setattr(model, "_gram_matrix", counted)
         report = coherence_report(e)
         assert calls == [(4, 9)]
         assert report.mu == mu_from_gram(e.matrix)

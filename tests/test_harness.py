@@ -463,6 +463,34 @@ class TestScoringFromE:
         # ds repeats the wcm design at 1/2, and no other design repeats one
         assert len(scored) == len(designed) - (0.5 in alphas)
 
+    def test_every_design_is_c_contiguous_and_scored_as_returned(self, monkeypatch):
+        # sweep bits depend on A's memory layout: random, ds, the closed form
+        # at 1/2, the shared 0.9 design, a 0.99 polish, a design below 1/2 and
+        # a random start are all C-contiguous, and each is scored as it is
+        designed, scored = [], []
+        design, score = blocksense.harness._design, blocksense.harness._score
+
+        def spied_design(*args):
+            a_mat, report = design(*args)
+            designed.append(a_mat)
+            return a_mat, report
+
+        def spied_score(cfg, D, X, theta, a_mat, *args):
+            scored.append(a_mat)
+            return score(cfg, D, X, theta, a_mat, *args)
+
+        monkeypatch.setattr(blocksense.harness, "_design", spied_design)
+        monkeypatch.setattr(blocksense.harness, "_score", spied_score)
+        cfg = ExperimentConfig(**{**TINY, "designers": ("random", "ds", "wcm"),
+                                  "alpha_grid": (0.3, 0.5, 0.9, 0.99)})
+        run_trial(cfg, 0)
+        D = generate_dictionary(cfg, np.random.default_rng([cfg.seed, 0]))
+        start = run_wcm(D, cfg.M, WcmConfig(alpha=0.9, init="random", seed=0)).sensing.matrix
+        assert all(a.flags.c_contiguous for a in designed + [start])
+        # wcm cells first, then random and ds, which repeats the design at 1/2
+        assert len(designed) == 6
+        assert all(a is b for a, b in zip(scored, designed[:5], strict=True))
+
     @pytest.mark.parametrize("sizes, alphas", [
         (3, (0.5, 0.9, 0.99)), ([2, 3, 4, 3] * 10, (0.5, 0.9, 0.99)), (3, (0.3, 0.5, 0.9)),
     ])

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import blocksense.model
 from blocksense import (
     BlockGram,
     BlockSparseVector,
@@ -13,13 +18,22 @@ from blocksense import (
     gram,
 )
 from blocksense.harness import dct_matrix
-from blocksense.model import _block_rows
+from blocksense.model import _block_rows, _gram_matrix
 from helpers import (
     random_dictionary,
     reference_block_rows,
     reference_whitening,
     unit_columns,
 )
+
+
+def _in_layout(x: np.ndarray, layout: str) -> np.ndarray:
+    """The values of ``x`` as a C-ordered, Fortran-ordered or strided array;
+    the strided one is every other column of a Fortran-ordered array, so
+    neither it nor any layout-preserving copy of it is C-contiguous."""
+    if layout == "strided":
+        return np.asfortranarray(np.repeat(x, 2, axis=1))[:, ::2]
+    return np.asarray(x, order=layout)
 
 
 class TestBlockStructure:
@@ -183,6 +197,9 @@ class TestEquivalentDictionary:
             equivalent_dictionary(np.zeros((3, 4)), d)
 
 
+_GRAM_SHAPES = [(14, (3,) * 40), (140, (3,) * 400), (14, (2, 3, 4, 3) * 10)]
+
+
 class TestGram:
     def test_orthonormal_columns_give_identity(self):
         d = Dictionary(np.eye(4), BlockStructure((2, 2)))
@@ -209,6 +226,52 @@ class TestGram:
             w = np.linalg.eigvalsh(g.matrix)
             assert w[0] >= -1e-10 * np.linalg.norm(g.matrix)
             np.testing.assert_allclose(g.matrix, g.matrix.T, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("m, sizes", _GRAM_SHAPES, ids=["desk", "k1200", "mixed"])
+    def test_gram_matrix_is_exactly_symmetric(self, m, sizes, layout):
+        # numpy forms E'E by one syrk in every layout, so it comes out exactly
+        # symmetric and gram(E) keeps the bits of its symmetrized form
+        x = np.random.default_rng(10).standard_normal((m, sum(sizes)))
+        g = _gram_matrix(_in_layout(x, layout))
+        np.testing.assert_array_equal(g, g.T)
+        e = EquivalentDictionary(_in_layout(x, layout), BlockStructure(sizes))
+        product = e.matrix.T @ e.matrix
+        np.testing.assert_array_equal(gram(e).matrix, (product + product.T) / 2.0)
+
+    def test_gram_matrix_is_exactly_symmetric_at_one_blas_thread(self):
+        # the test above, in a process whose BLAS runs one thread
+        src = os.path.dirname(os.path.dirname(blocksense.model.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        test = f"{__file__}::TestGram::test_gram_matrix_is_exactly_symmetric"
+        subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                       env=env, check=True)
+
+
+class TestStoredLayout:
+    @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_every_stored_matrix_is_a_readonly_c_contiguous_copy(self, layout):
+        # BLAS picks its kernel by layout, so a product's bits would depend
+        # on how the caller laid the matrix out
+        rng = np.random.default_rng(9)
+        structure = BlockStructure((2, 3, 4, 3))
+        d = random_dictionary(rng, 8, structure.sizes).matrix
+        a = rng.standard_normal((5, 8))
+        e = a @ d
+        for make, values in (
+            (lambda v: Dictionary(v, structure), d),
+            (SensingMatrix, a),
+            (lambda v: EquivalentDictionary(v, structure), e),
+            (lambda v: BlockGram(v, structure), e.T @ e),
+        ):
+            given = _in_layout(values, layout)
+            assert not given.flags.c_contiguous
+            stored = make(given).matrix
+            np.testing.assert_array_equal(stored, values)
+            assert stored.flags.c_contiguous and not stored.flags.writeable
+            assert not np.shares_memory(stored, given)
 
 
 class TestBlockSparseVector:
